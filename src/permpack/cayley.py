@@ -196,27 +196,6 @@ def enumerate_component(tree: TranspositionTree, values):
             yield left_word + right_word
 
 
-def component_distance(tree: TranspositionTree, g: Perm, h: Perm) -> int:
-    """Distance inside the epsilon-free component containing g."""
-    if component_of(tree, g) != component_of(tree, h):
-        raise ValueError("vertices lie in different components")
-    non_eps = [e for e in tree.edges if e != tree.epsilon]
-    if g == h:
-        return 0
-    dist = {g: 0}
-    queue = deque([g])
-    while queue:
-        u = queue.popleft()
-        for e in non_eps:
-            v = swap_positions(u, *e)
-            if v not in dist:
-                if v == h:
-                    return dist[u] + 1
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    raise AssertionError("component is connected without epsilon")
-
-
 def translate(x: Perm, g: Perm) -> Perm:
     """The color-preserving automorphism g -> x o g (value relabeling by x)."""
     return tuple(x[v - 1] for v in g)

@@ -122,7 +122,7 @@ def verify_packing(tree: TranspositionTree, cert: PackingCertificate) -> Verific
     alpha = Fraction(len(covered), n_fact)
     if cert.declared_alpha is not None and alpha != cert.declared_alpha:
         violations.append(f"declared alpha {cert.declared_alpha} != measured {alpha}")
-    profile = _profile(tree, cert, covered_centers_only=True)
+    profile = _profile(tree, cert)
     return VerificationReport(
         valid=not violations,
         covered_count=len(covered),
@@ -158,7 +158,7 @@ def verify_on_subgraph(tree: TranspositionTree, cert: PackingCertificate,
     violations.extend(overlap)
     size = len(comps) * math.factorial(tree.r) * math.factorial(tree.t)
     alpha = Fraction(len(covered), math.factorial(cert.n))
-    profile = _profile(tree, cert, covered_centers_only=True)
+    profile = _profile(tree, cert)
     return VerificationReport(
         valid=not violations,
         covered_count=len(covered),
@@ -169,8 +169,7 @@ def verify_on_subgraph(tree: TranspositionTree, cert: PackingCertificate,
     )
 
 
-def _profile(tree: TranspositionTree, cert: PackingCertificate,
-             covered_centers_only: bool = True) -> dict:
+def _profile(tree: TranspositionTree, cert: PackingCertificate) -> dict:
     if tree.r is None:
         return {}
     prof: dict = {}

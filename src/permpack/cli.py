@@ -106,7 +106,6 @@ def _build_parser() -> argparse.ArgumentParser:
     q = kind.add_parser("eset")
     _tree_args(q)
     q.add_argument("--no-symmetry", action="store_true")
-    q.add_argument("--threads", type=int, default=1, help="accepted for compatibility")
     q = kind.add_parser("maxpack")
     _tree_args(q)
     q.add_argument("--budget", default="60s")
@@ -179,7 +178,10 @@ def _cmd_construct(args) -> int:
 
 def _cmd_verify(args) -> int:
     tree = _parse_tree(args.tree, args.numbering)
-    cert = certify.cert_from_dict(_load_json(args.certificate))
+    data = _load_json(args.certificate)
+    if isinstance(data, dict) and "certificate" in data:
+        data = data["certificate"]  # the {certificate, report} file of `construct -o`
+    cert = certify.cert_from_dict(data)
     report = certify.verify_packing(tree, cert)
     out = certify.report_to_dict(report)
     if args.uniform:
@@ -233,11 +235,10 @@ def _cmd_johnson(args) -> int:
                "subsets": sorted(sorted(s) for s in subsets)}, None)
         return 0
     if args.what == "alternate":
-        sub = johnson.alternate_cops(johnson.parse_cop(args.cop_a),
-                                     johnson.parse_cop(args.cop_b), args.n)
-        r = sum(johnson.parse_cop(args.cop_a)[:1]) if sub is None else len(next(iter(sub.vertices)))
-        payload = _subgraph_payload(sub, args.n, r) if sub is not None else {"found": False}
-        _emit(payload, None)
+        cop_a = johnson.parse_cop(args.cop_a)
+        sub = johnson.alternate_cops(cop_a, johnson.parse_cop(args.cop_b), args.n)
+        # a COP with k parts expands to k-subsets
+        _emit(_subgraph_payload(sub, args.n, len(cop_a)), None)
         return 0
     if args.what == "exact-2factor":
         sub = johnson.search_exact_2factor(args.n, args.r)

@@ -16,11 +16,10 @@ from math import comb, factorial
 
 from . import johnson
 from .cayley import (RENUMBERED, TranspositionTree, all_components, build_tree,
-                     closed_sphere, component_distance, component_of,
-                     component_type, enumerate_component, neighbors, star_tree,
+                     closed_sphere, component_type, enumerate_component,
                      swap_positions)
 from .certify import (PackingCertificate, verify_on_subgraph, verify_packing)
-from .perms import Perm, all_perms, is_even, relative_parity
+from .perms import Perm, all_perms, relative_parity
 
 
 class ConstructionError(RuntimeError):
@@ -107,32 +106,33 @@ def _component_centers(tree: TranspositionTree, values: frozenset[int], flag: st
     return centers
 
 
+def _footprint(tree: TranspositionTree, centers) -> set[Perm] | None:
+    """Union of the centers' closed spheres, or None when two of them meet."""
+    out: set[Perm] = set()
+    for g in centers:
+        sph = closed_sphere(tree, g)
+        if not out.isdisjoint(sph):
+            return None
+        out |= sph
+    return out
+
+
 def _xprime_solutions(r: int):
     """Backtrack over per-component parity flags; yield perfect packings."""
     tree = build_tree(r, r, RENUMBERED)
     comps = xprime_components(r)
-    options = {c: {flag: _component_centers(tree, c, flag) for flag in ("even", "odd")}
-               for c in comps}
+    options = [[(centers, _footprint(tree, centers)) for centers in
+                (_component_centers(tree, c, "even"), _component_centers(tree, c, "odd"))]
+               for c in comps]
     covered: set[Perm] = set()
     chosen: list[list[Perm]] = []
-
-    def footprint(centers):
-        out: set[Perm] = set()
-        for g in centers:
-            sph = closed_sphere(tree, g)
-            if out & sph:
-                return None
-            out |= sph
-        return out
 
     def dfs(idx: int):
         if idx == len(comps):
             yield [g for group in chosen for g in group]
             return
-        for flag in ("even", "odd"):
-            centers = options[comps[idx]][flag]
-            foot = footprint(centers)
-            if foot is None or foot & covered:
+        for centers, foot in options[idx]:
+            if foot is None or not foot.isdisjoint(covered):
                 continue
             covered.update(foot)
             chosen.append(centers)
@@ -222,7 +222,8 @@ def _residual_candidates(tree: TranspositionTree, values: frozenset[int]) -> lis
 
 
 def _local_configs(tree: TranspositionTree, values: frozenset[int], size: int):
-    """Deterministic list of size-k center sets in one non-X' component.
+    """Deterministic list of (size-k center set, footprint) pairs in one
+    non-X' component.
 
     Guided shape: hub-slice products (value i at the left hub, j at the
     right hub), optionally displaced by one hub-leaf transposition on
@@ -245,45 +246,28 @@ def _local_configs(tree: TranspositionTree, values: frozenset[int], size: int):
                     continue
                 seen.add(group)
                 variants.append(group)
-    configs = []
+    # dedupe across variants, preserving first-seen order
+    feet: dict[tuple[Perm, ...], set[Perm] | None] = {}
     for group in variants:
         for combo in combinations(group, size):
-            if all(component_distance(tree, a, b) >= 3
-                   for a, b in combinations(combo, 2)):
-                configs.append(combo)
-    # dedupe across variants, preserving first-seen order
-    uniq = []
-    taken = set()
-    for combo in configs:
-        if combo not in taken:
-            taken.add(combo)
-            uniq.append(combo)
-    return uniq
+            if combo not in feet:
+                feet[combo] = _footprint(tree, combo)
+    return [(combo, foot) for combo, foot in feet.items() if foot is not None]
 
 
 def _pack_residual(tree: TranspositionTree, covered_base: set[Perm], comps,
                    per_comp: int) -> list[Perm] | None:
     """Backtracking: one size-k config per component, spheres disjoint
     from each other and from the already covered base."""
-    configs = {c: _local_configs(tree, c, per_comp) for c in comps}
+    configs = [_local_configs(tree, c, per_comp) for c in comps]
     covered = set(covered_base)
     picked: list[Perm] = []
-
-    def footprint(config):
-        out: set[Perm] = set()
-        for g in config:
-            sph = closed_sphere(tree, g)
-            if out & sph:
-                return None
-            out |= sph
-        return out
 
     def dfs(idx: int) -> bool:
         if idx == len(comps):
             return True
-        for config in configs[comps[idx]]:
-            foot = footprint(config)
-            if foot is None or foot & covered:
+        for config, foot in configs[idx]:
+            if not foot.isdisjoint(covered):
                 continue
             covered.update(foot)
             picked.extend(config)
@@ -318,9 +302,7 @@ def nonuniform_extension(r: int, stage: str = "final") -> NonuniformResult:
 
     best: list[Perm] | None = None
     for base_centers in _xprime_solutions(r):
-        covered = set()
-        for g in base_centers:
-            covered |= closed_sphere(tree, g)
+        covered = _footprint(tree, base_centers)
         extra = _pack_residual(tree, covered, comps, per_comp) if per_comp else []
         if extra is not None:
             best = sorted(base_centers) + sorted(extra)

@@ -224,7 +224,6 @@ def search_exact_2factor(n: int, r: int, max_vertices: int = 40) -> ExactSubgrap
         raise ValueError(f"instance too large: C({n},{r}) = {comb(n, r)} > {max_vertices}")
     verts = sorted((frozenset(c) for c in combinations(range(1, n + 1), r)), key=subset_key)
     nbrs = {v: sorted((w for _, w in johnson_neighbors(n, r, v)), key=subset_key) for v in verts}
-    order = {v: i for i, v in enumerate(verts)}
     degree = {v: 0 for v in verts}
     chosen: dict[Subset, list[Subset]] = {v: [] for v in verts}
     edges: list[tuple[Subset, Subset]] = []
@@ -264,12 +263,6 @@ def search_exact_2factor(n: int, r: int, max_vertices: int = 40) -> ExactSubgrap
             return True
         for w in nbrs[pivot]:
             if degree[w] >= 2 or w in chosen[pivot]:
-                continue
-            # avoid double counting: only let the pivot initiate edges to
-            # later vertices unless the partner already has one edge slot
-            # committed; ordering on (pivot, w) pairs keeps the search
-            # canonical either way
-            if order[w] < order[pivot] and degree[w] == 0:
                 continue
             if not can_add(pivot, w):
                 continue

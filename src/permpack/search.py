@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass
 
 from .cayley import (TranspositionTree, all_components, closed_sphere,
-                     component_of, neighbors)
+                     component_of)
 from .certify import PackingCertificate, verify_eset
 from .perms import Perm, all_perms, identity, lex_rank, lex_unrank
 
@@ -39,20 +39,14 @@ class SearchOutcome:
     solution_count: int | None = None
 
 
-def _sphere_ranks(tree: TranspositionTree) -> list[list[int]]:
+def _rank_index(n: int) -> dict[Perm, int]:
+    """{perm: lex rank} over all degree-n permutations, in rank order."""
+    return {g: v for v, g in enumerate(all_perms(n))}
+
+
+def _sphere_ranks(tree: TranspositionTree, rank: dict[Perm, int]) -> list[list[int]]:
     """sphere[v] = sorted ranks of the closed sphere of the rank-v vertex."""
-    n = tree.n
-    edge_pos = [(i - 1, j - 1) for i, j in tree.edges]
-    out = []
-    for g in all_perms(n):
-        ranks = [lex_rank(g)]
-        w = list(g)
-        for i, j in edge_pos:
-            w[i], w[j] = w[j], w[i]
-            ranks.append(lex_rank(tuple(w)))
-            w[i], w[j] = w[j], w[i]
-        out.append(sorted(ranks))
-    return out
+    return [sorted(rank[h] for h in closed_sphere(tree, g)) for g in rank]
 
 
 class _DancingLinks:
@@ -144,41 +138,39 @@ class _DancingLinks:
 
     def solve(self, stop_after: int | None = None):
         """Yield solutions (lists of row indices); exhaustive enumeration."""
-        R, D, C, size = self.R, self.D, self.C, self.size
-        stack: list[int] = []
         self.nodes = 0
-        found = [0]
+        self.found = 0
+        yield from self._search([], stop_after)
 
-        def search():
-            if R[0] == 0:
-                found[0] += 1
-                yield [self.row_of[n] for n in stack]
+    def _search(self, stack: list[int], stop_after: int | None):
+        R, D, size = self.R, self.D, self.size
+        if R[0] == 0:
+            self.found += 1
+            yield [self.row_of[n] for n in stack]
+            return
+        # minimum remaining candidates column
+        col = R[0]
+        best = col
+        c = R[col]
+        while c != 0:
+            if size[c] < size[best]:
+                best = c
+                if size[best] == 0:
+                    break
+            c = R[c]
+        if size[best] == 0:
+            return
+        self.nodes += 1
+        node = D[best]
+        while node != best:
+            stack.append(node)
+            self.select_row(node)
+            yield from self._search(stack, stop_after)
+            self.deselect_row(node)
+            stack.pop()
+            if stop_after is not None and self.found >= stop_after:
                 return
-            # minimum remaining candidates column
-            col = R[0]
-            best = col
-            c = R[col]
-            while c != 0:
-                if size[c] < size[best]:
-                    best = c
-                    if size[best] == 0:
-                        break
-                c = R[c]
-            if size[best] == 0:
-                return
-            self.nodes += 1
-            node = D[best]
-            while node != best:
-                stack.append(node)
-                self.select_row(node)
-                yield from search()
-                self.deselect_row(node)
-                stack.pop()
-                if stop_after is not None and found[0] >= stop_after:
-                    return
-                node = D[node]
-
-        yield from search()
+            node = D[node]
 
 
 def _cert_from_ranks(tree: TranspositionTree, ranks) -> PackingCertificate:
@@ -192,11 +184,11 @@ def find_eset(tree: TranspositionTree, symmetry: bool = True,
     """Decide whether the Cayley graph has an efficient dominating set."""
     if tree.n > max_degree:
         raise ValueError(f"n={tree.n} too large: {math.factorial(tree.n)} vertices")
-    spheres = _sphere_ranks(tree)
+    spheres = _sphere_ranks(tree, _rank_index(tree.n))
     dlx = _DancingLinks(len(spheres), spheres)
     if symmetry:
-        dlx.select_row(dlx.row_nodes[lex_rank(identity(tree.n))])
         forced = [lex_rank(identity(tree.n))]
+        dlx.select_row(dlx.row_nodes[forced[0]])
     else:
         forced = []
     for rows in dlx.solve(stop_after=1):
@@ -212,7 +204,7 @@ def count_esets(tree: TranspositionTree, max_degree: int = 5) -> int:
     """Number of distinct E-sets, by exhaustive exact-cover enumeration."""
     if tree.n > max_degree:
         raise ValueError(f"n={tree.n} too large for exhaustive enumeration")
-    spheres = _sphere_ranks(tree)
+    spheres = _sphere_ranks(tree, _rank_index(tree.n))
     dlx = _DancingLinks(len(spheres), spheres)
     return sum(1 for _ in dlx.solve())
 
@@ -254,7 +246,8 @@ def max_packing(tree: TranspositionTree, node_budget: int = 2_000_000,
     """Branch and bound for a maximum 1-sphere packing."""
     n = tree.n
     total = math.factorial(n)
-    spheres = _sphere_ranks(tree)
+    rank = _rank_index(n)
+    spheres = _sphere_ranks(tree, rank)
     # conflict[v]: vertices at distance <= 2 (their spheres meet v's)
     conflict = [0] * total
     for v, sph in enumerate(spheres):
@@ -265,15 +258,10 @@ def max_packing(tree: TranspositionTree, node_budget: int = 2_000_000,
         conflict[v] = m
 
     if tree.r is not None:
-        comp_masks = []
-        groups: dict = {}
-        for g in all_perms(n):
-            groups.setdefault(component_of(tree, g), []).append(lex_rank(g))
-        for c in sorted(groups, key=lambda c: tuple(sorted(c))):
-            mask = 0
-            for v in groups[c]:
-                mask |= 1 << v
-            comp_masks.append(mask)
+        comp_mask = dict.fromkeys(all_components(tree), 0)
+        for g, v in rank.items():
+            comp_mask[component_of(tree, g)] |= 1 << v
+        comp_masks = list(comp_mask.values())
     else:
         comp_masks = [(1 << total) - 1]
     caps = _component_caps(tree, conflict, comp_masks)

@@ -6,8 +6,8 @@ from itertools import combinations
 import pytest
 
 from permpack.cayley import (ORIGINAL, RENUMBERED, all_components, ball2,
-                             build_tree, closed_sphere, component_distance,
-                             component_of, component_type, enumerate_component,
+                             build_tree, closed_sphere, component_of,
+                             component_type, enumerate_component,
                              graph_distance, neighbors, num_vertices,
                              star_tree, translate, tree_diameter)
 from permpack.perms import all_perms, perm_from_str
@@ -101,13 +101,6 @@ def test_component_type():
     assert component_type(tree, {1, 4, 6}) == 1
     with pytest.raises(ValueError):
         component_type(build_tree(3, 2), {1, 2, 3})
-
-
-def test_component_distance_vs_graph_distance():
-    tree = build_tree(2, 2)
-    for g in enumerate_component(tree, {1, 2}):
-        for h in enumerate_component(tree, {1, 2}):
-            assert component_distance(tree, g, h) >= graph_distance(tree, g, h)
 
 
 def test_translate_is_color_preserving():

@@ -79,6 +79,9 @@ def test_construct_verify_roundtrip(tmp_path, capsys):
     cert_path.write_text(json.dumps(emitted["certificate"]))
     code, report = run_json(capsys, "verify", "--tree", "3,2", str(cert_path))
     assert code == 0 and report["valid"] and report["alpha"] == "5/6"
+    # the -o file itself verifies too
+    code, direct = run_json(capsys, "verify", "--tree", "3,2", str(out_path))
+    assert code == 0 and direct == report
 
 
 def test_construct_xprime(capsys):

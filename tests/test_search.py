@@ -1,11 +1,14 @@
 """Exhaustive E-set decision, enumeration, and maximum packing."""
 
+import gc
+
 import pytest
 
-from permpack.cayley import build_tree, star_tree
+from permpack.cayley import build_tree, neighbors, star_tree
 from permpack.certify import verify_packing
-from permpack.search import (BEST_EFFORT, FOUND, NONE_EXHAUSTIVE, count_esets,
-                             find_eset, max_packing)
+from permpack.perms import all_perms, lex_rank
+from permpack.search import (BEST_EFFORT, FOUND, NONE_EXHAUSTIVE, _rank_index,
+                             _sphere_ranks, count_esets, find_eset, max_packing)
 
 
 def test_find_eset_star_n3_found():
@@ -31,6 +34,26 @@ def test_find_eset_reduction_soundness():
         tree = build_tree(r, t)
         assert find_eset(tree, symmetry=True).status == \
             find_eset(tree, symmetry=False).status
+
+
+def test_sphere_table_matches_lex_rank():
+    for tree in (star_tree(5), build_tree(3, 2)):
+        table = _sphere_ranks(tree, _rank_index(tree.n))
+        for v, g in enumerate(all_perms(tree.n)):
+            expected = sorted([lex_rank(g)] + [lex_rank(h) for _, h in neighbors(tree, g)])
+            assert table[v] == expected, g
+
+
+def test_find_eset_leaves_no_cyclic_garbage():
+    # the DLX arrays must be freed by reference counting when the search returns
+    gc.collect()
+    gc.disable()
+    try:
+        find_eset(star_tree(5))
+        find_eset(build_tree(3, 2))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_find_eset_size_gate():
