@@ -117,30 +117,30 @@ def _footprint(tree: TranspositionTree, centers) -> set[Perm] | None:
     return out
 
 
+def _disjoint_picks(options, covered: set[Perm]):
+    """Backtrack over slots: pick one (centers, footprint) per slot of
+    ``options``, the footprints disjoint from ``covered`` and from each
+    other (a None footprint never fits); yield each pick's centers as one
+    flat list, in slot order."""
+    if not options:
+        yield []
+        return
+    for centers, foot in options[0]:
+        if foot is None or not foot.isdisjoint(covered):
+            continue
+        covered |= foot
+        for rest in _disjoint_picks(options[1:], covered):
+            yield [*centers, *rest]
+        covered -= foot
+
+
 def _xprime_solutions(r: int):
     """Backtrack over per-component parity flags; yield perfect packings."""
     tree = build_tree(r, r, RENUMBERED)
-    comps = xprime_components(r)
     options = [[(centers, _footprint(tree, centers)) for centers in
                 (_component_centers(tree, c, "even"), _component_centers(tree, c, "odd"))]
-               for c in comps]
-    covered: set[Perm] = set()
-    chosen: list[list[Perm]] = []
-
-    def dfs(idx: int):
-        if idx == len(comps):
-            yield [g for group in chosen for g in group]
-            return
-        for centers, foot in options[idx]:
-            if foot is None or not foot.isdisjoint(covered):
-                continue
-            covered.update(foot)
-            chosen.append(centers)
-            yield from dfs(idx + 1)
-            chosen.pop()
-            covered.difference_update(foot)
-
-    yield from dfs(0)
+               for c in xprime_components(r)]
+    return _disjoint_picks(options, set())
 
 
 def xprime_perfect_code(r: int) -> PackingCertificate:
@@ -257,29 +257,10 @@ def _local_configs(tree: TranspositionTree, values: frozenset[int], size: int):
 
 def _pack_residual(tree: TranspositionTree, covered_base: set[Perm], comps,
                    per_comp: int) -> list[Perm] | None:
-    """Backtracking: one size-k config per component, spheres disjoint
-    from each other and from the already covered base."""
+    """One size-k config per component, spheres disjoint from each other
+    and from the already covered base; None if there is no such pick."""
     configs = [_local_configs(tree, c, per_comp) for c in comps]
-    covered = set(covered_base)
-    picked: list[Perm] = []
-
-    def dfs(idx: int) -> bool:
-        if idx == len(comps):
-            return True
-        for config, foot in configs[idx]:
-            if not foot.isdisjoint(covered):
-                continue
-            covered.update(foot)
-            picked.extend(config)
-            if dfs(idx + 1):
-                return True
-            del picked[-len(config):]
-            covered.difference_update(foot)
-        return False
-
-    if dfs(0):
-        return picked
-    return None
+    return next(_disjoint_picks(configs, set(covered_base)), None)
 
 
 def nonuniform_extension(r: int, stage: str = "final") -> NonuniformResult:

@@ -209,98 +209,93 @@ def count_esets(tree: TranspositionTree, max_degree: int = 5) -> int:
     return sum(1 for _ in dlx.solve())
 
 
-def _component_caps(tree: TranspositionTree, conflict: list[int],
-                    comp_masks: list[int]) -> list[int]:
-    """Exact max independent set of the conflict graph inside each component."""
-    caps = []
-    for mask in comp_masks:
-        members = []
-        m = mask
-        while m:
-            b = m & -m
-            members.append(b.bit_length() - 1)
-            m ^= b
-        local = {v: conflict[v] & mask for v in members}
+def _branch_and_bound(cand: int, conflict: list[int], bound, node_budget: int,
+                      deadline: float | None) -> tuple[list[int], int, bool]:
+    """Maximum independent set of the candidate bitmask in the conflict graph.
 
-        best = 0
+    Iterative depth-first search over an explicit stack, in preorder:
+    take the lowest candidate first, then skip it.  A node is pruned when
+    no candidates are left or ``depth + bound(cand)`` cannot beat the
+    incumbent.  Returns (best ranks, nodes expanded, exhaustive); the
+    search stops before expanding node ``node_budget + 1`` or once
+    ``time.monotonic()`` passes ``deadline``.
+    """
+    best: list[int] = []
+    chosen: list[int] = []
+    nodes = 0
+    # (candidates, depth of the parent, vertex taken on the way here or None)
+    stack = [(cand, 0, None)]
+    while stack:
+        if nodes >= node_budget or (deadline is not None and time.monotonic() > deadline):
+            return best, nodes, False
+        nodes += 1
+        cand, depth, v = stack.pop()
+        del chosen[depth:]
+        if v is not None:
+            chosen.append(v)
+            depth += 1
+        if depth > len(best):
+            best = chosen[:]
+        if not cand or depth + bound(cand) <= len(best):
+            continue
+        b = cand & -cand
+        v = b.bit_length() - 1
+        stack.append((cand ^ b, depth, None))
+        stack.append((cand & ~conflict[v], depth, v))
+    return best, nodes, True
 
-        def mis(cand_mask: int, count: int) -> None:
-            nonlocal best
-            if count + bin(cand_mask).count("1") <= best:
-                return
-            if not cand_mask:
-                best = max(best, count)
-                return
-            b = cand_mask & -cand_mask
-            v = b.bit_length() - 1
-            mis(cand_mask & ~local[v], count + 1)
-            mis(cand_mask ^ b, count)
 
-        mis(mask, 0)
-        caps.append(best)
-    return caps
-
-
-def max_packing(tree: TranspositionTree, node_budget: int = 2_000_000,
-                time_budget: float | None = None) -> SearchOutcome:
-    """Branch and bound for a maximum 1-sphere packing."""
-    n = tree.n
-    total = math.factorial(n)
-    rank = _rank_index(n)
+def _packing_graph(tree: TranspositionTree) -> tuple[list[int], list[int]]:
+    """(conflict, comp_masks) over lex ranks: conflict[v] is the bitmask
+    of vertices at distance <= 2 from v (their spheres meet v's), and
+    comp_masks holds one bitmask per component (the whole graph for a
+    star)."""
+    rank = _rank_index(tree.n)
     spheres = _sphere_ranks(tree, rank)
-    # conflict[v]: vertices at distance <= 2 (their spheres meet v's)
-    conflict = [0] * total
-    for v, sph in enumerate(spheres):
+    conflict = []
+    for sph in spheres:
         m = 0
         for u in sph:
             for w in spheres[u]:
                 m |= 1 << w
-        conflict[v] = m
+        conflict.append(m)
+    if tree.r is None:
+        return conflict, [(1 << len(rank)) - 1]
+    comp_mask = dict.fromkeys(all_components(tree), 0)
+    for g, v in rank.items():
+        comp_mask[component_of(tree, g)] |= 1 << v
+    return conflict, list(comp_mask.values())
 
-    if tree.r is not None:
-        comp_mask = dict.fromkeys(all_components(tree), 0)
-        for g, v in rank.items():
-            comp_mask[component_of(tree, g)] |= 1 << v
-        comp_masks = list(comp_mask.values())
-    else:
-        comp_masks = [(1 << total) - 1]
-    caps = _component_caps(tree, conflict, comp_masks)
 
-    full = (1 << total) - 1
-    best_set: list[int] = []
-    nodes = 0
-    start = time.monotonic()
-    out_of_budget = False
+def max_packing(tree: TranspositionTree, node_budget: int = 2_000_000,
+                time_budget: float | None = None) -> SearchOutcome:
+    """Branch and bound for a maximum 1-sphere packing.
 
-    def bound(cand_mask: int) -> int:
+    The bound caps each component's share of the candidates at the
+    exact maximum packing inside one component.  A value relabelling
+    g -> x o g is a graph automorphism taking any component onto any
+    other, so one cap serves them all; it is found by the same search
+    on the first component, and falls back to the component size if
+    that search runs out of budget.  Both searches get ``node_budget``
+    nodes and share the ``time_budget`` deadline; ``nodes_explored``
+    counts the main search only.
+    """
+    conflict, comp_masks = _packing_graph(tree)
+    deadline = None if time_budget is None else time.monotonic() + time_budget
+
+    sample, _, exact = _branch_and_bound(comp_masks[0], conflict, int.bit_count,
+                                         node_budget, deadline)
+    cap = len(sample) if exact else comp_masks[0].bit_count()
+
+    def bound(cand: int) -> int:
         b = 0
-        for mask, cap in zip(comp_masks, caps):
-            rem = cand_mask & mask
-            if rem:
-                b += min(cap, bin(rem).count("1"))
+        for mask in comp_masks:
+            b += min(cap, (cand & mask).bit_count())
         return b
 
-    def dfs(cand_mask: int, chosen: list[int]) -> None:
-        nonlocal nodes, best_set, out_of_budget
-        nodes += 1
-        if out_of_budget or nodes > node_budget or (
-                time_budget is not None and time.monotonic() - start > time_budget):
-            out_of_budget = True
-            return
-        if len(chosen) > len(best_set):
-            best_set = list(chosen)
-        if not cand_mask or len(chosen) + bound(cand_mask) <= len(best_set):
-            return
-        b = cand_mask & -cand_mask
-        v = b.bit_length() - 1
-        chosen.append(v)
-        dfs(cand_mask & ~conflict[v], chosen)
-        chosen.pop()
-        dfs(cand_mask ^ b, chosen)
-
-    dfs(full, [])
-    cert = _cert_from_ranks(tree, best_set)
-    status = BEST_EFFORT if out_of_budget else FOUND
-    return SearchOutcome(status=status, certificate=cert, nodes_explored=nodes,
-                         wall_budget_exceeded=out_of_budget,
-                         covered_count=len(best_set) * n)
+    best, nodes, exhaustive = _branch_and_bound((1 << len(conflict)) - 1, conflict, bound,
+                                                node_budget, deadline)
+    cert = _cert_from_ranks(tree, best)
+    return SearchOutcome(status=FOUND if exhaustive else BEST_EFFORT, certificate=cert,
+                         nodes_explored=nodes, wall_budget_exceeded=not exhaustive,
+                         covered_count=len(best) * tree.n)

@@ -1,13 +1,16 @@
 """Exhaustive E-set decision, enumeration, and maximum packing."""
 
 import gc
+import math
 
 import pytest
 
 from permpack.cayley import build_tree, neighbors, star_tree
 from permpack.certify import verify_packing
+from permpack.constructions import xprime_perfect_code
 from permpack.perms import all_perms, lex_rank
-from permpack.search import (BEST_EFFORT, FOUND, NONE_EXHAUSTIVE, _rank_index,
+from permpack.search import (BEST_EFFORT, FOUND, NONE_EXHAUSTIVE,
+                             _branch_and_bound, _packing_graph, _rank_index,
                              _sphere_ranks, count_esets, find_eset, max_packing)
 
 
@@ -45,12 +48,14 @@ def test_sphere_table_matches_lex_rank():
 
 
 def test_find_eset_leaves_no_cyclic_garbage():
-    # the DLX arrays must be freed by reference counting when the search returns
+    # the search tables must be freed by reference counting when a search returns
     gc.collect()
     gc.disable()
     try:
         find_eset(star_tree(5))
         find_eset(build_tree(3, 2))
+        max_packing(build_tree(3, 2), node_budget=2000)
+        xprime_perfect_code(3)
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -97,6 +102,62 @@ def test_max_packing_budget_reported():
     out = max_packing(build_tree(2, 2), node_budget=3)
     assert out.status == BEST_EFFORT
     assert out.wall_budget_exceeded
+    assert out.nodes_explored <= 3
     # whatever was found still verifies
     rep = verify_packing(build_tree(2, 2), out.certificate)
     assert rep.valid
+
+
+@pytest.mark.parametrize("tree", [star_tree(5), build_tree(4, 3)], ids=["star5", "x43"])
+def test_max_packing_budget_bounds_whole_search(tree):
+    # a star is one component of n! vertices, and one X3(4,3) component's
+    # exact cap takes minutes: the budget must stop the cap search too
+    out = max_packing(tree, node_budget=20000)
+    assert out.status == BEST_EFFORT
+    assert out.nodes_explored <= 20000
+    assert verify_packing(tree, out.certificate).valid
+
+
+def test_component_caps_agree():
+    # the single cap relies on every component having the same exact
+    # maximum packing (a value relabelling maps any component onto any other)
+    for r, t in ((3, 2), (3, 3)):
+        conflict, comp_masks = _packing_graph(build_tree(r, t))
+        caps = set()
+        for mask in comp_masks:
+            best, _, exhaustive = _branch_and_bound(mask, conflict, int.bit_count,
+                                                    10**6, None)
+            assert exhaustive
+            caps.add(len(best))
+        assert len(caps) == 1, (r, t, caps)
+
+
+def _milp_packing(tree, mask):
+    """Maximum packing with centers in ``mask``: max sum x subject to every
+    vertex lying in at most one chosen sphere, solved by scipy's HiGHS."""
+    opt = pytest.importorskip("scipy.optimize")
+    np = pytest.importorskip("numpy")
+    spheres = _sphere_ranks(tree, _rank_index(tree.n))
+    cols = [v for v in range(len(spheres)) if mask >> v & 1]
+    a = np.zeros((len(spheres), len(cols)))
+    for j, v in enumerate(cols):
+        a[spheres[v], j] = 1
+    res = opt.milp(-np.ones(len(cols)), integrality=np.ones(len(cols)),
+                   bounds=opt.Bounds(0, 1),
+                   constraints=opt.LinearConstraint(a, -np.inf, 1))
+    assert res.success
+    return round(-res.fun)
+
+
+def test_max_packing_matches_milp():
+    for (r, t), cap in (((2, 2), 1), ((3, 2), 2), ((3, 3), 6), ((4, 2), 8)):
+        tree = build_tree(r, t)
+        conflict, comp_masks = _packing_graph(tree)
+        best, _, exhaustive = _branch_and_bound(comp_masks[0], conflict, int.bit_count,
+                                                10**6, None)
+        assert exhaustive
+        assert len(best) == _milp_packing(tree, comp_masks[0]) == cap
+    for tree in (build_tree(2, 2), star_tree(3), star_tree(4)):
+        out = max_packing(tree)
+        assert out.status == FOUND
+        assert len(out.certificate.centers) == _milp_packing(tree, (1 << math.factorial(tree.n)) - 1)
