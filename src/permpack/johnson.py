@@ -178,103 +178,114 @@ def alternate_cops(cop_a, cop_b, n: int) -> ExactSubgraph | None:
     if len(fam_a) != len(fam_b) or set(fam_a) & set(fam_b):
         return None
     m = len(fam_a)
-    start = fam_a[0]
+    # frames[i] yields the candidates for path position i+1; the families
+    # are disjoint, so one used set serves both
+    path = [fam_a[0]]
+    used = {fam_a[0]}
+    frames = [iter(fam_b)]
+    while frames:
+        for cand in frames[-1]:
+            if (cand not in used and is_johnson_edge(path[-1], cand)
+                    and (len(path) < 2 or _pair_ok_capped(n, path[-2], path[-1], cand) is None)):
+                break
+        else:
+            frames.pop()
+            used.discard(path.pop())
+            continue
+        path.append(cand)
+        used.add(cand)
+        if len(path) < 2 * m:
+            frames.append(iter(fam_b if len(path) % 2 else fam_a))
+        elif (is_johnson_edge(path[-1], path[0])
+              and _pair_ok_capped(n, path[-2], path[-1], path[0]) is None
+              and _pair_ok_capped(n, path[-1], path[0], path[1]) is None):
+            edges = tuple((path[i], path[(i + 1) % (2 * m)]) for i in range(2 * m))
+            return ExactSubgraph(vertices=frozenset(path), edges=edges, kind="cycle")
+        else:
+            used.discard(path.pop())
+    return None
 
-    path = [start]
-    used_a = {start}
-    used_b: set[Subset] = set()
 
-    def dfs() -> bool:
-        if len(path) == 2 * m:
-            return (is_johnson_edge(path[-1], path[0])
-                    and _pair_ok_capped(n, path[-2], path[-1], path[0]) is None
-                    and _pair_ok_capped(n, path[-1], path[0], path[1]) is None)
-        pool, used = (fam_b, used_b) if len(path) % 2 else (fam_a, used_a)
-        for cand in pool:
-            if cand in used:
-                continue
-            if not is_johnson_edge(path[-1], cand):
-                continue
-            if len(path) >= 2 and _pair_ok_capped(n, path[-2], path[-1], cand) is not None:
-                continue
-            path.append(cand)
-            used.add(cand)
-            if dfs():
-                return True
-            used.remove(cand)
-            path.pop()
-        return False
+def _pair_table(n: int, r: int) -> tuple[list[Subset], list[int], list[dict[int, int]]]:
+    """Index the r-subsets of 1..n in subset_key order and tabulate exact 2-paths.
 
-    if not dfs():
-        return None
-    edges = tuple((path[i], path[(i + 1) % (2 * m)]) for i in range(2 * m))
-    return ExactSubgraph(vertices=frozenset(path), edges=edges, kind="cycle")
+    Returns (verts, full, ok): full[v] is the bitmask of the Johnson
+    neighbors of vertex v, and for each neighbor u of v, ok[v][u] is the
+    mask of neighbors w whose 2-path u-v-w is exact, by the (dropped,
+    added) rule stated in search_exact_2factor.
+    """
+    verts = [frozenset(c) for c in combinations(range(1, n + 1), r)]
+    index = {v: i for i, v in enumerate(verts)}
+    full: list[int] = []
+    ok: list[dict[int, int]] = []
+    for v in verts:
+        mask = 0
+        moves = []
+        by_drop: dict[int, int] = {}
+        by_add: dict[int, int] = {}
+        for color, w in johnson_neighbors(n, r, v):
+            (dropped,), (added,) = v - color, w - color
+            bit = 1 << index[w]
+            mask |= bit
+            moves.append((index[w], dropped, added))
+            by_drop[dropped] = by_drop.get(dropped, 0) | bit
+            by_add[added] = by_add.get(added, 0) | bit
+        full.append(mask)
+        ok.append({u: mask & ~by_drop[a] & ~by_add[b] for u, a, b in moves})
+    return verts, full, ok
 
 
 def search_exact_2factor(n: int, r: int, max_vertices: int = 40) -> ExactSubgraph | None:
     """Exhaustive search for an exact spanning 2-regular subgraph of J(n, r, r-1).
 
-    Deterministic: vertices and candidate edges are scanned in
-    lexicographic order, so identical inputs yield identical certificates.
-    Returns None only after complete enumeration.
+    Deterministic: the pivot is the lexicographically first vertex of
+    degree < 2 and its candidate edges are tried in lexicographic order,
+    so identical inputs yield identical certificates.  Exactness of a
+    2-path u-v-w is a rule on (dropped, added) pairs: with
+    u = v - {a'} | {b'} and w = v - {a} | {b}, the colors share r-2
+    elements iff a != a', and the path involves r+2 elements iff
+    b != b'.  The rule is tabulated once per call (_pair_table).  The
+    search is iterative, with an explicit stack, and returns None only
+    after complete enumeration.
     """
     from math import comb
 
     if comb(n, r) > max_vertices:
         raise ValueError(f"instance too large: C({n},{r}) = {comb(n, r)} > {max_vertices}")
-    verts = sorted((frozenset(c) for c in combinations(range(1, n + 1), r)), key=subset_key)
-    nbrs = {v: sorted((w for _, w in johnson_neighbors(n, r, v)), key=subset_key) for v in verts}
-    degree = {v: 0 for v in verts}
-    chosen: dict[Subset, list[Subset]] = {v: [] for v in verts}
-    edges: list[tuple[Subset, Subset]] = []
-
-    def can_add(u: Subset, v: Subset) -> bool:
-        # exactness is local to 2-paths: check the new edge against every
-        # edge already chosen at either endpoint
-        for w in chosen[u]:
-            if _pair_ok(w, u, v) is not None:
-                return False
-        for w in chosen[v]:
-            if _pair_ok(u, v, w) is not None:
-                return False
-        return True
-
-    def add(u, v):
-        chosen[u].append(v)
-        chosen[v].append(u)
-        degree[u] += 1
-        degree[v] += 1
-        edges.append((u, v))
-
-    def remove(u, v):
-        chosen[u].pop()
-        chosen[v].pop()
-        degree[u] -= 1
-        degree[v] -= 1
-        edges.pop()
-
-    def dfs() -> bool:
-        pivot = None
-        for v in verts:
-            if degree[v] < 2:
-                pivot = v
+    verts, full, ok = _pair_table(n, r)
+    # allow[v] holds the neighbors v may still be joined to: full[v] at
+    # degree 0, ok[v][x] at degree 1 with neighbor x.  ok[v][x] lacks x,
+    # so allow[v] == full[v] exactly when v has degree 0.
+    allow = list(full)
+    open_ = (1 << len(verts)) - 1  # vertices of degree < 2
+    # frames: (pivot, untried candidates, w, saved allow[pivot], saved allow[w], saved open_)
+    stack: list[tuple[int, int, int, int, int, int]] = []
+    pivot, untried = 0, full[0]
+    while open_:
+        while untried:
+            low = untried & -untried
+            untried ^= low
+            w = low.bit_length() - 1
+            if allow[w] >> pivot & 1:
                 break
-        if pivot is None:
-            return True
-        for w in nbrs[pivot]:
-            if degree[w] >= 2 or w in chosen[pivot]:
-                continue
-            if not can_add(pivot, w):
-                continue
-            add(pivot, w)
-            if dfs():
-                return True
-            remove(pivot, w)
-        return False
-
-    if dfs():
-        return ExactSubgraph(vertices=frozenset(verts), edges=tuple(edges), kind="two_factor")
-    return None
+        else:
+            if not stack:
+                return None
+            pivot, untried, w, allow[pivot], allow[w], open_ = stack.pop()
+            continue
+        stack.append((pivot, untried, w, allow[pivot], allow[w], open_))
+        if allow[pivot] == full[pivot]:
+            allow[pivot] = ok[pivot][w]
+        else:
+            open_ ^= 1 << pivot
+        if allow[w] == full[w]:
+            allow[w] = ok[w][pivot]
+        else:
+            open_ ^= low
+        pivot = (open_ & -open_).bit_length() - 1
+        untried = allow[pivot] & open_
+    edges = tuple((verts[p], verts[w]) for p, _, w, *_ in stack)
+    return ExactSubgraph(vertices=frozenset(verts), edges=edges, kind="two_factor")
 
 
 def validate_nest(n: int, r: int, sub: ExactSubgraph) -> tuple[bool, str]:

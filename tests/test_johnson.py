@@ -1,14 +1,17 @@
 """Johnson graph structures: exactness, CC/COP expansion, alternation,
 2-factor search, nest validation."""
 
+import hashlib
+import json
 import random
 from itertools import combinations
 
 import pytest
 
 from conftest import nest_g35, nest_g46, two_factor_g35
-from permpack.johnson import (alternate_cops, expand_cc, expand_cop, is_exact,
-                              is_johnson_edge, johnson_neighbors,
+from permpack.johnson import (_pair_ok, _pair_table, alternate_cops, expand_cc,
+                              expand_cop, is_exact, is_johnson_edge,
+                              johnson_neighbors,
                               make_subgraph, parse_cop, search_exact_2factor,
                               subgraph_from_dict, subgraph_to_dict, subset_key,
                               successor_orientations, validate_nest)
@@ -121,6 +124,34 @@ def test_search_exact_2factor_deterministic():
 
 def test_search_exact_2factor_absent_6_4():
     assert search_exact_2factor(6, 4) is None
+
+
+@pytest.mark.parametrize("n, r, digest", [
+    (5, 3, "2715e2a91f18f5f5"),
+    (8, 5, "8a61c8ad979fa2e3"),
+    (8, 4, "824362a9ce8cadff"),
+    (9, 6, "d2620d84157ecad3"),
+])
+def test_search_exact_2factor_golden_certificates(n, r, digest):
+    # the edge lists in search order pin the preorder of the search
+    sub = search_exact_2factor(n, r, max_vertices=90)
+    edges = json.dumps([[sorted(u), sorted(v)] for u, v in sub.edges])
+    assert hashlib.sha256(edges.encode()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("n, r", [(5, 3), (6, 4), (7, 4), (8, 5)])
+def test_pair_table_matches_pair_ok(n, r):
+    # the search trusts this table in place of _pair_ok
+    verts, full, ok = _pair_table(n, r)
+    assert [subset_key(v) for v in verts] == sorted(map(subset_key, verts))
+    for i, v in enumerate(verts):
+        nbrs = [j for j, u in enumerate(verts) if is_johnson_edge(u, v)]
+        assert full[i] == sum(1 << j for j in nbrs)
+        assert sorted(ok[i]) == nbrs
+        for u in nbrs:
+            for w in nbrs:
+                exact = _pair_ok(verts[u], v, verts[w]) is None
+                assert bool(ok[i][u] >> w & 1) == exact
 
 
 def test_search_exact_2factor_size_gate():

@@ -8,6 +8,7 @@ import pytest
 from permpack.cayley import build_tree, neighbors, star_tree
 from permpack.certify import verify_packing
 from permpack.constructions import xprime_perfect_code
+from permpack.johnson import alternate_cops, parse_cop, search_exact_2factor
 from permpack.perms import all_perms, lex_rank
 from permpack.search import (BEST_EFFORT, FOUND, NONE_EXHAUSTIVE,
                              _branch_and_bound, _packing_graph, _rank_index,
@@ -56,6 +57,8 @@ def test_find_eset_leaves_no_cyclic_garbage():
         find_eset(build_tree(3, 2))
         max_packing(build_tree(3, 2), node_budget=2000)
         xprime_perfect_code(3)
+        search_exact_2factor(6, 4)
+        alternate_cops(parse_cop("1123"), parse_cop("2113"), 7)
         assert gc.collect() == 0
     finally:
         gc.enable()
