@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
-from .perms import Perm, identity, swap_positions
+from .perms import Perm, swap_positions
 
 Edge = tuple[int, int]
 

@@ -9,7 +9,6 @@ centers per component.  No floating point is used anywhere.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -276,17 +275,6 @@ def cert_from_dict(data: dict) -> PackingCertificate:
             declared_alpha=alpha, base_subgraph=base)
     except (KeyError, TypeError, ValueError) as exc:
         raise CertificateError(f"malformed certificate: {exc}") from exc
-
-
-def save_cert(cert: PackingCertificate, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(cert_to_dict(cert), fh, indent=1)
-        fh.write("\n")
-
-
-def load_cert(path) -> PackingCertificate:
-    with open(path) as fh:
-        return cert_from_dict(json.load(fh))
 
 
 def report_to_dict(report: VerificationReport) -> dict:

@@ -121,26 +121,41 @@ def _disjoint_picks(options, covered: set[Perm]):
     """Backtrack over slots: pick one (centers, footprint) per slot of
     ``options``, the footprints disjoint from ``covered`` and from each
     other (a None footprint never fits); yield each pick's centers as one
-    flat list, in slot order."""
+    flat list, in slot order.
+
+    Iterative: ``frames`` holds one option iterator per open slot and
+    ``picks`` the options taken so far, so the depth is not bounded by
+    Python's recursion limit.
+    """
     if not options:
         yield []
         return
-    for centers, foot in options[0]:
-        if foot is None or not foot.isdisjoint(covered):
+    picks: list = []
+    frames = [iter(options[0])]
+    while frames:
+        for centers, foot in frames[-1]:
+            if foot is not None and foot.isdisjoint(covered):
+                break
+        else:
+            frames.pop()
+            if picks:
+                covered -= picks.pop()[1]
             continue
         covered |= foot
-        for rest in _disjoint_picks(options[1:], covered):
-            yield [*centers, *rest]
-        covered -= foot
+        picks.append((centers, foot))
+        if len(picks) < len(options):
+            frames.append(iter(options[len(picks)]))
+        else:
+            yield [g for centers, _ in picks for g in centers]
+            covered -= picks.pop()[1]
 
 
-def _xprime_solutions(r: int):
-    """Backtrack over per-component parity flags; yield perfect packings."""
-    tree = build_tree(r, r, RENUMBERED)
-    options = [[(centers, _footprint(tree, centers)) for centers in
-                (_component_centers(tree, c, "even"), _component_centers(tree, c, "odd"))]
-               for c in xprime_components(r)]
-    return _disjoint_picks(options, set())
+def _xprime_options(tree: TranspositionTree):
+    """One slot per type-0 component: (centers, footprint) for its even
+    and its odd parity flag."""
+    return [[(centers, _footprint(tree, centers)) for centers in
+             (_component_centers(tree, c, "even"), _component_centers(tree, c, "odd"))]
+            for c in xprime_components(tree.r)]
 
 
 def xprime_perfect_code(r: int) -> PackingCertificate:
@@ -149,7 +164,7 @@ def xprime_perfect_code(r: int) -> PackingCertificate:
         raise ValueError("need r >= 2")
     tree = build_tree(r, r, RENUMBERED)
     comps = xprime_components(r)
-    for centers in _xprime_solutions(r):
+    for centers in _disjoint_picks(_xprime_options(tree), set()):
         cert = PackingCertificate(n=tree.n, kind="one_sphere", centers=sorted(centers),
                                   r=r, t=r, numbering=RENUMBERED,
                                   base_subgraph=comps)
@@ -210,17 +225,6 @@ def _eligible_components(tree: TranspositionTree):
     return sorted(out, key=lambda c: tuple(sorted(c)))
 
 
-def _residual_candidates(tree: TranspositionTree, values: frozenset[int]) -> list[Perm]:
-    """Vertices of a non-X' component whose sphere stays off X' (the
-    hub-edge neighbor must not land in a type-0 component)."""
-    out = []
-    for g in enumerate_component(tree, values):
-        target = (values - {g[tree.hub_left - 1]}) | {g[tree.hub_right - 1]}
-        if component_type(tree, target) >= 1:
-            out.append(g)
-    return sorted(out)
-
-
 def _local_configs(tree: TranspositionTree, values: frozenset[int], size: int):
     """Deterministic list of (size-k center set, footprint) pairs in one
     non-X' component.
@@ -231,7 +235,7 @@ def _local_configs(tree: TranspositionTree, values: frozenset[int], size: int):
     Displacement is what lets neighboring components coexist at full
     density; the undisplaced products alone collide across the hub edge.
     """
-    cands = set(_residual_candidates(tree, values))
+    hl, hr = tree.hub_left - 1, tree.hub_right - 1
     complement = sorted(set(range(1, tree.n + 1)) - values)
     variants: list[tuple[Perm, ...]] = []
     seen = set()
@@ -242,7 +246,8 @@ def _local_configs(tree: TranspositionTree, values: frozenset[int], size: int):
             for disp in [None] + hub_edges:
                 group = tuple(sorted(
                     base if disp is None else [swap_positions(g, *disp) for g in base]))
-                if group in seen or not all(g in cands for g in group):
+                if group in seen or any(
+                        component_type(tree, values - {g[hl]} | {g[hr]}) == 0 for g in group):
                     continue
                 seen.add(group)
                 variants.append(group)
@@ -255,14 +260,6 @@ def _local_configs(tree: TranspositionTree, values: frozenset[int], size: int):
     return [(combo, foot) for combo, foot in feet.items() if foot is not None]
 
 
-def _pack_residual(tree: TranspositionTree, covered_base: set[Perm], comps,
-                   per_comp: int) -> list[Perm] | None:
-    """One size-k config per component, spheres disjoint from each other
-    and from the already covered base; None if there is no such pick."""
-    configs = [_local_configs(tree, c, per_comp) for c in comps]
-    return next(_disjoint_picks(configs, set(covered_base)), None)
-
-
 def nonuniform_extension(r: int, stage: str = "final") -> NonuniformResult:
     """Extend the X' perfect code into the densest nonuniform packing the
     guided search reaches; target alpha is the table-row value.
@@ -270,6 +267,11 @@ def nonuniform_extension(r: int, stage: str = "final") -> NonuniformResult:
     stage="intermediate" stops at half density in the non-X' components
     (the double-sphere selection stage); stage="final" displaces to the
     full 2/r proportion.
+
+    A single iterative search: one ``_disjoint_picks`` over the type-0
+    slots followed by one slot per eligible component, so its first pick
+    extends the first X' code that admits an extension.  With no pick it
+    falls back to the X' code alone and reports the shortfall.
     """
     if stage not in ("intermediate", "final"):
         raise ValueError(f"unknown stage {stage!r}")
@@ -279,27 +281,23 @@ def nonuniform_extension(r: int, stage: str = "final") -> NonuniformResult:
     if stage == "intermediate":
         per_comp //= 2
     comps = _eligible_components(tree)
-    base_comps = xprime_components(r)
+    xprime_size = 2 ** r * factorial(r) ** 2
 
-    best: list[Perm] | None = None
-    for base_centers in _xprime_solutions(r):
-        covered = _footprint(tree, base_centers)
-        extra = _pack_residual(tree, covered, comps, per_comp) if per_comp else []
-        if extra is not None:
-            best = sorted(base_centers) + sorted(extra)
-            break
-    shortfall = best is None
-    if shortfall:
+    type0 = _xprime_options(tree)
+    residual = [_local_configs(tree, c, per_comp) for c in comps]
+    pick = next(_disjoint_picks(type0 + residual, set()), None)
+    if pick is None:
         # fall back to the base code alone; honest shortfall report
-        base = xprime_perfect_code(r)
-        best = list(base.centers)
+        pick = next(_disjoint_picks(type0, set()))
+    # the X' code has one center per 2r-vertex sphere; the rest is residual
+    split = xprime_size // (2 * r)
+    best = sorted(pick[:split]) + sorted(pick[split:])
     cert = PackingCertificate(n=tree.n, kind="one_sphere", centers=best,
                               r=r, t=r, numbering=RENUMBERED)
     report = verify_packing(tree, cert)
     if not report.valid:
         raise ConstructionError(f"extension failed verification: {report.violations[:1]}")
     if stage == "intermediate":
-        xprime_size = 2 ** r * factorial(r) ** 2
         target = Fraction(xprime_size + len(comps) * per_comp * 2 * r, factorial(2 * r))
     else:
         target = row.alpha

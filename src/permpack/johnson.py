@@ -13,8 +13,8 @@ _pair_ok_capped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import combinations, permutations
+from dataclasses import dataclass
+from itertools import combinations, product
 
 Subset = frozenset[int]
 
@@ -374,15 +374,11 @@ def successor_orientations(sub: ExactSubgraph):
             seen.add(cur)
         cycles.append(cyc)
 
-    def emit(i, succ):
-        if i == len(cycles):
-            yield dict(succ)
-            return
-        cyc = cycles[i]
-        m = len(cyc)
-        for direction in (1, -1):
+    # the first cycle's direction varies slowest
+    for directions in product((1, -1), repeat=len(cycles)):
+        succ = dict(succ_base)
+        for cyc, direction in zip(cycles, directions):
+            m = len(cyc)
             for k in range(m):
                 succ[cyc[k]] = cyc[(k + direction) % m]
-            yield from emit(i + 1, succ)
-
-    yield from emit(0, dict(succ_base))
+        yield succ

@@ -2,10 +2,11 @@
 
 E-set existence is an exact cover problem: the universe is all n!
 vertices and the candidate sets are the closed 1-spheres.  Solved with
-dancing links and minimum-remaining-candidates column selection; the
-right-translation symmetry lets the search fix the identity as a center
-(any E-set translates to one whose spheres include the identity as a
-center), and absence under that reduction is absence outright.
+iterative dancing links and minimum-remaining-candidates column
+selection; the right-translation symmetry lets the search fix the
+identity as a center (any E-set translates to one whose spheres include
+the identity as a center), and absence under that reduction is absence
+outright.
 
 Maximum 1-sphere packing is branch and bound over center sets; sphere
 disjointness is equivalent to pairwise distance >= 3, so this is a
@@ -21,12 +22,17 @@ from dataclasses import dataclass
 
 from .cayley import (TranspositionTree, all_components, closed_sphere,
                      component_of)
-from .certify import PackingCertificate, verify_eset
-from .perms import Perm, all_perms, identity, lex_rank, lex_unrank
+from .certify import PackingCertificate, verify_eset, verify_packing
+from .perms import Perm, all_perms, lex_unrank
 
 FOUND = "found"
 NONE_EXHAUSTIVE = "none_exhaustive"
 BEST_EFFORT = "best_effort"
+
+# largest degrees the exhaustive searches accept: 7! = 5040 vertices
+# to decide, 5! = 120 to enumerate
+_ESET_MAX_N = 7
+_COUNT_MAX_N = 5
 
 
 @dataclass
@@ -36,7 +42,6 @@ class SearchOutcome:
     nodes_explored: int
     wall_budget_exceeded: bool = False
     covered_count: int = 0
-    solution_count: int | None = None
 
 
 def _rank_index(n: int) -> dict[Perm, int]:
@@ -61,7 +66,6 @@ class _DancingLinks:
         self.C = [0] * total
         self.size = [0] * (num_cols + 1)
         self.row_of = [-1] * total
-        self.num_cols = num_cols
         # header ring: node 0 is the root, nodes 1..num_cols the columns
         for c in range(num_cols + 1):
             self.L[c] = c - 1 if c else num_cols
@@ -136,41 +140,49 @@ class _DancingLinks:
             j = self.L[j]
         self.uncover(self.C[node])
 
-    def solve(self, stop_after: int | None = None):
-        """Yield solutions (lists of row indices); exhaustive enumeration."""
-        self.nodes = 0
-        self.found = 0
-        yield from self._search([], stop_after)
+    def solve(self):
+        """Yield every solution (a list of row indices) by exhaustive enumeration.
 
-    def _search(self, stack: list[int], stop_after: int | None):
-        R, D, size = self.R, self.D, self.size
-        if R[0] == 0:
-            self.found += 1
-            yield [self.row_of[n] for n in stack]
-            return
-        # minimum remaining candidates column
-        col = R[0]
-        best = col
-        c = R[col]
-        while c != 0:
-            if size[c] < size[best]:
-                best = c
-                if size[best] == 0:
+        Iterative: ``chosen`` holds one selected row node per level.  A
+        branch takes the first column with the fewest rows and tries its
+        rows top to bottom; backtracking pops the deepest level, deselects
+        it and moves down to the next row of the same column, popping
+        again when that is the column header.  ``self.nodes`` counts
+        branches.
+        """
+        R, D, C, size, row_of = self.R, self.D, self.C, self.size, self.row_of
+        self.nodes = 0
+        chosen: list[int] = []
+        while True:
+            if R[0] == 0:
+                yield [row_of[node] for node in chosen]
+            else:
+                # minimum remaining candidates column
+                col = R[0]
+                best = col
+                c = R[col]
+                while c != 0:
+                    if size[c] < size[best]:
+                        best = c
+                        if size[best] == 0:
+                            break
+                    c = R[c]
+                if size[best]:
+                    self.nodes += 1
+                    node = D[best]
+                    chosen.append(node)
+                    self.select_row(node)
+                    continue
+            while chosen:
+                node = chosen.pop()
+                self.deselect_row(node)
+                node = D[node]
+                if node != C[node]:
+                    chosen.append(node)
+                    self.select_row(node)
                     break
-            c = R[c]
-        if size[best] == 0:
-            return
-        self.nodes += 1
-        node = D[best]
-        while node != best:
-            stack.append(node)
-            self.select_row(node)
-            yield from self._search(stack, stop_after)
-            self.deselect_row(node)
-            stack.pop()
-            if stop_after is not None and self.found >= stop_after:
+            else:
                 return
-            node = D[node]
 
 
 def _cert_from_ranks(tree: TranspositionTree, ranks) -> PackingCertificate:
@@ -179,19 +191,17 @@ def _cert_from_ranks(tree: TranspositionTree, ranks) -> PackingCertificate:
                               r=tree.r, t=tree.t, numbering=tree.numbering)
 
 
-def find_eset(tree: TranspositionTree, symmetry: bool = True,
-              max_degree: int = 7) -> SearchOutcome:
+def find_eset(tree: TranspositionTree, symmetry: bool = True) -> SearchOutcome:
     """Decide whether the Cayley graph has an efficient dominating set."""
-    if tree.n > max_degree:
+    if tree.n > _ESET_MAX_N:
         raise ValueError(f"n={tree.n} too large: {math.factorial(tree.n)} vertices")
     spheres = _sphere_ranks(tree, _rank_index(tree.n))
     dlx = _DancingLinks(len(spheres), spheres)
-    if symmetry:
-        forced = [lex_rank(identity(tree.n))]
-        dlx.select_row(dlx.row_nodes[forced[0]])
-    else:
-        forced = []
-    for rows in dlx.solve(stop_after=1):
+    # the identity has lex rank 0
+    forced = [0] if symmetry else []
+    for v in forced:
+        dlx.select_row(dlx.row_nodes[v])
+    for rows in dlx.solve():
         cert = _cert_from_ranks(tree, forced + rows)
         report = verify_eset(tree, cert)
         assert report.is_eset, "search returned an unsound certificate"
@@ -200,9 +210,9 @@ def find_eset(tree: TranspositionTree, symmetry: bool = True,
     return SearchOutcome(status=NONE_EXHAUSTIVE, certificate=None, nodes_explored=dlx.nodes)
 
 
-def count_esets(tree: TranspositionTree, max_degree: int = 5) -> int:
+def count_esets(tree: TranspositionTree) -> int:
     """Number of distinct E-sets, by exhaustive exact-cover enumeration."""
-    if tree.n > max_degree:
+    if tree.n > _COUNT_MAX_N:
         raise ValueError(f"n={tree.n} too large for exhaustive enumeration")
     spheres = _sphere_ranks(tree, _rank_index(tree.n))
     dlx = _DancingLinks(len(spheres), spheres)
@@ -278,7 +288,8 @@ def max_packing(tree: TranspositionTree, node_budget: int = 2_000_000,
     on the first component, and falls back to the component size if
     that search runs out of budget.  Both searches get ``node_budget``
     nodes and share the ``time_budget`` deadline; ``nodes_explored``
-    counts the main search only.
+    counts the main search only.  The verifier re-checks the packing
+    before it is returned.
     """
     conflict, comp_masks = _packing_graph(tree)
     deadline = None if time_budget is None else time.monotonic() + time_budget
@@ -296,6 +307,8 @@ def max_packing(tree: TranspositionTree, node_budget: int = 2_000_000,
     best, nodes, exhaustive = _branch_and_bound((1 << len(conflict)) - 1, conflict, bound,
                                                 node_budget, deadline)
     cert = _cert_from_ranks(tree, best)
+    report = verify_packing(tree, cert)
+    assert report.valid, "search returned an unsound certificate"
     return SearchOutcome(status=FOUND if exhaustive else BEST_EFFORT, certificate=cert,
                          nodes_explored=nodes, wall_budget_exceeded=not exhaustive,
-                         covered_count=len(best) * tree.n)
+                         covered_count=report.covered_count)

@@ -1,7 +1,10 @@
 """Shared structures used across the test modules."""
 
+import contextlib
+import inspect
 import json
 import pathlib
+import sys
 
 import pytest
 
@@ -44,6 +47,18 @@ def nest_g46() -> ExactSubgraph:
     edges += [((1, 2, 3, 5), (1, 2, 4, 5)), ((3, 4, 5, 1), (3, 4, 6, 1)),
               ((5, 6, 1, 3), (2, 3, 5, 6))]
     return make_subgraph([(frozenset(a), frozenset(b)) for a, b in edges], kind="nest")
+
+
+@contextlib.contextmanager
+def shallow_stack():
+    """Allow only about 60 Python frames beyond the current stack, so a
+    search whose recursion grows with its input raises RecursionError."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 60)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 @pytest.fixture

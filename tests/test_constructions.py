@@ -1,6 +1,8 @@
 """Star slices, type-0 perfect code, uniform and nonuniform packings,
 puncturing, census rows."""
 
+import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -9,7 +11,7 @@ import pytest
 from conftest import nest_g35, two_factor_g35
 from permpack.cayley import (RENUMBERED, build_tree, component_of,
                              component_type, star_tree)
-from permpack.certify import (PackingCertificate, uniformity_check,
+from permpack.certify import (PackingCertificate, cert_to_dict, uniformity_check,
                               verify_eset, verify_on_subgraph, verify_packing)
 from permpack.constructions import (ConstructionError, density_bounds,
                                     nonuniform_extension, partner,
@@ -131,6 +133,20 @@ def test_nonuniform_r3_final():
 def test_nonuniform_rejects_bad_stage():
     with pytest.raises(ValueError):
         nonuniform_extension(3, stage="later")
+
+
+@pytest.mark.parametrize("make, digest", [
+    (lambda: xprime_perfect_code(3), "4bc7b8626a06854c"),
+    (lambda: nonuniform_extension(3).certificate, "0e62c7f152e28a05"),
+    (lambda: nonuniform_extension(3, "intermediate").certificate, "2ae89c2f6509ca3f"),
+    (lambda: uniform_from_exact(build_tree(3, 2), two_factor_g35()), "48789b2e635c3a9d"),
+    (lambda: uniform_from_exact(build_tree(3, 2), nest_g35()), "c0ec593a0caff4f3"),
+], ids=["xprime3", "nonuniform3-final", "nonuniform3-intermediate",
+        "uniform32-two-factor", "uniform32-nest"])
+def test_construction_golden_certificates(make, digest):
+    # the certificates pin the order of the pick and orientation searches
+    data = json.dumps(cert_to_dict(make()))
+    assert hashlib.sha256(data.encode()).hexdigest()[:16] == digest
 
 
 def test_density_bounds():

@@ -1,15 +1,19 @@
 """Exhaustive E-set decision, enumeration, and maximum packing."""
 
 import gc
+import hashlib
+import json
 import math
 
 import pytest
 
+from conftest import nest_g35, shallow_stack
 from permpack.cayley import build_tree, neighbors, star_tree
 from permpack.certify import verify_packing
-from permpack.constructions import xprime_perfect_code
+from permpack.constructions import (_disjoint_picks, nonuniform_extension,
+                                    uniform_from_exact, xprime_perfect_code)
 from permpack.johnson import alternate_cops, parse_cop, search_exact_2factor
-from permpack.perms import all_perms, lex_rank
+from permpack.perms import all_perms, lex_rank, perm_to_str
 from permpack.search import (BEST_EFFORT, FOUND, NONE_EXHAUSTIVE,
                              _branch_and_bound, _packing_graph, _rank_index,
                              _sphere_ranks, count_esets, find_eset, max_packing)
@@ -59,9 +63,36 @@ def test_find_eset_leaves_no_cyclic_garbage():
         xprime_perfect_code(3)
         search_exact_2factor(6, 4)
         alternate_cops(parse_cop("1123"), parse_cop("2113"), 7)
+        uniform_from_exact(build_tree(3, 2), nest_g35())
+        nonuniform_extension(3)
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_searches_do_not_recurse_per_level():
+    # DLX on S6 runs 119 levels deep and the pick search below 300 slots;
+    # neither may spend a Python frame per level
+    with shallow_stack():
+        assert find_eset(star_tree(6)).status == FOUND
+        pick = next(_disjoint_picks([[((k,), {k})] for k in range(300)], set()))
+    assert len(pick) == 300
+
+
+@pytest.mark.parametrize("tree, symmetry, digest, nodes", [
+    (star_tree(6, 1), True, "6b186bfe36600b43", 119),
+    (star_tree(6, 3), True, "fa83eb9cb3099cde", 119),
+    (star_tree(5, 2), False, "041bd6f6d7764b6a", 24),
+    (build_tree(3, 3), False, "4514b5b0ef3554b8", 4419),
+    (build_tree(4, 2), True, "c64dc7d056344336", 248),
+], ids=["star6-1", "star6-3", "star5-2-nosym", "x33-nosym", "x42"])
+def test_find_eset_golden(tree, symmetry, digest, nodes):
+    # status, branch count and certificate pin the preorder of the DLX search
+    out = find_eset(tree, symmetry=symmetry)
+    assert out.nodes_explored == nodes
+    centers = [perm_to_str(c) for c in out.certificate.centers] if out.certificate else None
+    data = json.dumps([out.status, out.nodes_explored, centers])
+    assert hashlib.sha256(data.encode()).hexdigest()[:16] == digest
 
 
 def test_find_eset_size_gate():
