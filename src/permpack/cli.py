@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -42,9 +43,12 @@ def _parse_budget(text: str) -> float:
     elif text.endswith("s"):
         text = text[:-1]
     try:
-        return float(text) * mult
+        seconds = float(text) * mult
     except ValueError:
         raise UsageError(f"bad budget {text!r}; expected seconds like 60 or 60s")
+    if not (math.isfinite(seconds) and seconds > 0):
+        raise UsageError(f"bad budget {text!r}; expected a positive number of seconds")
+    return seconds
 
 
 def _load_json(path: str) -> dict:

@@ -250,6 +250,8 @@ def search_exact_2factor(n: int, r: int, max_vertices: int = 40) -> ExactSubgrap
     """
     from math import comb
 
+    if not 2 < r < n - 1:
+        raise ValueError(f"need 2 < r < n-1, got r={r}, n={n}")
     if comb(n, r) > max_vertices:
         raise ValueError(f"instance too large: C({n},{r}) = {comb(n, r)} > {max_vertices}")
     verts, full, ok = _pair_table(n, r)

@@ -3,10 +3,13 @@
 E-set existence is an exact cover problem: the universe is all n!
 vertices and the candidate sets are the closed 1-spheres.  Solved with
 iterative dancing links and minimum-remaining-candidates column
-selection; the right-translation symmetry lets the search fix the
-identity as a center (any E-set translates to one whose spheres include
-the identity as a center), and absence under that reduction is absence
-outright.
+selection.  Column sizes live in a bytearray in which a covered column
+carries the mark ``_COVERED``, so the first uncovered column of the
+smallest size is one ``bytearray.find`` per size value rather than a
+Python walk over the header ring.  The right-translation symmetry lets
+the search fix the identity as a center (any E-set translates to one
+whose spheres include the identity as a center), and absence under that
+reduction is absence outright.
 
 Maximum 1-sphere packing is branch and bound over center sets; sphere
 disjointness is equivalent to pairwise distance >= 3, so this is a
@@ -19,9 +22,9 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from operator import itemgetter
 
-from .cayley import (TranspositionTree, all_components, closed_sphere,
-                     component_of)
+from .cayley import TranspositionTree, all_components, component_of
 from .certify import PackingCertificate, verify_eset, verify_packing
 from .perms import Perm, all_perms, lex_unrank
 
@@ -33,6 +36,10 @@ BEST_EFFORT = "best_effort"
 # to decide, 5! = 120 to enumerate
 _ESET_MAX_N = 7
 _COUNT_MAX_N = 5
+
+# added to a DLX column's size byte while the column is covered; every
+# column has fewer rows (a vertex lies in exactly n closed spheres)
+_COVERED = 128
 
 
 @dataclass
@@ -50,12 +57,31 @@ def _rank_index(n: int) -> dict[Perm, int]:
 
 
 def _sphere_ranks(tree: TranspositionTree, rank: dict[Perm, int]) -> list[list[int]]:
-    """sphere[v] = sorted ranks of the closed sphere of the rank-v vertex."""
-    return [sorted(rank[h] for h in closed_sphere(tree, g)) for g in rank]
+    """sphere[v] = sorted ranks of the closed sphere of the rank-v vertex.
+
+    One column per tree edge (i, j): ``itemgetter`` over the position
+    word with i and j exchanged maps each vertex, in rank order, to its
+    neighbor across that edge, and ``rank`` maps the neighbor back to its
+    rank.  Both loops run in C; the sphere of v is v plus one entry of
+    every column.
+    """
+    columns = []
+    for i, j in tree.edges:
+        word = list(range(tree.n))
+        word[i - 1], word[j - 1] = j - 1, i - 1
+        columns.append(map(rank.__getitem__, map(itemgetter(*word), rank)))
+    return list(map(sorted, zip(range(len(rank)), *columns)))
 
 
 class _DancingLinks:
-    """Array-based dancing links over a 0/1 membership matrix."""
+    """Array-based dancing links over a 0/1 membership matrix.
+
+    ``size[c]`` is column c's row count, plus ``_COVERED`` while c is
+    covered; the root ``size[0]`` holds ``_COVERED`` for good.  A covered
+    column's count never changes while it is covered (its remaining rows
+    meet no covered column), so the mark is exact.  Columns must have
+    fewer than ``_COVERED`` rows.
+    """
 
     def __init__(self, num_cols: int, rows: list[list[int]]):
         total = 1 + num_cols + sum(len(r) for r in rows)
@@ -64,7 +90,7 @@ class _DancingLinks:
         self.U = [0] * total
         self.D = [0] * total
         self.C = [0] * total
-        self.size = [0] * (num_cols + 1)
+        size = [0] * (num_cols + 1)
         self.row_of = [-1] * total
         # header ring: node 0 is the root, nodes 1..num_cols the columns
         for c in range(num_cols + 1):
@@ -87,7 +113,7 @@ class _DancingLinks:
                 self.D[node] = col
                 self.D[self.U[col]] = node
                 self.U[col] = node
-                self.size[col] += 1
+                size[col] += 1
                 if node == first:
                     self.L[node] = node
                     self.R[node] = node
@@ -97,11 +123,16 @@ class _DancingLinks:
                     self.R[self.L[first]] = node
                     self.L[first] = node
             self.row_nodes.append(first)
+        if max(size) >= _COVERED:
+            raise ValueError(f"a column has {max(size)} rows; at most {_COVERED - 1} allowed")
+        size[0] = _COVERED
+        self.size = bytearray(size)
 
     def cover(self, col: int) -> None:
         L, R, U, D, C, size = self.L, self.R, self.U, self.D, self.C, self.size
         R[L[col]] = R[col]
         L[R[col]] = L[col]
+        size[col] += _COVERED
         i = D[col]
         while i != col:
             j = R[i]
@@ -123,6 +154,7 @@ class _DancingLinks:
                 U[D[j]] = j
                 j = L[j]
             i = U[i]
+        size[col] -= _COVERED
         R[L[col]] = col
         L[R[col]] = col
 
@@ -149,8 +181,15 @@ class _DancingLinks:
         it and moves down to the next row of the same column, popping
         again when that is the column header.  ``self.nodes`` counts
         branches.
+
+        The header ring always lists the uncovered columns in index order
+        (``uncover`` restores a column in place), and covered columns and
+        the root carry ``_COVERED`` in ``size``, so ``size.find(k)`` for
+        k = 0, 1, 2, ... stops at exactly that column: the first
+        uncovered one of the smallest size, a dead end when k is 0.
         """
-        R, D, C, size, row_of = self.R, self.D, self.C, self.size, self.row_of
+        R, D, C, row_of = self.R, self.D, self.C, self.row_of
+        find = self.size.find
         self.nodes = 0
         chosen: list[int] = []
         while True:
@@ -158,16 +197,12 @@ class _DancingLinks:
                 yield [row_of[node] for node in chosen]
             else:
                 # minimum remaining candidates column
-                col = R[0]
-                best = col
-                c = R[col]
-                while c != 0:
-                    if size[c] < size[best]:
-                        best = c
-                        if size[best] == 0:
-                            break
-                    c = R[c]
-                if size[best]:
+                k = 0
+                best = find(0)
+                while best < 0:
+                    k += 1
+                    best = find(k)
+                if k:
                     self.nodes += 1
                     node = D[best]
                     chosen.append(node)

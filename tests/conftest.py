@@ -7,10 +7,16 @@ import pathlib
 import sys
 
 import pytest
+from hypothesis import settings
 
 from permpack.johnson import ExactSubgraph, expand_cc, make_subgraph
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+
+# property tests draw the same examples on every run and have no per-example
+# deadline, so the suite neither varies nor flakes on a loaded machine
+settings.register_profile("permpack", derandomize=True, deadline=None)
+settings.load_profile("permpack")
 
 
 def load_fixture(name: str) -> dict:

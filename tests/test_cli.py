@@ -67,6 +67,14 @@ def test_search_maxpack(capsys):
     assert len(data["certificate"]["centers"]) == 5
 
 
+@pytest.mark.parametrize("budget", ["-5", "0", "nan"])
+def test_search_maxpack_rejects_nonpositive_budget(capsys, budget):
+    # a budget that is not a finite positive number of seconds is a usage
+    # error, not an empty best-effort certificate or no time limit at all
+    assert run(["search", "maxpack", "--tree", "2,2", "--budget", budget]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_construct_verify_roundtrip(tmp_path, capsys):
     out_path = tmp_path / "cert.json"
     code = run(["construct", "uniform", "--tree", "3,2",
@@ -109,6 +117,11 @@ def test_johnson_exact_2factor_absent(capsys):
     code, data = run_json(capsys, "johnson", "exact-2factor", "6", "4")
     assert code == 0
     assert data == {"found": False}
+
+
+def test_johnson_exact_2factor_bad_degree_exits_2(capsys):
+    assert run(["johnson", "exact-2factor", "3", "5"]) == 2
+    assert "need 2 < r < n-1" in capsys.readouterr().err
 
 
 def test_johnson_alternate(capsys):

@@ -159,6 +159,12 @@ def test_search_exact_2factor_size_gate():
         search_exact_2factor(10, 5)
 
 
+@pytest.mark.parametrize("n, r", [(3, 5), (5, 2), (5, 4), (6, 6)])
+def test_search_exact_2factor_rejects_bad_degree(n, r):
+    with pytest.raises(ValueError, match="need 2 < r < n-1"):
+        search_exact_2factor(n, r)
+
+
 def test_validate_nest_g35():
     assert validate_nest(5, 3, nest_g35()) == (True, "nest")
 

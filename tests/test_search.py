@@ -6,17 +6,19 @@ import json
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import nest_g35, shallow_stack
-from permpack.cayley import build_tree, neighbors, star_tree
+from permpack.cayley import TranspositionTree, build_tree, neighbors, star_tree
 from permpack.certify import verify_packing
 from permpack.constructions import (_disjoint_picks, nonuniform_extension,
                                     uniform_from_exact, xprime_perfect_code)
 from permpack.johnson import alternate_cops, parse_cop, search_exact_2factor
 from permpack.perms import all_perms, lex_rank, perm_to_str
-from permpack.search import (BEST_EFFORT, FOUND, NONE_EXHAUSTIVE,
-                             _branch_and_bound, _packing_graph, _rank_index,
-                             _sphere_ranks, count_esets, find_eset, max_packing)
+from permpack.search import (BEST_EFFORT, FOUND, NONE_EXHAUSTIVE, _branch_and_bound,
+                             _DancingLinks, _packing_graph, _rank_index, _sphere_ranks,
+                             count_esets, find_eset, max_packing)
 
 
 def test_find_eset_star_n3_found():
@@ -44,12 +46,78 @@ def test_find_eset_reduction_soundness():
             find_eset(tree, symmetry=False).status
 
 
+def _placed_x3(r, t, hub_left, hub_right):
+    # X3(r,t) with the hubs at positions hub_left <= r < hub_right; every
+    # other position of a side is a leaf of that side's hub
+    n = r + t
+    edges = [(hub_left, hub_right)]
+    edges += [tuple(sorted((v, hub_left))) for v in range(1, r + 1) if v != hub_left]
+    edges += [tuple(sorted((v, hub_right))) for v in range(r + 1, n + 1) if v != hub_right]
+    return TranspositionTree(n=n, edges=tuple(sorted(edges)), epsilon=(hub_left, hub_right),
+                             r=r, t=t)
+
+
 def test_sphere_table_matches_lex_rank():
-    for tree in (star_tree(5), build_tree(3, 2)):
+    # the table is built column by column from the tree's edge list, so
+    # relabelled trees with other edge lists are checked too
+    for tree in (star_tree(5), star_tree(5, 3), build_tree(3, 2),
+                 _placed_x3(4, 2, 2, 5), _placed_x3(3, 3, 3, 6)):
         table = _sphere_ranks(tree, _rank_index(tree.n))
         for v, g in enumerate(all_perms(tree.n)):
             expected = sorted([lex_rank(g)] + [lex_rank(h) for _, h in neighbors(tree, g)])
             assert table[v] == expected, g
+
+
+def _algorithm_x(num_cols, rows):
+    """Reference exact cover on plain sets: (solutions in order, nodes).
+
+    Branches on the first column in index order with the fewest rows and
+    tries its rows in ascending index; one node per non-empty column chosen.
+    """
+    solutions = []
+    nodes = 0
+
+    def search(cols, live, chosen):
+        nonlocal nodes
+        if not cols:
+            solutions.append(chosen)
+            return
+        col = min(sorted(cols), key=lambda c: sum(c in rows[q] for q in live))
+        picks = [q for q in live if col in rows[q]]
+        if picks:
+            nodes += 1
+        for q in picks:
+            search(cols - rows[q], [p for p in live if not rows[p] & rows[q]], chosen + [q])
+
+    search(set(range(num_cols)), list(range(len(rows))), [])
+    return solutions, nodes
+
+
+@st.composite
+def _matrices(draw):
+    num_cols = draw(st.integers(0, 8))
+    rows = draw(st.lists(st.sets(st.integers(0, num_cols - 1)) if num_cols else st.just(set()),
+                         max_size=12))
+    return num_cols, rows
+
+
+@given(_matrices())
+def test_dancing_links_matches_algorithm_x(matrix):
+    # same solutions in the same order and the same branch count as the
+    # reference, which pins the column choice and the row order
+    num_cols, rows = matrix
+    solutions, nodes = _algorithm_x(num_cols, rows)
+    dlx = _DancingLinks(num_cols, [sorted(r) for r in rows])
+    assert list(dlx.solve()) == solutions
+    assert dlx.nodes == nodes
+
+
+def test_dancing_links_column_size_limit():
+    # column sizes are bytes with a covered mark of 128 added on top
+    dlx = _DancingLinks(1, [[0]] * 127)
+    assert sum(1 for _ in dlx.solve()) == 127
+    with pytest.raises(ValueError):
+        _DancingLinks(1, [[0]] * 128)
 
 
 def test_find_eset_leaves_no_cyclic_garbage():
