@@ -209,6 +209,8 @@ def _cmd_search(args) -> int:
            "wall_seconds": round(time.monotonic() - start, 3),
            "wall_budget_exceeded": outcome.wall_budget_exceeded,
            "covered_count": outcome.covered_count}
+    if outcome.upper_bound is not None:
+        out["upper_bound"] = outcome.upper_bound
     if outcome.certificate is not None:
         out["certificate"] = certify.cert_to_dict(outcome.certificate)
     _emit(out, None)

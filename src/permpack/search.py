@@ -14,7 +14,11 @@ reduction is absence outright.
 Maximum 1-sphere packing is branch and bound over center sets; sphere
 disjointness is equivalent to pairwise distance >= 3, so this is a
 maximum independent set in the distance-<=2 conflict graph, bounded
-per component.
+per component.  The bound is carried down the search tree: each stack
+entry holds its per-component candidate counts, and a child updates
+only the components its branch vertex reaches.  The per-component cap
+comes from the same search on one component with one vertex forced in,
+which vertex-transitivity of a component makes sound.
 """
 
 from __future__ import annotations
@@ -49,6 +53,8 @@ class SearchOutcome:
     nodes_explored: int
     wall_budget_exceeded: bool = False
     covered_count: int = 0
+    # max_packing: the root bound, or the packing size once exhaustive; None for find_eset
+    upper_bound: int | None = None
 
 
 def _rank_index(n: int) -> dict[Perm, int]:
@@ -254,39 +260,77 @@ def count_esets(tree: TranspositionTree) -> int:
     return sum(1 for _ in dlx.solve())
 
 
-def _branch_and_bound(cand: int, conflict: list[int], bound, node_budget: int,
-                      deadline: float | None) -> tuple[list[int], int, bool]:
+def _branch_and_bound(cand: int, conflict: list[int], comp_masks: list[int], cap: int,
+                      node_budget: int, deadline: float | None) -> tuple[list[int], int, bool]:
     """Maximum independent set of the candidate bitmask in the conflict graph.
+
+    ``conflict[v]`` contains v, and the disjoint ``comp_masks`` cover
+    ``cand``.  The bound at a node is the sum over components of
+    min(cap, candidates left in the component), so ``cap`` must be at
+    least the largest independent set inside any one component; with
+    ``cap`` the component size it is the candidate count.
 
     Iterative depth-first search over an explicit stack, in preorder:
     take the lowest candidate first, then skip it.  A node is pruned when
-    no candidates are left or ``depth + bound(cand)`` cannot beat the
-    incumbent.  Returns (best ranks, nodes expanded, exhaustive); the
-    search stops before expanding node ``node_budget + 1`` or once
-    ``time.monotonic()`` passes ``deadline``.
+    its depth plus its bound cannot beat the incumbent.  Each stack entry
+    carries its per-component candidate counts and bound, derived from
+    its parent's: skipping v lowers v's component count by 1, and taking
+    v lowers the count of each component j that ``conflict[v]`` meets by
+    the candidates in ``conflict[v] & comp_masks[j]``.  Returns (best
+    ranks, nodes expanded, exhaustive); the search stops before
+    expanding node ``node_budget + 1`` or once ``time.monotonic()``
+    passes ``deadline``.
     """
+    # home[v]: v's component index; parts[v]: (j, conflict[v] & comp_masks[j])
+    # for each component j that conflict[v] meets, over the candidates v
+    home: list[int] = [0] * len(conflict)
+    parts: list[list[tuple[int, int]]] = [[]] * len(conflict)
+    for j, mask in enumerate(comp_masks):
+        rest = cand & mask
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            v = b.bit_length() - 1
+            home[v] = j
+            parts[v] = [(i, p) for i, m in enumerate(comp_masks) if (p := conflict[v] & m)]
+    counts = [(cand & mask).bit_count() for mask in comp_masks]
+    bound = sum(min(cap, c) for c in counts)
+
     best: list[int] = []
     chosen: list[int] = []
     nodes = 0
-    # (candidates, depth of the parent, vertex taken on the way here or None)
-    stack = [(cand, 0, None)]
+    # (candidates, depth of the parent, vertex taken on the way here or None,
+    #  candidates per component, bound); each entry owns its counts list
+    stack = [(cand, 0, None, counts, bound)]
     while stack:
         if nodes >= node_budget or (deadline is not None and time.monotonic() > deadline):
             return best, nodes, False
         nodes += 1
-        cand, depth, v = stack.pop()
+        cand, depth, v, counts, bound = stack.pop()
         del chosen[depth:]
         if v is not None:
             chosen.append(v)
             depth += 1
         if depth > len(best):
             best = chosen[:]
-        if not cand or depth + bound(cand) <= len(best):
+        if depth + bound <= len(best):
             continue
         b = cand & -cand
         v = b.bit_length() - 1
-        stack.append((cand ^ b, depth, None))
-        stack.append((cand & ~conflict[v], depth, v))
+        taken = counts[:]
+        take_bound = bound
+        for j, part in parts[v]:
+            c = taken[j]
+            left = c - (cand & part).bit_count()
+            taken[j] = left
+            if left < cap:
+                take_bound -= (c if c < cap else cap) - left
+        j = home[v]
+        if counts[j] <= cap:
+            bound -= 1
+        counts[j] -= 1
+        stack.append((cand ^ b, depth, None, counts, bound))
+        stack.append((cand & ~conflict[v], depth, v, taken, take_bound))
     return best, nodes, True
 
 
@@ -319,31 +363,49 @@ def max_packing(tree: TranspositionTree, node_budget: int = 2_000_000,
     The bound caps each component's share of the candidates at the
     exact maximum packing inside one component.  A value relabelling
     g -> x o g is a graph automorphism taking any component onto any
-    other, so one cap serves them all; it is found by the same search
-    on the first component, and falls back to the component size if
-    that search runs out of budget.  Both searches get ``node_budget``
-    nodes and share the ``time_budget`` deadline; ``nodes_explored``
-    counts the main search only.  The verifier re-checks the packing
-    before it is returned.
+    other, so one cap serves them all.  It is found by the same search
+    on the first component, with the cap set to the component size (the
+    bound is then the candidate count) and with the component's lowest
+    vertex v0 forced in: the cap is 1 + the best packing of the
+    component minus the conflicts of v0.  Forcing is sound because the
+    component of g is the coset g o H, H the permutations that keep the
+    set of left positions (all of S_n for a star), and the relabelling
+    x -> (g o h o g^-1) o x maps that coset onto itself and g to g o h,
+    so some maximum packing of a component contains any chosen vertex
+    of it.  If the cap search runs out of budget, the cap falls back to
+    the component size.  Both searches get ``node_budget`` nodes and
+    share the ``time_budget`` deadline; ``nodes_explored`` counts the
+    main search only.  The main search carries its bound down the tree
+    (see ``_branch_and_bound``) with the values, and so the preorder, of
+    recomputing it per node.
+
+    Forcing shrinks the cap search, not the cap: wherever the search
+    without v0 forced would also finish within the budget, the output
+    is the same.  Where only the forced search finishes, the exact cap
+    replaces the component size; a tighter valid bound prunes only
+    subtrees that cannot beat the incumbent, so the packing found
+    within the same budget is at least as large.
+
+    ``upper_bound`` is the root bound ``cap * len(comp_masks)``, or the
+    packing size when the main search is exhaustive.  The verifier
+    re-checks the packing before it is returned.
     """
     conflict, comp_masks = _packing_graph(tree)
     deadline = None if time_budget is None else time.monotonic() + time_budget
 
-    sample, _, exact = _branch_and_bound(comp_masks[0], conflict, int.bit_count,
+    first = comp_masks[0]
+    size = first.bit_count()
+    v0 = (first & -first).bit_length() - 1
+    sample, _, exact = _branch_and_bound(first & ~conflict[v0], conflict, [first], size,
                                          node_budget, deadline)
-    cap = len(sample) if exact else comp_masks[0].bit_count()
+    cap = 1 + len(sample) if exact else size
 
-    def bound(cand: int) -> int:
-        b = 0
-        for mask in comp_masks:
-            b += min(cap, (cand & mask).bit_count())
-        return b
-
-    best, nodes, exhaustive = _branch_and_bound((1 << len(conflict)) - 1, conflict, bound,
-                                                node_budget, deadline)
+    best, nodes, exhaustive = _branch_and_bound((1 << len(conflict)) - 1, conflict, comp_masks,
+                                                cap, node_budget, deadline)
     cert = _cert_from_ranks(tree, best)
     report = verify_packing(tree, cert)
     assert report.valid, "search returned an unsound certificate"
     return SearchOutcome(status=FOUND if exhaustive else BEST_EFFORT, certificate=cert,
                          nodes_explored=nodes, wall_budget_exceeded=not exhaustive,
-                         covered_count=report.covered_count)
+                         covered_count=report.covered_count,
+                         upper_bound=len(best) if exhaustive else cap * len(comp_masks))

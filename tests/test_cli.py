@@ -65,6 +65,7 @@ def test_search_maxpack(capsys):
     assert code == 0
     assert data["status"] == "found"
     assert len(data["certificate"]["centers"]) == 5
+    assert data["upper_bound"] == 5
 
 
 @pytest.mark.parametrize("budget", ["-5", "0", "nan"])

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import nest_g35, shallow_stack
-from permpack.cayley import TranspositionTree, build_tree, neighbors, star_tree
+from permpack.cayley import RENUMBERED, TranspositionTree, build_tree, neighbors, star_tree
 from permpack.certify import verify_packing
 from permpack.constructions import (_disjoint_picks, nonuniform_extension,
                                     uniform_from_exact, xprime_perfect_code)
@@ -26,6 +26,7 @@ def test_find_eset_star_n3_found():
     assert out.status == FOUND
     assert out.certificate is not None
     assert out.covered_count == 6
+    assert out.upper_bound is None
 
 
 def test_find_eset_absent_2_2():
@@ -189,6 +190,7 @@ def test_max_packing_2_2_optimal():
     assert out.status == FOUND  # certified optimal: budget not exceeded
     assert not out.wall_budget_exceeded
     assert len(out.certificate.centers) == 5
+    assert out.upper_bound == 5
     rep = verify_packing(tree, out.certificate)
     assert rep.valid and rep.covered_count == 20
 
@@ -205,6 +207,7 @@ def test_max_packing_budget_reported():
     assert out.status == BEST_EFFORT
     assert out.wall_budget_exceeded
     assert out.nodes_explored <= 3
+    assert out.upper_bound >= len(out.certificate.centers)
     # whatever was found still verifies
     rep = verify_packing(build_tree(2, 2), out.certificate)
     assert rep.valid
@@ -220,6 +223,81 @@ def test_max_packing_budget_bounds_whole_search(tree):
     assert verify_packing(tree, out.certificate).valid
 
 
+@pytest.mark.parametrize("tree, digest", [
+    (build_tree(3, 3), "bcce484cbd2c0238"),
+    (build_tree(3, 3, numbering=RENUMBERED), "7a4b913eea9b2d0a"),
+    (build_tree(4, 2, numbering=RENUMBERED), "8fecafb420b28dcf"),
+], ids=["x33", "x33-renumbered", "x42-renumbered"])
+def test_max_packing_golden(tree, digest):
+    # status, node count and centers pin the preorder and the bound of the B&B
+    out = max_packing(tree, node_budget=20000)
+    assert (out.status, out.nodes_explored) == (BEST_EFFORT, 20000)
+    centers = [perm_to_str(c) for c in out.certificate.centers]
+    data = json.dumps([out.status, out.nodes_explored, centers])
+    assert hashlib.sha256(data.encode()).hexdigest()[:16] == digest
+
+
+def test_max_packing_exact_cap_within_budget():
+    # with a vertex forced in, one X3(4,2) component's cap search fits in
+    # the budget (unforced it needs 36 363 nodes): the root bound is the
+    # exact cap 8 times the 15 components, not the component size 48
+    out = max_packing(build_tree(4, 2), node_budget=20000)
+    assert out.upper_bound == 8 * 15
+    assert len(out.certificate.centers) >= 84
+
+
+def _reference_branch_and_bound(cand, conflict, comp_masks, cap, node_budget):
+    """``_branch_and_bound`` with its bound recomputed at every node as the
+    sum over components of min(cap, candidates left in the component)."""
+    best, chosen, nodes = [], [], 0
+    stack = [(cand, 0, None)]
+    while stack:
+        if nodes >= node_budget:
+            return best, nodes, False
+        nodes += 1
+        cand, depth, v = stack.pop()
+        del chosen[depth:]
+        if v is not None:
+            chosen.append(v)
+            depth += 1
+        if depth > len(best):
+            best = chosen[:]
+        if depth + sum(min(cap, (cand & m).bit_count()) for m in comp_masks) <= len(best):
+            continue
+        b = cand & -cand
+        v = b.bit_length() - 1
+        stack.append((cand ^ b, depth, None))
+        stack.append((cand & ~conflict[v], depth, v))
+    return best, nodes, True
+
+
+@st.composite
+def _split_conflict_graphs(draw):
+    # dense graphs with nearly all vertices as candidates and small caps
+    # prune often, which is where a wrong count shows
+    num = draw(st.integers(1, 16))
+    vertex = st.integers(0, num - 1)
+    conflict = [1 << v for v in range(num)]
+    for u, v in draw(st.lists(st.tuples(vertex, vertex), max_size=40)):
+        conflict[u] |= 1 << v
+        conflict[v] |= 1 << u
+    home = draw(st.lists(st.integers(0, 3), min_size=num, max_size=num))
+    comp_masks = [sum(1 << v for v in range(num) if home[v] == j) for j in range(4)]
+    cand = (1 << num) - 1
+    for v in draw(st.lists(vertex, max_size=3)):
+        cand &= ~(1 << v)
+    return cand, conflict, comp_masks, draw(st.integers(1, 3)), draw(st.integers(1, 300))
+
+
+@given(_split_conflict_graphs())
+def test_incremental_bound_matches_recomputed(case):
+    # the per-entry counts and bound must equal a fresh recount at every
+    # node: any difference moves a prune and with it the node count
+    cand, conflict, comp_masks, cap, budget = case
+    expected = _reference_branch_and_bound(cand, conflict, comp_masks, cap, budget)
+    assert _branch_and_bound(cand, conflict, comp_masks, cap, budget, None) == expected
+
+
 def test_component_caps_agree():
     # the single cap relies on every component having the same exact
     # maximum packing (a value relabelling maps any component onto any other)
@@ -227,11 +305,20 @@ def test_component_caps_agree():
         conflict, comp_masks = _packing_graph(build_tree(r, t))
         caps = set()
         for mask in comp_masks:
-            best, _, exhaustive = _branch_and_bound(mask, conflict, int.bit_count,
+            best, _, exhaustive = _branch_and_bound(mask, conflict, [mask], mask.bit_count(),
                                                     10**6, None)
             assert exhaustive
             caps.add(len(best))
         assert len(caps) == 1, (r, t, caps)
+        # the cap search forces one vertex in: every vertex of a component
+        # lies in some maximum packing of it (a component is vertex-transitive)
+        first = comp_masks[0]
+        for v in range(len(conflict)):
+            if first >> v & 1:
+                best, _, exhaustive = _branch_and_bound(first & ~conflict[v], conflict, [first],
+                                                        first.bit_count(), 10**6, None)
+                assert exhaustive
+                assert 1 + len(best) in caps, (r, t, v)
 
 
 def _milp_packing(tree, mask):
@@ -255,7 +342,8 @@ def test_max_packing_matches_milp():
     for (r, t), cap in (((2, 2), 1), ((3, 2), 2), ((3, 3), 6), ((4, 2), 8)):
         tree = build_tree(r, t)
         conflict, comp_masks = _packing_graph(tree)
-        best, _, exhaustive = _branch_and_bound(comp_masks[0], conflict, int.bit_count,
+        first = comp_masks[0]
+        best, _, exhaustive = _branch_and_bound(first, conflict, [first], first.bit_count(),
                                                 10**6, None)
         assert exhaustive
         assert len(best) == _milp_packing(tree, comp_masks[0]) == cap
