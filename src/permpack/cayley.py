@@ -174,6 +174,8 @@ def component_of(tree: TranspositionTree, g: Perm) -> frozenset[int]:
 
 
 def all_components(tree: TranspositionTree) -> list[frozenset[int]]:
+    if tree.r is None:
+        raise ValueError("components defined only for diameter-3 trees")
     return [frozenset(c) for c in combinations(range(1, tree.n + 1), tree.r)]
 
 

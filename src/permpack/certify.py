@@ -12,11 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations
 
-from . import cayley
-from .cayley import TranspositionTree, closed_sphere, component_of, component_type, neighbors
-from .perms import Perm, perm_from_str, perm_to_str
+from .cayley import (TranspositionTree, all_components, closed_sphere, component_of,
+                     component_type, neighbors, translate)
+from .perms import Perm, compose, invert, perm_from_str, perm_to_str
 
 
 @dataclass
@@ -77,6 +76,11 @@ def _check_wellformed(tree: TranspositionTree, cert: PackingCertificate) -> None
                     f"center {perm_to_str(p)} lies outside the base subgraph")
 
 
+def _sphere_within(tree: TranspositionTree, p: Perm, comps) -> frozenset[Perm]:
+    """The closed sphere of p restricted to the components in comps."""
+    return frozenset(q for q in closed_sphere(tree, p) if component_of(tree, q) in comps)
+
+
 def sphere_sets(tree: TranspositionTree, cert: PackingCertificate) -> list[frozenset[Perm]]:
     """The vertex set of each declared sphere, in certificate order."""
     if cert.kind == "one_sphere":
@@ -87,49 +91,46 @@ def sphere_sets(tree: TranspositionTree, cert: PackingCertificate) -> list[froze
     base = set(frozenset(c) for c in cert.base_subgraph)
     out = []
     for p in cert.centers:
-        inner = {q for q in closed_sphere(tree, p) if component_of(tree, q) in base}
-        outer = set()
-        for q in inner:
-            for _, w in neighbors(tree, q):
-                if component_of(tree, w) not in base:
-                    outer.add(w)
-        out.append(frozenset(inner | outer))
+        inner = _sphere_within(tree, p, base)
+        out.append(inner | {w for q in inner for _, w in neighbors(tree, q)
+                            if component_of(tree, w) not in base})
     return out
 
 
-def _disjoint_union(spheres, labels) -> tuple[set, list[str]]:
+def _report(tree: TranspositionTree, cert: PackingCertificate, centers, spheres,
+            violations: list[str], whole: int) -> VerificationReport:
+    """The report on the union of spheres, one per entry of centers.
+
+    Overlaps and a wrong declared alpha are appended to violations;
+    alpha is covered / n!, and an E-set is a valid one_sphere packing
+    that covers all `whole` vertices.
+    """
     covered: set = set()
-    violations = []
-    for label, sph in zip(labels, spheres):
+    for center, sph in zip(centers, spheres):
         clash = covered & sph
         if clash:
-            some = perm_to_str(next(iter(clash)))
-            violations.append(f"sphere of {label} overlaps an earlier sphere at {some}")
+            label = ("+".join(map(perm_to_str, center)) if cert.kind == "double_sphere"
+                     else perm_to_str(center))
+            violations.append(f"sphere of {label} overlaps an earlier sphere at "
+                              f"{perm_to_str(next(iter(clash)))}")
         covered |= sph
-    return covered, violations
-
-
-def verify_packing(tree: TranspositionTree, cert: PackingCertificate) -> VerificationReport:
-    _check_wellformed(tree, cert)
-    spheres = sphere_sets(tree, cert)
-    if cert.kind == "double_sphere":
-        labels = [f"{perm_to_str(x)}+{perm_to_str(y)}" for x, y in cert.centers]
-    else:
-        labels = [perm_to_str(p) for p in cert.centers]
-    covered, violations = _disjoint_union(spheres, labels)
-    n_fact = math.factorial(cert.n)
-    alpha = Fraction(len(covered), n_fact)
+    alpha = Fraction(len(covered), math.factorial(cert.n))
     if cert.declared_alpha is not None and alpha != cert.declared_alpha:
         violations.append(f"declared alpha {cert.declared_alpha} != measured {alpha}")
-    profile = _profile(tree, cert)
     return VerificationReport(
         valid=not violations,
         covered_count=len(covered),
         alpha=alpha,
-        is_eset=(not violations) and cert.kind == "one_sphere" and len(covered) == n_fact,
-        per_component_profile=profile,
+        is_eset=(not violations) and cert.kind == "one_sphere" and len(covered) == whole,
+        per_component_profile=_profile(tree, cert),
         violations=violations,
     )
+
+
+def verify_packing(tree: TranspositionTree, cert: PackingCertificate) -> VerificationReport:
+    _check_wellformed(tree, cert)
+    return _report(tree, cert, cert.centers, sphere_sets(tree, cert), [],
+                   math.factorial(cert.n))
 
 
 def verify_eset(tree: TranspositionTree, cert: PackingCertificate) -> VerificationReport:
@@ -145,27 +146,14 @@ def verify_on_subgraph(tree: TranspositionTree, cert: PackingCertificate,
         raise CertificateError("subgraph verification applies to one_sphere certificates")
     _check_wellformed(tree, cert)
     comps = set(frozenset(c) for c in components)
-    violations = []
-    spheres = []
+    violations, inside = [], []
     for p in cert.centers:
-        if component_of(tree, p) not in comps:
+        if component_of(tree, p) in comps:
+            inside.append(p)
+        else:
             violations.append(f"center {perm_to_str(p)} lies outside the listed components")
-            continue
-        spheres.append(frozenset(
-            q for q in closed_sphere(tree, p) if component_of(tree, q) in comps))
-    covered, overlap = _disjoint_union(spheres, [perm_to_str(p) for p in cert.centers])
-    violations.extend(overlap)
-    size = len(comps) * math.factorial(tree.r) * math.factorial(tree.t)
-    alpha = Fraction(len(covered), math.factorial(cert.n))
-    profile = _profile(tree, cert)
-    return VerificationReport(
-        valid=not violations,
-        covered_count=len(covered),
-        alpha=alpha,
-        is_eset=(not violations) and len(covered) == size,
-        per_component_profile=profile,
-        violations=violations,
-    )
+    return _report(tree, cert, inside, [_sphere_within(tree, p, comps) for p in inside],
+                   violations, len(comps) * math.factorial(tree.r) * math.factorial(tree.t))
 
 
 def _profile(tree: TranspositionTree, cert: PackingCertificate) -> dict:
@@ -191,36 +179,35 @@ def uniformity_check(tree: TranspositionTree, cert: PackingCertificate) -> tuple
     _check_wellformed(tree, cert)
     if not cert.centers:
         return True, None
-    by_comp: dict[frozenset[int], set[Perm]] = {c: set() for c in cayley.all_components(tree)}
+    by_comp: dict[frozenset[int], set[Perm]] = {c: set() for c in all_components(tree)}
     for p in cert.centers:
         by_comp[component_of(tree, p)].add(p)
     comps = sorted(by_comp, key=lambda c: tuple(sorted(c)))
     base = comps[0]
-    universe = set(range(1, tree.n + 1))
     for c in comps[1:]:
-        if not _equivalent(tree, by_comp[base], base, by_comp[c], c, universe):
+        if not _equivalent(by_comp[base], by_comp[c]):
             return False, (f"components {tuple(sorted(base))} and {tuple(sorted(c))} "
                            f"carry inequivalent center sets")
     return True, None
 
 
-def _equivalent(tree, centers1, c1, centers2, c2, universe) -> bool:
+def _equivalent(centers1: set[Perm], centers2: set[Perm]) -> bool:
+    """Does some translation g -> x o g carry centers1 onto centers2?
+
+    Any such x sends g = min(centers1) to some h in centers2, so x is one
+    of the candidates h o g^-1.  Each candidate maps g's left values (its
+    component) onto h's and the right values onto the right values, so it
+    is a translation of the kind ``uniformity_check`` asks for.
+    """
     if len(centers1) != len(centers2):
         return False
     if not centers1:
         return True
-    left1, left2 = sorted(c1), sorted(c2)
-    right1, right2 = sorted(universe - c1), sorted(universe - c2)
-    for lperm in permutations(left2):
-        for rperm in permutations(right2):
-            word = [0] * tree.n
-            for a, b in zip(left1, lperm):
-                word[a - 1] = b
-            for a, b in zip(right1, rperm):
-                word[a - 1] = b
-            x = tuple(word)
-            if {cayley.translate(x, g) for g in centers1} == centers2:
-                return True
+    g_inv = invert(min(centers1))
+    for h in centers2:
+        x = compose(h, g_inv)
+        if all(translate(x, p) in centers2 for p in centers1):
+            return True
     return False
 
 
@@ -273,7 +260,7 @@ def cert_from_dict(data: dict) -> PackingCertificate:
             n=data["n"], kind=kind, centers=centers, r=data.get("r"),
             t=data.get("t"), numbering=data.get("numbering"),
             declared_alpha=alpha, base_subgraph=base)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise CertificateError(f"malformed certificate: {exc}") from exc
 
 

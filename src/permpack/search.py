@@ -386,9 +386,11 @@ def max_packing(tree: TranspositionTree, node_budget: int = 2_000_000,
     subtrees that cannot beat the incumbent, so the packing found
     within the same budget is at least as large.
 
-    ``upper_bound`` is the root bound ``cap * len(comp_masks)``, or the
-    packing size when the main search is exhaustive.  The verifier
-    re-checks the packing before it is returned.
+    ``upper_bound`` is the packing size when the main search is
+    exhaustive, else the smaller of the root bound ``cap * len(comp_masks)``
+    and the sphere-volume bound n! // n (disjoint closed spheres of n
+    vertices each).  The verifier re-checks the packing before it is
+    returned.
     """
     conflict, comp_masks = _packing_graph(tree)
     deadline = None if time_budget is None else time.monotonic() + time_budget
@@ -405,7 +407,7 @@ def max_packing(tree: TranspositionTree, node_budget: int = 2_000_000,
     cert = _cert_from_ranks(tree, best)
     report = verify_packing(tree, cert)
     assert report.valid, "search returned an unsound certificate"
+    bound = len(best) if exhaustive else min(cap * len(comp_masks), len(conflict) // tree.n)
     return SearchOutcome(status=FOUND if exhaustive else BEST_EFFORT, certificate=cert,
                          nodes_explored=nodes, wall_budget_exceeded=not exhaustive,
-                         covered_count=report.covered_count,
-                         upper_bound=len(best) if exhaustive else cap * len(comp_masks))
+                         covered_count=report.covered_count, upper_bound=bound)

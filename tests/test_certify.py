@@ -1,19 +1,27 @@
 """Certificate verifier: well-formedness, disjointness, alpha, uniformity,
 JSON round-trips."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import load_fixture
-from permpack.cayley import (RENUMBERED, build_tree, closed_sphere,
-                             neighbors, translate)
-from permpack.certify import (CertificateError, PackingCertificate,
+from permpack.cayley import (RENUMBERED, all_components, build_tree, closed_sphere,
+                             component_of, enumerate_component, neighbors, star_tree,
+                             translate)
+from permpack.certify import (CertificateError, PackingCertificate, _equivalent,
                               cert_from_dict, cert_to_dict, profile_by_type,
-                              sphere_sets, uniformity_check, verify_eset,
-                              verify_on_subgraph, verify_packing)
-from permpack.constructions import xprime_components, xprime_perfect_code
+                              report_to_dict, sphere_sets, uniformity_check,
+                              verify_eset, verify_on_subgraph, verify_packing)
+from permpack.constructions import (uniform_from_exact, xprime_components,
+                                    xprime_perfect_code)
+from permpack.johnson import search_exact_2factor
 from permpack.perms import all_perms, perm_from_str
 
 
@@ -43,6 +51,12 @@ def test_declared_alpha_mismatch():
                                     declared_alpha=Fraction(1, 2)))
     assert not rep.valid
     assert any("declared" in v for v in rep.violations)
+    # the subgraph verifier checks a declared alpha too
+    tree = build_tree(3, 3, RENUMBERED)
+    code = xprime_perfect_code(3)
+    code.declared_alpha = Fraction(1, 2)
+    rep = verify_on_subgraph(tree, code, code.base_subgraph)
+    assert rep.violations == ["declared alpha 1/2 != measured 2/5"]
 
 
 def test_malformed_certificates_rejected():
@@ -98,6 +112,17 @@ def test_verify_on_subgraph_counts_against_component_sizes():
     assert rep.valid and rep.is_eset and rep.covered_count == 288
 
 
+def test_verify_on_subgraph_blames_the_overlapping_sphere():
+    # 124356 lies outside the X' components; the overlap that follows is
+    # 213456's, not that of the certificate's second center
+    tree = build_tree(3, 3, RENUMBERED)
+    cert = _cert(tree, [(1, 2, 4, 3, 5, 6), (1, 2, 3, 4, 5, 6), (2, 1, 3, 4, 5, 6)])
+    rep = verify_on_subgraph(tree, cert, xprime_components(3))
+    assert rep.violations[0] == "center 124356 lies outside the listed components"
+    assert len(rep.violations) == 2
+    assert rep.violations[1].startswith("sphere of 213456 overlaps an earlier sphere at ")
+
+
 def test_uniformity_accepts_fixture_and_rejects_lopsided():
     tree = build_tree(3, 2)
     cert = cert_from_dict(load_fixture("x32_uniform_5_6.json"))
@@ -108,6 +133,111 @@ def test_uniformity_accepts_fixture_and_rejects_lopsided():
     lopsided = _cert(tree, dropped)
     ok, why = uniformity_check(tree, lopsided)
     assert not ok and "inequivalent" in why
+
+
+def test_uniformity_needs_components():
+    tree = star_tree(4)
+    assert uniformity_check(tree, _cert(tree, [])) == (True, None)
+    with pytest.raises(ValueError, match="diameter-3"):
+        uniformity_check(tree, _cert(tree, [(1, 2, 3, 4)]))
+
+
+def test_uniformity_of_x53_from_j85():
+    tree = build_tree(5, 3)
+    cert = uniform_from_exact(tree, search_exact_2factor(8, 5, max_vertices=90))
+    assert uniformity_check(tree, cert) == (True, None)
+    # move one center within its component: the counts still match, so
+    # only the translations can tell the components apart
+    taken = set(cert.centers)
+    spare = next(g for g in enumerate_component(tree, component_of(tree, cert.centers[0]))
+                 if g not in taken)
+    lopsided = _cert(tree, [spare] + cert.centers[1:])
+    ok, why = uniformity_check(tree, lopsided)
+    assert not ok and "inequivalent" in why
+    ok, why = uniformity_check(tree, _cert(tree, cert.centers[1:]))
+    assert not ok and "inequivalent" in why
+
+
+def _reference_equivalent(tree, centers1, c1, centers2, c2):
+    """``_equivalent`` by enumeration: try every value relabelling x that
+    maps component c1 onto c2 and its complement onto c2's, r!t! of them."""
+    if len(centers1) != len(centers2):
+        return False
+    if not centers1:
+        return True
+    universe = set(range(1, tree.n + 1))
+    left1, left2 = sorted(c1), sorted(c2)
+    right1, right2 = sorted(universe - c1), sorted(universe - c2)
+    for lperm in permutations(left2):
+        for rperm in permutations(right2):
+            word = [0] * tree.n
+            for a, b in zip(left1 + right1, lperm + rperm):
+                word[a - 1] = b
+            if {translate(tuple(word), g) for g in centers1} == centers2:
+                return True
+    return False
+
+
+@given(st.data())
+def test_equivalent_matches_reference(data):
+    r, t = data.draw(st.sampled_from([(2, 2), (3, 2), (3, 3)]))
+    tree = build_tree(r, t)
+    comps = all_components(tree)
+    c1, c2 = data.draw(st.sampled_from(comps)), data.draw(st.sampled_from(comps))
+    verts1, verts2 = list(enumerate_component(tree, c1)), list(enumerate_component(tree, c2))
+    k = data.draw(st.integers(0, min(5, len(verts1))))
+    centers1 = set(data.draw(st.lists(st.sampled_from(verts1), min_size=k, max_size=k,
+                                      unique=True)))
+    if data.draw(st.booleans()):
+        # a translate of centers1, with one center perhaps moved
+        universe = set(range(1, tree.n + 1))
+        image = (data.draw(st.permutations(sorted(c2)))
+                 + data.draw(st.permutations(sorted(universe - c2))))
+        word = [0] * tree.n
+        for a, b in zip(sorted(c1) + sorted(universe - c1), image):
+            word[a - 1] = b
+        centers2 = {translate(tuple(word), g) for g in centers1}
+        if centers2 and data.draw(st.booleans()):
+            centers2.discard(data.draw(st.sampled_from(sorted(centers2))))
+            centers2.add(data.draw(st.sampled_from([g for g in verts2 if g not in centers2])))
+    else:
+        size = data.draw(st.sampled_from([k, min(k + 1, len(verts2))]))
+        centers2 = set(data.draw(st.lists(st.sampled_from(verts2), min_size=size,
+                                          max_size=size, unique=True)))
+    assert _equivalent(centers1, centers2) == _reference_equivalent(
+        tree, centers1, c1, centers2, c2)
+
+
+def _golden_cases():
+    t22, t32, t33 = build_tree(2, 2), build_tree(3, 2), build_tree(3, 3, RENUMBERED)
+    code = xprime_perfect_code(3)
+    s_sphere = PackingCertificate(n=6, kind="s_sphere", centers=list(code.centers), r=3, t=3,
+                                  numbering=RENUMBERED, base_subgraph=xprime_components(3))
+    s_overlap = PackingCertificate(n=6, kind="s_sphere",
+                                   centers=[(1, 2, 3, 4, 5, 6), (2, 1, 3, 4, 5, 6)], r=3, t=3,
+                                   numbering=RENUMBERED, base_subgraph=xprime_components(3))
+
+    def double(*pairs):
+        return PackingCertificate(n=4, kind="double_sphere", centers=list(pairs))
+
+    return [
+        (t22, cert_from_dict(load_fixture("x22_eset_2_3.json"))),
+        (t22, cert_from_dict(load_fixture("x22_eset_5_6.json"))),
+        (t32, cert_from_dict(load_fixture("x32_uniform_5_6.json"))),
+        (t33, s_sphere),
+        (t33, s_overlap),
+        (t22, double(((1, 2, 3, 4), (2, 1, 3, 4)), ((3, 4, 1, 2), (4, 3, 1, 2)))),
+        (t22, double(((1, 2, 3, 4), (2, 1, 3, 4)), ((1, 3, 2, 4), (3, 1, 2, 4)))),
+        (t22, _cert(t22, [(1, 2, 3, 4), (2, 1, 3, 4), (1, 3, 2, 4)])),
+    ]
+
+
+def test_reports_golden():
+    # the reports of the fixtures, s-sphere, double-sphere and overlapping
+    # certificates, witness vertices of the overlaps included
+    reports = [report_to_dict(verify_packing(tree, cert)) for tree, cert in _golden_cases()]
+    data = json.dumps(reports, sort_keys=True)
+    assert hashlib.sha256(data.encode()).hexdigest()[:16] == "c1f8864ccfe7bb76"
 
 
 def test_translation_invariance_randomized():

@@ -52,6 +52,18 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("field, value", [("centers", [1234, 2143]),
+                                          ("declared_alpha", "1/0")])
+def test_verify_malformed_certificate_exits_2(tmp_path, capsys, field, value):
+    with open(FIXTURES / "x22_eset_5_6.json") as fh:
+        cert = json.load(fh)
+    cert[field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cert))
+    assert run(["verify", "--tree", "2,2", str(bad)]) == 2
+    assert "malformed certificate" in capsys.readouterr().err
+
+
 def test_search_eset_none_exhaustive(capsys):
     code, data = run_json(capsys, "search", "eset", "--tree", "2,2")
     assert code == 0

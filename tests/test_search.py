@@ -213,14 +213,17 @@ def test_max_packing_budget_reported():
     assert rep.valid
 
 
-@pytest.mark.parametrize("tree", [star_tree(5), build_tree(4, 3)], ids=["star5", "x43"])
-def test_max_packing_budget_bounds_whole_search(tree):
+@pytest.mark.parametrize("tree, bound", [(star_tree(5), 24), (build_tree(4, 3), 720)],
+                         ids=["star5", "x43"])
+def test_max_packing_budget_bounds_whole_search(tree, bound):
     # a star is one component of n! vertices, and one X3(4,3) component's
     # exact cap takes minutes: the budget must stop the cap search too
     out = max_packing(tree, node_budget=20000)
     assert out.status == BEST_EFFORT
     assert out.nodes_explored <= 20000
     assert verify_packing(tree, out.certificate).valid
+    # neither cap search finishes, so the sphere-volume bound n!/n is reported
+    assert out.upper_bound == bound
 
 
 @pytest.mark.parametrize("tree, digest", [
