@@ -1,7 +1,12 @@
 """Cayley graphs of S_n generated by transposition trees.
 
 The graph is implicit: vertices are permutations, and the neighbor along
-tree edge (i, j) swaps the contents of positions i and j.  For a
+tree edge (i, j) swaps the contents of positions i and j.  Bulk sphere
+work reads one column per tree edge: ``edge_getters`` gives, per edge,
+an ``operator.itemgetter`` over the position word with i and j
+exchanged, so mapping it over many vertices yields their neighbors
+across that edge in one C loop.  Closed spheres, the verifier's union
+and the search's sphere table all come from these columns.  For a
 diameter-3 tree with hub degrees r and t, deleting the hub-hub edge
 splits the graph into C(n, r) components, one per r-subset of values
 occupying the hub-r-side positions.
@@ -12,7 +17,9 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, permutations
+from operator import itemgetter
 
 from .perms import Perm, swap_positions
 
@@ -136,9 +143,23 @@ def neighbors(tree: TranspositionTree, g: Perm) -> list[tuple[Edge, Perm]]:
     return [(e, swap_positions(g, *e)) for e in tree.edges]
 
 
+@cache
+def edge_getters(tree: TranspositionTree) -> tuple[itemgetter, ...]:
+    """One getter per tree edge, in edge order: applied to a vertex, the
+    getter of edge (i, j) returns its neighbor across that edge."""
+    out = []
+    for i, j in tree.edges:
+        word = list(range(tree.n))
+        word[i - 1], word[j - 1] = j - 1, i - 1
+        out.append(itemgetter(*word))
+    return tuple(out)
+
+
 def closed_sphere(tree: TranspositionTree, g: Perm) -> frozenset[Perm]:
-    """{g} together with all its neighbors; size n."""
-    return frozenset([g] + [h for _, h in neighbors(tree, g)])
+    """{g} together with all its neighbors, in edge order; size n."""
+    if len(g) != tree.n:
+        raise ValueError(f"degree mismatch: permutation of degree {len(g)} in X with n={tree.n}")
+    return frozenset([g] + [get(g) for get in edge_getters(tree)])
 
 
 def graph_distance(tree: TranspositionTree, g: Perm, h: Perm) -> int:

@@ -2,19 +2,28 @@
 
 A certificate declares sphere centers of one kind (one_sphere,
 double_sphere, s_sphere); the verifier checks pairwise disjointness of
-the declared spheres by direct set intersection, measures the covered
-fraction alpha = covered / n! as an exact rational, and profiles the
-centers per component.  No floating point is used anywhere.
+the declared spheres, measures the covered fraction alpha = covered / n!
+as an exact rational, and profiles the centers per component.  No
+floating point is used anywhere.
+
+For one_sphere certificates the union of the closed spheres comes from
+the per-edge columns of ``cayley.edge_getters``: the centers plus each
+edge's getter mapped over them.  Every closed sphere has exactly n
+vertices, so the spheres are pairwise disjoint iff the union has n
+vertices per center.  Only when it falls short does the verifier run
+the ordered per-sphere loop, which names each sphere that meets an
+earlier one and a vertex they share.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cayley import (TranspositionTree, all_components, closed_sphere, component_of,
-                     component_type, neighbors, translate)
+                     component_type, edge_getters, neighbors, translate)
 from .perms import Perm, compose, invert, perm_from_str, perm_to_str
 
 
@@ -56,8 +65,9 @@ def _check_wellformed(tree: TranspositionTree, cert: PackingCertificate) -> None
     if cert.n != tree.n:
         raise CertificateError(f"certificate degree {cert.n} != tree degree {tree.n}")
     flat = _flat_centers(cert)
+    values = list(range(1, cert.n + 1))
     for p in flat:
-        if len(p) != cert.n or sorted(p) != list(range(1, cert.n + 1)):
+        if len(p) != cert.n or sorted(p) != values:
             raise CertificateError(f"center {p} is not a permutation of 1..{cert.n}")
     if len(set(flat)) != len(flat):
         raise CertificateError("centers are not distinct")
@@ -97,14 +107,18 @@ def sphere_sets(tree: TranspositionTree, cert: PackingCertificate) -> list[froze
     return out
 
 
-def _report(tree: TranspositionTree, cert: PackingCertificate, centers, spheres,
-            violations: list[str], whole: int) -> VerificationReport:
-    """The report on the union of spheres, one per entry of centers.
+def _sphere_union(tree: TranspositionTree, centers) -> set[Perm]:
+    """Union of the closed spheres of the centers, one column per edge."""
+    covered = set(centers)
+    for get in edge_getters(tree):
+        covered.update(map(get, centers))
+    return covered
 
-    Overlaps and a wrong declared alpha are appended to violations;
-    alpha is covered / n!, and an E-set is a valid one_sphere packing
-    that covers all `whole` vertices.
-    """
+
+def _ordered_union(cert: PackingCertificate, centers, spheres,
+                   violations: list[str]) -> set[Perm]:
+    """Union of the spheres in order; each sphere that meets an earlier
+    one is named in violations, with a vertex they share."""
     covered: set = set()
     for center, sph in zip(centers, spheres):
         clash = covered & sph
@@ -114,6 +128,17 @@ def _report(tree: TranspositionTree, cert: PackingCertificate, centers, spheres,
             violations.append(f"sphere of {label} overlaps an earlier sphere at "
                               f"{perm_to_str(next(iter(clash)))}")
         covered |= sph
+    return covered
+
+
+def _report(tree: TranspositionTree, cert: PackingCertificate, covered: set[Perm],
+            violations: list[str], whole: int) -> VerificationReport:
+    """The report on the covered vertices.
+
+    A wrong declared alpha is appended to violations; alpha is
+    covered / n!, and an E-set is a valid one_sphere packing that covers
+    all `whole` vertices.
+    """
     alpha = Fraction(len(covered), math.factorial(cert.n))
     if cert.declared_alpha is not None and alpha != cert.declared_alpha:
         violations.append(f"declared alpha {cert.declared_alpha} != measured {alpha}")
@@ -129,8 +154,15 @@ def _report(tree: TranspositionTree, cert: PackingCertificate, centers, spheres,
 
 def verify_packing(tree: TranspositionTree, cert: PackingCertificate) -> VerificationReport:
     _check_wellformed(tree, cert)
-    return _report(tree, cert, cert.centers, sphere_sets(tree, cert), [],
-                   math.factorial(cert.n))
+    whole = math.factorial(cert.n)
+    if cert.kind == "one_sphere":
+        covered = _sphere_union(tree, cert.centers)
+        # n vertices per closed sphere: the union has n per center iff they are disjoint
+        if len(covered) == tree.n * len(cert.centers):
+            return _report(tree, cert, covered, [], whole)
+    violations: list[str] = []
+    covered = _ordered_union(cert, cert.centers, sphere_sets(tree, cert), violations)
+    return _report(tree, cert, covered, violations, whole)
 
 
 def verify_eset(tree: TranspositionTree, cert: PackingCertificate) -> VerificationReport:
@@ -152,18 +184,19 @@ def verify_on_subgraph(tree: TranspositionTree, cert: PackingCertificate,
             inside.append(p)
         else:
             violations.append(f"center {perm_to_str(p)} lies outside the listed components")
-    return _report(tree, cert, inside, [_sphere_within(tree, p, comps) for p in inside],
-                   violations, len(comps) * math.factorial(tree.r) * math.factorial(tree.t))
+    covered = _ordered_union(cert, inside, [_sphere_within(tree, p, comps) for p in inside],
+                             violations)
+    return _report(tree, cert, covered, violations,
+                   len(comps) * math.factorial(tree.r) * math.factorial(tree.t))
 
 
 def _profile(tree: TranspositionTree, cert: PackingCertificate) -> dict:
-    if tree.r is None:
+    """Centers per component, keyed by the sorted left values; the left
+    positions are 1..r under both numberings."""
+    r = tree.r
+    if r is None:
         return {}
-    prof: dict = {}
-    for p in _flat_centers(cert):
-        key = tuple(sorted(component_of(tree, p)))
-        prof[key] = prof.get(key, 0) + 1
-    return prof
+    return dict(Counter(tuple(sorted(p[:r])) for p in _flat_centers(cert)))
 
 
 def uniformity_check(tree: TranspositionTree, cert: PackingCertificate) -> tuple[bool, str | None]:
@@ -215,12 +248,14 @@ def profile_by_type(tree: TranspositionTree, cert: PackingCertificate) -> dict[i
     """Covered vertices per component type, divided by (r!)^2; exact rationals."""
     if tree.r != tree.t:
         raise ValueError("type profile is defined only for r = t")
-    covered: set[Perm] = set()
-    for sph in sphere_sets(tree, cert):
-        covered |= sph
+    if cert.kind == "one_sphere":
+        covered = _sphere_union(tree, cert.centers)
+    else:
+        covered = set().union(*sphere_sets(tree, cert))
     per_type: dict[int, int] = {k: 0 for k in range(tree.r // 2 + 1)}
-    for q in covered:
-        per_type[component_type(tree, component_of(tree, q))] += 1
+    r = tree.r
+    for values, count in Counter(frozenset(q[:r]) for q in covered).items():
+        per_type[component_type(tree, values)] += count
     denom = math.factorial(tree.r) ** 2
     return {k: Fraction(v, denom) for k, v in per_type.items()}
 

@@ -72,8 +72,12 @@ def product_eset(tree: TranspositionTree, component, left_slice, right_slice) ->
     complement = frozenset(range(1, tree.n + 1)) - values
     if i not in values or i2 not in complement:
         raise ValueError(f"slice values {i},{i2} unavailable in component {sorted(values)}")
-    return [g for g in enumerate_component(tree, values)
-            if g[j - 1] == i and g[j2 - 1] == i2]
+    # inserting the fixed values into the lex-ordered words of the rest
+    # keeps lex order, so this is enumerate_component's order
+    k, k2 = j - 1, j2 - 1 - tree.r
+    lefts = [w[:k] + (i,) + w[k:] for w in permutations(sorted(values - {i}))]
+    rights = [w[:k2] + (i2,) + w[k2:] for w in permutations(sorted(complement - {i2}))]
+    return [left + right for left in lefts for right in rights]
 
 
 def partner(r: int, v: int) -> int:

@@ -104,9 +104,7 @@ def swap_positions(p: Perm, i: int, j: int) -> Perm:
 
 def perm_to_str(p: Perm) -> str:
     """Digit string for n <= 9, comma-separated integers beyond."""
-    if len(p) <= 9:
-        return "".join(str(v) for v in p)
-    return ",".join(str(v) for v in p)
+    return ("" if len(p) <= 9 else ",").join(map(str, p))
 
 
 def perm_from_str(s: str) -> Perm:

@@ -26,9 +26,8 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from operator import itemgetter
 
-from .cayley import TranspositionTree, all_components, component_of
+from .cayley import TranspositionTree, all_components, component_of, edge_getters
 from .certify import PackingCertificate, verify_eset, verify_packing
 from .perms import Perm, all_perms, lex_unrank
 
@@ -65,17 +64,13 @@ def _rank_index(n: int) -> dict[Perm, int]:
 def _sphere_ranks(tree: TranspositionTree, rank: dict[Perm, int]) -> list[list[int]]:
     """sphere[v] = sorted ranks of the closed sphere of the rank-v vertex.
 
-    One column per tree edge (i, j): ``itemgetter`` over the position
-    word with i and j exchanged maps each vertex, in rank order, to its
+    One column per tree edge: the edge's getter from
+    ``cayley.edge_getters`` maps each vertex, in rank order, to its
     neighbor across that edge, and ``rank`` maps the neighbor back to its
     rank.  Both loops run in C; the sphere of v is v plus one entry of
     every column.
     """
-    columns = []
-    for i, j in tree.edges:
-        word = list(range(tree.n))
-        word[i - 1], word[j - 1] = j - 1, i - 1
-        columns.append(map(rank.__getitem__, map(itemgetter(*word), rank)))
+    columns = [map(rank.__getitem__, map(get, rank)) for get in edge_getters(tree)]
     return list(map(sorted, zip(range(len(rank)), *columns)))
 
 
@@ -389,8 +384,10 @@ def max_packing(tree: TranspositionTree, node_budget: int = 2_000_000,
     ``upper_bound`` is the packing size when the main search is
     exhaustive, else the smaller of the root bound ``cap * len(comp_masks)``
     and the sphere-volume bound n! // n (disjoint closed spheres of n
-    vertices each).  The verifier re-checks the packing before it is
-    returned.
+    vertices each).  The status is ``found`` whenever the packing meets
+    ``upper_bound``, so a stopped search that reached the bound is
+    reported optimal; ``wall_budget_exceeded`` still says that it
+    stopped.  The verifier re-checks the packing before it is returned.
     """
     conflict, comp_masks = _packing_graph(tree)
     deadline = None if time_budget is None else time.monotonic() + time_budget
@@ -408,6 +405,6 @@ def max_packing(tree: TranspositionTree, node_budget: int = 2_000_000,
     report = verify_packing(tree, cert)
     assert report.valid, "search returned an unsound certificate"
     bound = len(best) if exhaustive else min(cap * len(comp_masks), len(conflict) // tree.n)
-    return SearchOutcome(status=FOUND if exhaustive else BEST_EFFORT, certificate=cert,
+    return SearchOutcome(status=FOUND if len(best) == bound else BEST_EFFORT, certificate=cert,
                          nodes_explored=nodes, wall_budget_exceeded=not exhaustive,
                          covered_count=report.covered_count, upper_bound=bound)

@@ -3,6 +3,7 @@ JSON round-trips."""
 
 import hashlib
 import json
+import math
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -22,7 +23,7 @@ from permpack.certify import (CertificateError, PackingCertificate, _equivalent,
 from permpack.constructions import (uniform_from_exact, xprime_components,
                                     xprime_perfect_code)
 from permpack.johnson import search_exact_2factor
-from permpack.perms import all_perms, perm_from_str
+from permpack.perms import all_perms, perm_from_str, perm_to_str
 
 
 def _cert(tree, centers, **kw):
@@ -206,6 +207,74 @@ def test_equivalent_matches_reference(data):
                                           max_size=size, unique=True)))
     assert _equivalent(centers1, centers2) == _reference_equivalent(
         tree, centers1, c1, centers2, c2)
+
+
+def _reference_report(tree, cert):
+    """``report_to_dict(verify_packing(...))`` of a one_sphere certificate
+    by the per-sphere loop: each closed sphere a frozenset built through
+    ``neighbors``, united in certificate order."""
+    covered, violations = set(), []
+    for g in cert.centers:
+        sph = frozenset([g] + [h for _, h in neighbors(tree, g)])
+        clash = covered & sph
+        if clash:
+            violations.append(f"sphere of {perm_to_str(g)} overlaps an earlier sphere at "
+                              f"{perm_to_str(next(iter(clash)))}")
+        covered |= sph
+    alpha = Fraction(len(covered), math.factorial(tree.n))
+    profile = {}
+    if tree.r is not None:
+        for g in cert.centers:
+            key = "".join(map(str, sorted(component_of(tree, g))))
+            profile[key] = profile.get(key, 0) + 1
+    return {"valid": not violations, "covered_count": len(covered),
+            "alpha": f"{alpha.numerator}/{alpha.denominator}",
+            "is_eset": not violations and len(covered) == math.factorial(tree.n),
+            "per_component_profile": profile, "violations": violations}
+
+
+_REFERENCE_TREES = [build_tree(2, 2), build_tree(2, 2, RENUMBERED), build_tree(3, 2),
+                    build_tree(3, 2, RENUMBERED), star_tree(4)]
+
+
+@given(st.data())
+def test_verify_packing_matches_reference(data):
+    tree = data.draw(st.sampled_from(_REFERENCE_TREES))
+    verts = list(all_perms(tree.n))
+    order = data.draw(st.permutations(verts))
+    if data.draw(st.booleans()):
+        # a greedy packing in a random order: disjoint spheres
+        covered, centers = set(), []
+        for g in order[:data.draw(st.integers(0, len(verts)))]:
+            sph = closed_sphere(tree, g)
+            if covered.isdisjoint(sph):
+                covered |= sph
+                centers.append(g)
+    else:
+        centers = order[:data.draw(st.integers(0, 12))]
+    if centers and data.draw(st.booleans()):
+        # a neighbor of a center, at a drawn place in the list: an overlap
+        g = data.draw(st.sampled_from(centers))
+        _, h = data.draw(st.sampled_from(neighbors(tree, g)))
+        if h not in centers:
+            centers.insert(data.draw(st.integers(0, len(centers))), h)
+    cert = _cert(tree, centers)
+    assert report_to_dict(verify_packing(tree, cert)) == _reference_report(tree, cert)
+
+
+def test_verify_packing_names_the_overlap_of_x53_from_j85():
+    tree = build_tree(5, 3)
+    cert = uniform_from_exact(tree, search_exact_2factor(8, 5, max_vertices=90))
+    assert report_to_dict(verify_packing(tree, cert)) == _reference_report(tree, cert)
+    # one center replaced by a neighbor of another: the fast union falls
+    # short and the ordered loop names the same overlap as the reference
+    centers = list(cert.centers)
+    _, h = neighbors(tree, centers[1000])[2]
+    centers[7] = h
+    moved = _cert(tree, centers)
+    rep = report_to_dict(verify_packing(tree, moved))
+    assert not rep["valid"] and rep["violations"]
+    assert rep == _reference_report(tree, moved)
 
 
 def _golden_cases():

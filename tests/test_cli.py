@@ -1,9 +1,14 @@
 """Command-line dispatcher: exit codes, JSON output, round-trips."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import permpack
 from conftest import FIXTURES
 from permpack.cli import run
 
@@ -163,3 +168,15 @@ def test_tables_json(capsys):
     code, data = run_json(capsys, "tables", "3", "--format", "json")
     assert code == 0
     assert data[1]["alpha"] == "4/5" and data[1]["T"] == [8, 12]
+
+
+def test_cli_import_loads_no_test_dependencies():
+    # every CLI process pays for what importing the CLI loads; scipy,
+    # numpy and the test tools serve the tests only
+    src = pathlib.Path(permpack.__file__).resolve().parent.parent
+    code = ("import sys, permpack.cli; "
+            "print(sorted({m.partition('.')[0] for m in sys.modules}"
+            " & {'scipy', 'numpy', 'hypothesis', 'pytest'}))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), check=True)
+    assert proc.stdout.strip() == "[]"

@@ -9,8 +9,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import nest_g35, two_factor_g35
-from permpack.cayley import (RENUMBERED, build_tree, component_of,
-                             component_type, star_tree)
+from permpack.cayley import (ORIGINAL, RENUMBERED, all_components, build_tree, component_of,
+                             component_type, enumerate_component, star_tree)
 from permpack.certify import (PackingCertificate, cert_to_dict, uniformity_check,
                               verify_eset, verify_on_subgraph, verify_packing)
 from permpack.constructions import (ConstructionError, density_bounds,
@@ -49,6 +49,21 @@ def test_product_eset_shape():
         assert g[tree.hub_left - 1] == 1 and g[tree.hub_right - 1] == 4
     with pytest.raises(ValueError):
         product_eset(tree, {1, 2, 3}, (tree.hub_left, 4), (tree.hub_right, 5))
+
+
+@pytest.mark.parametrize("r, t, numbering", [(3, 2, ORIGINAL), (3, 2, RENUMBERED),
+                                             (3, 3, ORIGINAL), (3, 3, RENUMBERED)])
+def test_product_eset_is_the_filtered_component(r, t, numbering):
+    # the members are generated directly; they must be the component's
+    # vertices with the two fixed values, in enumerate_component's order
+    tree = build_tree(r, t, numbering)
+    j, j2 = tree.hub_left, tree.hub_right
+    for comp in all_components(tree):
+        for i in sorted(comp):
+            for i2 in sorted(set(range(1, tree.n + 1)) - comp):
+                expected = [g for g in enumerate_component(tree, comp)
+                            if g[j - 1] == i and g[j2 - 1] == i2]
+                assert product_eset(tree, comp, (j, i), (j2, i2)) == expected
 
 
 def test_partner():
