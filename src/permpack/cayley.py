@@ -5,11 +5,11 @@ tree edge (i, j) swaps the contents of positions i and j.  Bulk sphere
 work reads one column per tree edge: ``edge_getters`` gives, per edge,
 an ``operator.itemgetter`` over the position word with i and j
 exchanged, so mapping it over many vertices yields their neighbors
-across that edge in one C loop.  Closed spheres, the verifier's union
-and the search's sphere table all come from these columns.  For a
-diameter-3 tree with hub degrees r and t, deleting the hub-hub edge
-splits the graph into C(n, r) components, one per r-subset of values
-occupying the hub-r-side positions.
+across that edge in one C loop.  Neighbors, closed spheres, the
+verifier's union and the search's sphere table all come from these
+columns.  For a diameter-3 tree with hub degrees r and t, deleting the
+hub-hub edge splits the graph into C(n, r) components, one per r-subset
+of values occupying the hub-r-side positions 1..r.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from functools import cache
 from itertools import combinations, permutations
 from operator import itemgetter
 
-from .perms import Perm, swap_positions
+from .perms import Perm
 
 Edge = tuple[int, int]
 
@@ -137,12 +137,6 @@ def star_tree(n: int, hub: int = 1) -> TranspositionTree:
     return TranspositionTree(n=n, edges=edges)
 
 
-def neighbors(tree: TranspositionTree, g: Perm) -> list[tuple[Edge, Perm]]:
-    if len(g) != tree.n:
-        raise ValueError(f"degree mismatch: permutation of degree {len(g)} in X with n={tree.n}")
-    return [(e, swap_positions(g, *e)) for e in tree.edges]
-
-
 @cache
 def edge_getters(tree: TranspositionTree) -> tuple[itemgetter, ...]:
     """One getter per tree edge, in edge order: applied to a vertex, the
@@ -155,11 +149,20 @@ def edge_getters(tree: TranspositionTree) -> tuple[itemgetter, ...]:
     return tuple(out)
 
 
-def closed_sphere(tree: TranspositionTree, g: Perm) -> frozenset[Perm]:
-    """{g} together with all its neighbors, in edge order; size n."""
+def _neighbor_words(tree: TranspositionTree, g: Perm) -> list[Perm]:
+    """The neighbors of g in edge order, after checking its degree."""
     if len(g) != tree.n:
         raise ValueError(f"degree mismatch: permutation of degree {len(g)} in X with n={tree.n}")
-    return frozenset([g] + [get(g) for get in edge_getters(tree)])
+    return [get(g) for get in edge_getters(tree)]
+
+
+def neighbors(tree: TranspositionTree, g: Perm) -> list[tuple[Edge, Perm]]:
+    return list(zip(tree.edges, _neighbor_words(tree, g)))
+
+
+def closed_sphere(tree: TranspositionTree, g: Perm) -> frozenset[Perm]:
+    """{g} together with all its neighbors; size n."""
+    return frozenset([g] + _neighbor_words(tree, g))
 
 
 def graph_distance(tree: TranspositionTree, g: Perm, h: Perm) -> int:
@@ -169,8 +172,8 @@ def graph_distance(tree: TranspositionTree, g: Perm, h: Perm) -> int:
     queue = deque([g])
     while queue:
         u = queue.popleft()
-        for e in tree.edges:
-            v = swap_positions(u, *e)
+        for get in edge_getters(tree):
+            v = get(u)
             if v not in dist:
                 if v == h:
                     return dist[u] + 1
@@ -190,8 +193,11 @@ def ball2(tree: TranspositionTree, g: Perm) -> frozenset[Perm]:
 
 
 def component_of(tree: TranspositionTree, g: Perm) -> frozenset[int]:
-    """Values occupying the hub-r-side positions of g."""
-    return frozenset(g[p - 1] for p in tree.left_positions)
+    """Values occupying the hub-r-side positions of g, which are 1..r
+    under both numberings."""
+    if tree.r is None:
+        raise ValueError("components defined only for diameter-3 trees")
+    return frozenset(g[:tree.r])
 
 
 def all_components(tree: TranspositionTree) -> list[frozenset[int]]:

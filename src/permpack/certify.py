@@ -191,12 +191,10 @@ def verify_on_subgraph(tree: TranspositionTree, cert: PackingCertificate,
 
 
 def _profile(tree: TranspositionTree, cert: PackingCertificate) -> dict:
-    """Centers per component, keyed by the sorted left values; the left
-    positions are 1..r under both numberings."""
-    r = tree.r
-    if r is None:
+    """Centers per component, keyed by the sorted left values."""
+    if tree.r is None:
         return {}
-    return dict(Counter(tuple(sorted(p[:r])) for p in _flat_centers(cert)))
+    return dict(Counter(tuple(sorted(component_of(tree, p))) for p in _flat_centers(cert)))
 
 
 def uniformity_check(tree: TranspositionTree, cert: PackingCertificate) -> tuple[bool, str | None]:
@@ -248,13 +246,9 @@ def profile_by_type(tree: TranspositionTree, cert: PackingCertificate) -> dict[i
     """Covered vertices per component type, divided by (r!)^2; exact rationals."""
     if tree.r != tree.t:
         raise ValueError("type profile is defined only for r = t")
-    if cert.kind == "one_sphere":
-        covered = _sphere_union(tree, cert.centers)
-    else:
-        covered = set().union(*sphere_sets(tree, cert))
+    covered = set().union(*sphere_sets(tree, cert))
     per_type: dict[int, int] = {k: 0 for k in range(tree.r // 2 + 1)}
-    r = tree.r
-    for values, count in Counter(frozenset(q[:r]) for q in covered).items():
+    for values, count in Counter(component_of(tree, q) for q in covered).items():
         per_type[component_type(tree, values)] += count
     denom = math.factorial(tree.r) ** 2
     return {k: Fraction(v, denom) for k, v in per_type.items()}

@@ -16,10 +16,9 @@ from math import comb, factorial
 
 from . import johnson
 from .cayley import (RENUMBERED, TranspositionTree, all_components, build_tree,
-                     closed_sphere, component_type, enumerate_component,
-                     swap_positions)
+                     closed_sphere, component_type, enumerate_component)
 from .certify import (PackingCertificate, verify_on_subgraph, verify_packing)
-from .perms import Perm, all_perms, relative_parity
+from .perms import Perm, all_perms, relative_parity, swap_positions
 
 
 class ConstructionError(RuntimeError):
@@ -67,11 +66,13 @@ def product_eset(tree: TranspositionTree, component, left_slice, right_slice) ->
     values = frozenset(component)
     j, i = left_slice
     j2, i2 = right_slice
-    if j not in tree.left_positions or j2 in tree.left_positions:
+    if j not in tree.left_positions or not tree.r < j2 <= tree.n:
         raise ValueError("slice positions must lie on opposite factor sides")
     complement = frozenset(range(1, tree.n + 1)) - values
     if i not in values or i2 not in complement:
         raise ValueError(f"slice values {i},{i2} unavailable in component {sorted(values)}")
+    if len(values) != tree.r or not values <= frozenset(range(1, tree.n + 1)):
+        raise ValueError(f"not an r-subset of values: {sorted(values)}")
     # inserting the fixed values into the lex-ordered words of the rest
     # keeps lex order, so this is enumerate_component's order
     k, k2 = j - 1, j2 - 1 - tree.r

@@ -85,6 +85,9 @@ def test_components_partition():
         sizes[component_of(tree, g)] += 1
     assert set(sizes) == set(comps)
     assert all(v == math.factorial(3) * math.factorial(2) for v in sizes.values())
+    assert component_of(build_tree(3, 2, RENUMBERED), (5, 1, 3, 2, 4)) == frozenset({1, 3, 5})
+    with pytest.raises(ValueError):
+        component_of(star_tree(4), (1, 2, 3, 4))
 
 
 def test_enumerate_component():

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 from conftest import load_fixture
 from permpack.cayley import (RENUMBERED, all_components, build_tree, closed_sphere,
-                             component_of, enumerate_component, neighbors, star_tree,
-                             translate)
+                             component_of, enumerate_component, graph_distance, neighbors,
+                             star_tree, translate)
 from permpack.certify import (CertificateError, PackingCertificate, _equivalent,
                               cert_from_dict, cert_to_dict, profile_by_type,
                               report_to_dict, sphere_sets, uniformity_check,
@@ -331,6 +331,17 @@ def test_profile_by_type():
     # the type-0 code covers its 8 components fully and nothing else
     assert prof[0] == Fraction(8)
     assert prof[1] == 0
+    # double spheres, counted by brute force: the vertices within distance
+    # 1 of either center, typed by the pairs {i, 2+i} among the left values
+    tree = build_tree(2, 2)
+    pairs = [((1, 2, 3, 4), (2, 1, 3, 4)), ((3, 1, 4, 2), (3, 4, 1, 2))]
+    cert = PackingCertificate(n=4, kind="double_sphere", centers=pairs)
+    counts = {0: 0, 1: 0}
+    for g in all_perms(4):
+        if any(graph_distance(tree, c, g) <= 1 for pair in pairs for c in pair):
+            counts[sum(1 for i in (1, 2) if {i, i + 2} <= set(g[:2]))] += 1
+    assert sum(counts.values()) == verify_packing(tree, cert).covered_count == 12
+    assert profile_by_type(tree, cert) == {k: Fraction(v, 4) for k, v in counts.items()}
 
 
 def test_sphere_sets_sizes():

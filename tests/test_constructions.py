@@ -49,6 +49,11 @@ def test_product_eset_shape():
         assert g[tree.hub_left - 1] == 1 and g[tree.hub_right - 1] == 4
     with pytest.raises(ValueError):
         product_eset(tree, {1, 2, 3}, (tree.hub_left, 4), (tree.hub_right, 5))
+    for j2 in (0, tree.n + 1):  # right positions are r+1..n
+        with pytest.raises(ValueError):
+            product_eset(tree, {1, 2, 3}, (tree.hub_left, 1), (j2, 4))
+    with pytest.raises(ValueError):
+        product_eset(tree, {1, 2}, (tree.hub_left, 1), (tree.hub_right, 4))
 
 
 @pytest.mark.parametrize("r, t, numbering", [(3, 2, ORIGINAL), (3, 2, RENUMBERED),
