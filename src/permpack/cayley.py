@@ -6,10 +6,11 @@ work reads one column per tree edge: ``edge_getters`` gives, per edge,
 an ``operator.itemgetter`` over the position word with i and j
 exchanged, so mapping it over many vertices yields their neighbors
 across that edge in one C loop.  Neighbors, closed spheres, the
-verifier's union and the search's sphere table all come from these
-columns.  For a diameter-3 tree with hub degrees r and t, deleting the
-hub-hub edge splits the graph into C(n, r) components, one per r-subset
-of values occupying the hub-r-side positions 1..r.
+search's sphere table and the sphere unions of ``packing_union``, the
+single disjointness rule for packings, all come from these columns.
+For a diameter-3 tree with hub degrees r and t, deleting the hub-hub
+edge splits the graph into C(n, r) components, one per r-subset of
+values occupying the hub-r-side positions 1..r.
 """
 
 from __future__ import annotations
@@ -163,6 +164,16 @@ def neighbors(tree: TranspositionTree, g: Perm) -> list[tuple[Edge, Perm]]:
 def closed_sphere(tree: TranspositionTree, g: Perm) -> frozenset[Perm]:
     """{g} together with all its neighbors; size n."""
     return frozenset([g] + _neighbor_words(tree, g))
+
+
+def packing_union(tree: TranspositionTree, centers) -> set[Perm] | None:
+    """The union of the closed spheres of the centers (a sequence), or
+    None when two of them meet.  A closed sphere has n vertices, so the
+    spheres are pairwise disjoint iff the union has n per center."""
+    covered = set(centers)
+    for get in edge_getters(tree):
+        covered.update(map(get, centers))
+    return covered if len(covered) == tree.n * len(centers) else None
 
 
 def graph_distance(tree: TranspositionTree, g: Perm, h: Perm) -> int:

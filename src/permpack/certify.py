@@ -6,13 +6,12 @@ the declared spheres, measures the covered fraction alpha = covered / n!
 as an exact rational, and profiles the centers per component.  No
 floating point is used anywhere.
 
-For one_sphere certificates the union of the closed spheres comes from
-the per-edge columns of ``cayley.edge_getters``: the centers plus each
-edge's getter mapped over them.  Every closed sphere has exactly n
-vertices, so the spheres are pairwise disjoint iff the union has n
-vertices per center.  Only when it falls short does the verifier run
-the ordered per-sphere loop, which names each sphere that meets an
-earlier one and a vertex they share.
+The verifier reads the graph only through ``cayley.closed_sphere`` and
+``cayley.packing_union``, the single disjointness rule.  For one_sphere
+certificates ``packing_union`` gives the union of the closed spheres,
+or None when two of them meet.  Only then does the verifier run the
+ordered per-sphere loop, which names each sphere that meets an earlier
+one and a vertex they share.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cayley import (TranspositionTree, all_components, closed_sphere, component_of,
-                     component_type, edge_getters, neighbors, translate)
+                     component_type, packing_union, translate)
 from .perms import Perm, compose, invert, perm_from_str, perm_to_str
 
 
@@ -73,7 +72,8 @@ def _check_wellformed(tree: TranspositionTree, cert: PackingCertificate) -> None
         raise CertificateError("centers are not distinct")
     if cert.kind == "double_sphere":
         for x, y in cert.centers:
-            if y not in dict(neighbors(tree, x)).values():
+            # x != y (the centers are distinct), so y is in x's sphere iff adjacent
+            if y not in closed_sphere(tree, x):
                 raise CertificateError(
                     f"double-sphere centers {perm_to_str(x)}, {perm_to_str(y)} are not adjacent")
     if cert.kind == "s_sphere":
@@ -102,17 +102,9 @@ def sphere_sets(tree: TranspositionTree, cert: PackingCertificate) -> list[froze
     out = []
     for p in cert.centers:
         inner = _sphere_within(tree, p, base)
-        out.append(inner | {w for q in inner for _, w in neighbors(tree, q)
+        out.append(inner | {w for q in inner for w in closed_sphere(tree, q)
                             if component_of(tree, w) not in base})
     return out
-
-
-def _sphere_union(tree: TranspositionTree, centers) -> set[Perm]:
-    """Union of the closed spheres of the centers, one column per edge."""
-    covered = set(centers)
-    for get in edge_getters(tree):
-        covered.update(map(get, centers))
-    return covered
 
 
 def _ordered_union(cert: PackingCertificate, centers, spheres,
@@ -156,9 +148,8 @@ def verify_packing(tree: TranspositionTree, cert: PackingCertificate) -> Verific
     _check_wellformed(tree, cert)
     whole = math.factorial(cert.n)
     if cert.kind == "one_sphere":
-        covered = _sphere_union(tree, cert.centers)
-        # n vertices per closed sphere: the union has n per center iff they are disjoint
-        if len(covered) == tree.n * len(cert.centers):
+        covered = packing_union(tree, cert.centers)
+        if covered is not None:
             return _report(tree, cert, covered, [], whole)
     violations: list[str] = []
     covered = _ordered_union(cert, cert.centers, sphere_sets(tree, cert), violations)

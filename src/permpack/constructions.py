@@ -11,14 +11,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, permutations, product
 from math import comb, factorial
 
 from . import johnson
 from .cayley import (RENUMBERED, TranspositionTree, all_components, build_tree,
-                     closed_sphere, component_type, enumerate_component)
+                     closed_sphere, component_of, component_type, enumerate_component,
+                     packing_union)
 from .certify import (PackingCertificate, verify_on_subgraph, verify_packing)
-from .perms import Perm, all_perms, relative_parity, swap_positions
+from .perms import Perm, relative_parity, swap_positions
 
 
 class ConstructionError(RuntimeError):
@@ -53,11 +54,16 @@ class NonuniformResult:
     shortfall: bool
 
 
+def _with_value(values, k: int, i: int) -> list[Perm]:
+    """The arrangements of ``values`` with i at index k, in lex order
+    (inserting i keeps the lex order of the other values' arrangements)."""
+    return [w[:k] + (i,) + w[k:] for w in permutations(sorted(v for v in values if v != i))]
+
+
 def star_eset(n: int, j: int, i: int) -> EsetSlice:
     if not (1 <= j <= n and 1 <= i <= n):
         raise ValueError(f"position/value out of range for n={n}")
-    members = [p for p in all_perms(n) if p[j - 1] == i]
-    return EsetSlice(n=n, j=j, i=i, members=members)
+    return EsetSlice(n=n, j=j, i=i, members=_with_value(range(1, n + 1), j - 1, i))
 
 
 def product_eset(tree: TranspositionTree, component, left_slice, right_slice) -> list[Perm]:
@@ -73,12 +79,9 @@ def product_eset(tree: TranspositionTree, component, left_slice, right_slice) ->
         raise ValueError(f"slice values {i},{i2} unavailable in component {sorted(values)}")
     if len(values) != tree.r or not values <= frozenset(range(1, tree.n + 1)):
         raise ValueError(f"not an r-subset of values: {sorted(values)}")
-    # inserting the fixed values into the lex-ordered words of the rest
-    # keeps lex order, so this is enumerate_component's order
-    k, k2 = j - 1, j2 - 1 - tree.r
-    lefts = [w[:k] + (i,) + w[k:] for w in permutations(sorted(values - {i}))]
-    rights = [w[:k2] + (i2,) + w[k2:] for w in permutations(sorted(complement - {i2}))]
-    return [left + right for left in lefts for right in rights]
+    # lex-ordered sides in a left-major product: enumerate_component's order
+    rights = _with_value(complement, j2 - 1 - tree.r, i2)
+    return [left + right for left in _with_value(values, j - 1, i) for right in rights]
 
 
 def partner(r: int, v: int) -> int:
@@ -94,32 +97,16 @@ def xprime_components(r: int) -> list[frozenset[int]]:
 def _component_centers(tree: TranspositionTree, values: frozenset[int], flag: str) -> list[Perm]:
     """Centers of one X' component for one parity flag.
 
-    Left factor: every hub slice (value i at position 1).  Right factor:
-    tuples of the chosen parity whose hub value is the partner of i, so
-    that the hub-hub edge keeps each sphere inside X'.
+    For each value i of the component, the hub-slice product with i at
+    the left hub and the partner of i at the right hub, so that the
+    hub-hub edge keeps each sphere inside X'; of it, the members whose
+    right side has the chosen parity.
     """
     r = tree.r
-    right_values = sorted(set(range(1, tree.n + 1)) - values)
-    centers = []
-    for i in sorted(values):
-        lead = partner(r, i)
-        lefts = [(i,) + rest for rest in permutations(sorted(values - {i}))]
-        rights = [(lead,) + rest
-                  for rest in permutations([v for v in right_values if v != lead])
-                  if relative_parity((lead,) + rest) == flag]
-        centers.extend(left + right for left in lefts for right in rights)
-    return centers
-
-
-def _footprint(tree: TranspositionTree, centers) -> set[Perm] | None:
-    """Union of the centers' closed spheres, or None when two of them meet."""
-    out: set[Perm] = set()
-    for g in centers:
-        sph = closed_sphere(tree, g)
-        if not out.isdisjoint(sph):
-            return None
-        out |= sph
-    return out
+    return [g for i in sorted(values)
+            for g in product_eset(tree, values, (tree.hub_left, i),
+                                  (tree.hub_right, partner(r, i)))
+            if relative_parity(g[r:]) == flag]
 
 
 def _disjoint_picks(options, covered: set[Perm]):
@@ -158,7 +145,7 @@ def _disjoint_picks(options, covered: set[Perm]):
 def _xprime_options(tree: TranspositionTree):
     """One slot per type-0 component: (centers, footprint) for its even
     and its odd parity flag."""
-    return [[(centers, _footprint(tree, centers)) for centers in
+    return [[(centers, packing_union(tree, centers)) for centers in
              (_component_centers(tree, c, "even"), _component_centers(tree, c, "odd"))]
             for c in xprime_components(tree.r)]
 
@@ -240,7 +227,6 @@ def _local_configs(tree: TranspositionTree, values: frozenset[int], size: int):
     Displacement is what lets neighboring components coexist at full
     density; the undisplaced products alone collide across the hub edge.
     """
-    hl, hr = tree.hub_left - 1, tree.hub_right - 1
     complement = sorted(set(range(1, tree.n + 1)) - values)
     variants: list[tuple[Perm, ...]] = []
     seen = set()
@@ -251,8 +237,9 @@ def _local_configs(tree: TranspositionTree, values: frozenset[int], size: int):
             for disp in [None] + hub_edges:
                 group = tuple(sorted(
                     base if disp is None else [swap_positions(g, *disp) for g in base]))
-                if group in seen or any(
-                        component_type(tree, values - {g[hl]} | {g[hr]}) == 0 for g in group):
+                if group in seen or any(component_type(
+                        tree, component_of(tree, swap_positions(g, *tree.epsilon))) == 0
+                        for g in group):
                     continue
                 seen.add(group)
                 variants.append(group)
@@ -261,7 +248,7 @@ def _local_configs(tree: TranspositionTree, values: frozenset[int], size: int):
     for group in variants:
         for combo in combinations(group, size):
             if combo not in feet:
-                feet[combo] = _footprint(tree, combo)
+                feet[combo] = packing_union(tree, combo)
     return [(combo, foot) for combo, foot in feet.items() if foot is not None]
 
 
@@ -271,7 +258,8 @@ def nonuniform_extension(r: int, stage: str = "final") -> NonuniformResult:
 
     stage="intermediate" stops at half density in the non-X' components
     (the double-sphere selection stage); stage="final" displaces to the
-    full 2/r proportion.
+    full 2/r proportion.  The intermediate stage is refused for r >= 4,
+    where its subset enumeration does not fit in memory.
 
     A single iterative search: one ``_disjoint_picks`` over the type-0
     slots followed by one slot per eligible component, so its first pick
@@ -280,6 +268,10 @@ def nonuniform_extension(r: int, stage: str = "final") -> NonuniformResult:
     """
     if stage not in ("intermediate", "final"):
         raise ValueError(f"unknown stage {stage!r}")
+    if stage == "intermediate" and r >= 4:
+        group = factorial(r - 1) ** 2
+        raise ValueError(f"the intermediate stage needs r <= 3: at r={r} each group has "
+                         f"C({group}, {group // 2}) center subsets")
     tree = build_tree(r, r, RENUMBERED)
     row = table_row(r)
     per_comp = factorial(r - 1) ** 2
@@ -326,25 +318,17 @@ def puncture_attempt(r: int, t: int) -> NonuniformResult:
     if not r > t > 1:
         raise ValueError("puncturing applies to r > t > 1")
     tree = build_tree(r, t, RENUMBERED)
+    comps = sorted(all_components(tree), key=lambda c: tuple(sorted(c)))
+    seeds = (g for values in comps for i in sorted(values)
+             for j in sorted(set(range(1, tree.n + 1)) - values)
+             for g in product_eset(tree, values, (tree.hub_left, i), (tree.hub_right, j)))
     covered: set[Perm] = set()
     centers: list[Perm] = []
-
-    def try_add(g: Perm) -> None:
+    for g in chain(seeds, *(enumerate_component(tree, values) for values in comps)):
         sph = closed_sphere(tree, g)
-        if not (sph & covered):
-            covered.update(sph)
+        if covered.isdisjoint(sph):
+            covered |= sph
             centers.append(g)
-
-    comps = sorted(all_components(tree), key=lambda c: tuple(sorted(c)))
-    for values in comps:
-        complement = sorted(set(range(1, tree.n + 1)) - values)
-        for i in sorted(values):
-            for j in complement:
-                for g in product_eset(tree, values, (tree.hub_left, i), (tree.hub_right, j)):
-                    try_add(g)
-    for values in comps:
-        for g in sorted(enumerate_component(tree, values)):
-            try_add(g)
 
     cert = PackingCertificate(n=tree.n, kind="one_sphere", centers=sorted(centers),
                               r=r, t=t, numbering=RENUMBERED)

@@ -35,9 +35,10 @@ FOUND = "found"
 NONE_EXHAUSTIVE = "none_exhaustive"
 BEST_EFFORT = "best_effort"
 
-# largest degrees the exhaustive searches accept: 7! = 5040 vertices
-# to decide, 5! = 120 to enumerate
-_ESET_MAX_N = 7
+# largest degrees the searches accept: 7! = 5040 vertices to decide
+# an E-set or to pack (at n = 8 the packing set-up alone would hold 8!
+# conflict masks of up to 8! bits), 5! = 120 to enumerate
+_MAX_N = 7
 _COUNT_MAX_N = 5
 
 # added to a DLX column's size byte while the column is covered; every
@@ -229,7 +230,7 @@ def _cert_from_ranks(tree: TranspositionTree, ranks) -> PackingCertificate:
 
 def find_eset(tree: TranspositionTree, symmetry: bool = True) -> SearchOutcome:
     """Decide whether the Cayley graph has an efficient dominating set."""
-    if tree.n > _ESET_MAX_N:
+    if tree.n > _MAX_N:
         raise ValueError(f"n={tree.n} too large: {math.factorial(tree.n)} vertices")
     spheres = _sphere_ranks(tree, _rank_index(tree.n))
     dlx = _DancingLinks(len(spheres), spheres)
@@ -388,7 +389,10 @@ def max_packing(tree: TranspositionTree, node_budget: int = 2_000_000,
     ``upper_bound``, so a stopped search that reached the bound is
     reported optimal; ``wall_budget_exceeded`` still says that it
     stopped.  The verifier re-checks the packing before it is returned.
+    Degrees above 7 are refused before any set-up.
     """
+    if tree.n > _MAX_N:
+        raise ValueError(f"n={tree.n} too large: {math.factorial(tree.n)} vertices")
     conflict, comp_masks = _packing_graph(tree)
     deadline = None if time_budget is None else time.monotonic() + time_budget
 

@@ -1,15 +1,20 @@
 """Tree construction, neighbors, distances, components."""
 
+import ast
 import math
+import pathlib
 from itertools import combinations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import permpack
 from permpack.cayley import (ORIGINAL, RENUMBERED, all_components, ball2,
                              build_tree, closed_sphere, component_of,
                              component_type, enumerate_component,
                              graph_distance, neighbors, num_vertices,
-                             star_tree, translate, tree_diameter)
+                             packing_union, star_tree, translate, tree_diameter)
 from permpack.perms import all_perms, perm_from_str
 
 
@@ -119,3 +124,60 @@ def test_translate_is_color_preserving():
 
 def test_num_vertices():
     assert num_vertices(build_tree(3, 3)) == 720
+
+
+def _reference_footprint(tree, centers):
+    """Union of the closed spheres one frozenset at a time, or None at
+    the first sphere that meets an earlier one."""
+    out = set()
+    for g in centers:
+        sph = closed_sphere(tree, g)
+        if not out.isdisjoint(sph):
+            return None
+        out |= sph
+    return out
+
+
+_UNION_TREES = [build_tree(2, 2), build_tree(2, 2, RENUMBERED), build_tree(3, 2),
+                build_tree(3, 2, RENUMBERED), star_tree(4)]
+
+
+@given(st.data())
+def test_packing_union_matches_reference(data):
+    tree = data.draw(st.sampled_from(_UNION_TREES))
+    verts = list(all_perms(tree.n))
+    order = data.draw(st.permutations(verts))
+    kind = data.draw(st.sampled_from(["greedy", "random", "overlap", "repeat", "empty"]))
+    if kind == "greedy":
+        # disjoint spheres: a greedy packing in a random order
+        centers, covered = [], set()
+        for g in order[:data.draw(st.integers(0, len(verts)))]:
+            sph = closed_sphere(tree, g)
+            if covered.isdisjoint(sph):
+                covered |= sph
+                centers.append(g)
+    elif kind == "empty":
+        centers = []
+    else:
+        centers = order[:data.draw(st.integers(1, 12))]
+        g = data.draw(st.sampled_from(centers))
+        if kind == "overlap":
+            _, g = data.draw(st.sampled_from(neighbors(tree, g)))
+        if kind != "random":
+            centers.insert(data.draw(st.integers(0, len(centers))), g)
+    assert packing_union(tree, centers) == _reference_footprint(tree, centers)
+
+
+def test_only_cayley_and_search_read_edge_getters():
+    # the sphere-union rule stays in cayley; only search needs the bulk
+    # per-edge columns, for its n!-row sphere table
+    src = pathlib.Path(permpack.__file__).parent
+    readers = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = (node.id if isinstance(node, ast.Name) else
+                    node.attr if isinstance(node, ast.Attribute) else
+                    node.name if isinstance(node, ast.alias) else None)
+            if name == "edge_getters":
+                readers.add(path.stem)
+    assert readers == {"cayley", "search"}

@@ -5,20 +5,23 @@ import hashlib
 import json
 import math
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
 from conftest import nest_g35, two_factor_g35
+from permpack import constructions
 from permpack.cayley import (ORIGINAL, RENUMBERED, all_components, build_tree, component_of,
                              component_type, enumerate_component, star_tree)
 from permpack.certify import (PackingCertificate, cert_to_dict, uniformity_check,
                               verify_eset, verify_on_subgraph, verify_packing)
-from permpack.constructions import (ConstructionError, density_bounds,
+from permpack.cli import run
+from permpack.constructions import (ConstructionError, _component_centers, density_bounds,
                                     nonuniform_extension, partner,
                                     product_eset, puncture_attempt, star_eset,
                                     table_T, table_row, uniform_from_exact,
                                     xprime_components, xprime_perfect_code)
-from permpack.perms import all_perms
+from permpack.perms import all_perms, relative_parity
 
 
 def test_star_eset_slices_partition():
@@ -33,6 +36,15 @@ def test_star_eset_slices_partition():
             assert rep.is_eset
             seen.update(slc.members)
         assert len(seen) == math.factorial(n)
+
+
+def test_star_eset_is_the_filtered_slice():
+    # generated directly; it must be the filter of all n! words, in order
+    for n in range(1, 7):
+        perms = list(all_perms(n))
+        for j in range(1, n + 1):
+            for i in range(1, n + 1):
+                assert star_eset(n, j, i).members == [p for p in perms if p[j - 1] == i]
 
 
 def test_star_eset_validates_input():
@@ -81,6 +93,31 @@ def test_xprime_components():
     assert len(comps) == 8
     tree = build_tree(3, 3, RENUMBERED)
     assert all(component_type(tree, c) == 0 for c in comps)
+
+
+def _reference_component_centers(tree, values, flag):
+    """Left factor: every slice with value i at position 1; right factor:
+    words of the chosen parity led by the partner of i."""
+    r = tree.r
+    right_values = sorted(set(range(1, tree.n + 1)) - values)
+    centers = []
+    for i in sorted(values):
+        lead = partner(r, i)
+        lefts = [(i,) + rest for rest in permutations(sorted(values - {i}))]
+        rights = [(lead,) + rest
+                  for rest in permutations([v for v in right_values if v != lead])
+                  if relative_parity((lead,) + rest) == flag]
+        centers.extend(left + right for left in lefts for right in rights)
+    return centers
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_component_centers_match_reference(r):
+    tree = build_tree(r, r, RENUMBERED)
+    for values in xprime_components(r):
+        for flag in ("even", "odd"):
+            assert (_component_centers(tree, values, flag)
+                    == _reference_component_centers(tree, values, flag))
 
 
 def test_xprime_perfect_code_r2():
@@ -153,6 +190,23 @@ def test_nonuniform_r3_final():
 def test_nonuniform_rejects_bad_stage():
     with pytest.raises(ValueError):
         nonuniform_extension(3, stage="later")
+
+
+def _no_configs(*args):
+    raise AssertionError("the r >= 4 gate must refuse before any subset is enumerated")
+
+
+def test_nonuniform_intermediate_refuses_r4(monkeypatch):
+    # unguarded, _local_configs would enumerate C(36, 18) subsets per group
+    monkeypatch.setattr(constructions, "_local_configs", _no_configs)
+    with pytest.raises(ValueError):
+        nonuniform_extension(4, stage="intermediate")
+
+
+def test_cli_nonuniform_intermediate_r4_exits_2(monkeypatch, capsys):
+    monkeypatch.setattr(constructions, "_local_configs", _no_configs)
+    assert run(["construct", "nonuniform", "4", "--stage", "intermediate"]) == 2
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("make, digest", [

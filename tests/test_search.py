@@ -10,8 +10,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import nest_g35, shallow_stack
+from permpack import search
 from permpack.cayley import RENUMBERED, TranspositionTree, build_tree, neighbors, star_tree
 from permpack.certify import verify_packing
+from permpack.cli import run
 from permpack.constructions import (_disjoint_picks, nonuniform_extension,
                                     uniform_from_exact, xprime_perfect_code)
 from permpack.johnson import alternate_cops, parse_cop, search_exact_2factor
@@ -167,6 +169,23 @@ def test_find_eset_golden(tree, symmetry, digest, nodes):
 def test_find_eset_size_gate():
     with pytest.raises(ValueError):
         find_eset(star_tree(8))
+
+
+def _no_setup(*args):
+    raise AssertionError("the size gate must refuse before any set-up")
+
+
+@pytest.mark.parametrize("tree", [build_tree(5, 3), build_tree(6, 3)], ids=["n8", "n9"])
+def test_max_packing_size_gate(monkeypatch, tree):
+    monkeypatch.setattr(search, "_packing_graph", _no_setup)
+    with pytest.raises(ValueError):
+        max_packing(tree, node_budget=1)
+
+
+def test_cli_maxpack_size_gate_exits_2(monkeypatch, capsys):
+    monkeypatch.setattr(search, "_packing_graph", _no_setup)
+    assert run(["search", "maxpack", "--tree", "6,3"]) == 2
+    capsys.readouterr()
 
 
 def test_count_esets():
