@@ -11,12 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, permutations, product
+from itertools import combinations, permutations, product
 from math import comb, factorial
 
 from . import johnson
 from .cayley import (RENUMBERED, TranspositionTree, all_components, build_tree,
-                     closed_sphere, component_of, component_type, enumerate_component,
+                     closed_sphere, component_of, component_type,
                      packing_union)
 from .certify import (PackingCertificate, verify_on_subgraph, verify_packing)
 from .perms import Perm, relative_parity, swap_positions
@@ -322,9 +322,11 @@ def puncture_attempt(r: int, t: int) -> NonuniformResult:
     seeds = (g for values in comps for i in sorted(values)
              for j in sorted(set(range(1, tree.n + 1)) - values)
              for g in product_eset(tree, values, (tree.hub_left, i), (tree.hub_right, j)))
+    # the hub slices of a component list all its vertices, so the greedy
+    # packing is maximal
     covered: set[Perm] = set()
     centers: list[Perm] = []
-    for g in chain(seeds, *(enumerate_component(tree, values) for values in comps)):
+    for g in seeds:
         sph = closed_sphere(tree, g)
         if covered.isdisjoint(sph):
             covered |= sph

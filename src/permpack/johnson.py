@@ -6,15 +6,17 @@ color.  A subgraph is exact when (a) colors of edges meeting at a vertex
 share exactly r-2 elements and (b) every 2-path u-v-w involves r+2
 elements.  In tight hosts (n = r+2) a degree-3 vertex cannot satisfy (b)
 for all incident pairs -- only two outside elements exist -- so cycle
-alternation and nest validation use a host-capped variant of (b) that
-tolerates 2-paths involving n-1 elements when n = r+2; see
-_pair_ok_capped.
+alternation and nest validation cap the count of (b) at the host,
+min(r+2, n-1), which tolerates 2-paths involving n-1 elements when
+n = r+2.  One predicate, _path_violation, states (a) and (b); its
+callers pass the count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
+from math import comb
 
 Subset = frozenset[int]
 
@@ -85,49 +87,41 @@ def is_johnson_edge(u: Subset, v: Subset) -> bool:
     return len(u & v) == len(u) - 1 and len(u) == len(v)
 
 
-def _pair_ok(u: Subset, v: Subset, w: Subset) -> str | None:
-    """Exactness of the 2-path u-v-w; returns a violation string or None."""
+def _path_violation(u: Subset, v: Subset, w: Subset, need: int) -> str | None:
+    """Exactness of the 2-path u-v-w of Johnson edges: the colors share
+    r-2 elements and the path involves at least need elements, r+2 for
+    the strict rule or the host cap min(r+2, n-1).  Returns a violation
+    string or None."""
     r = len(v)
     c1, c2 = u & v, v & w
     if len(c1 & c2) != r - 2:
         return f"colors {subset_key(c1)} and {subset_key(c2)} at {subset_key(v)} share {len(c1 & c2)} != {r - 2} elements"
-    if len(u | v | w) != r + 2:
-        return f"path {subset_key(u)}-{subset_key(v)}-{subset_key(w)} involves {len(u | v | w)} != {r + 2} elements"
-    return None
-
-
-def _pair_ok_capped(n: int, u: Subset, v: Subset, w: Subset) -> str | None:
-    """Host-capped exactness of the 2-path u-v-w.
-
-    Same as _pair_ok except that when the host is tight (n = r+2) the
-    element count of a 2-path may drop to n-1: with only two outside
-    elements, three edges at a vertex must repeat one of them.
-    """
-    r = len(v)
-    c1, c2 = u & v, v & w
-    if len(c1 & c2) != r - 2:
-        return f"colors {subset_key(c1)} and {subset_key(c2)} at {subset_key(v)} share {len(c1 & c2)} != {r - 2} elements"
-    need = r + 2 if n > r + 2 else n - 1
     if len(u | v | w) < need:
         return f"path {subset_key(u)}-{subset_key(v)}-{subset_key(w)} involves {len(u | v | w)} < {need} elements"
     return None
 
 
-def is_exact(n: int, r: int, sub: ExactSubgraph) -> tuple[bool, str | None]:
-    """Literal exactness check; on failure returns the offending witness."""
+def _structure_violation(n: int, r: int, sub: ExactSubgraph, need: int) -> str | None:
+    """First edge that is not a Johnson edge between r-subsets of 1..n,
+    else the first 2-path that _path_violation rejects, else None."""
     universe = set(range(1, n + 1))
     for u, v in sub.edges:
         if len(u) != r or len(v) != r or not (u | v) <= universe:
-            return False, f"edge {subset_key(u)}-{subset_key(v)} is not between r-subsets of 1..{n}"
+            return f"edge {subset_key(u)}-{subset_key(v)} is not between r-subsets of 1..{n}"
         if not is_johnson_edge(u, v):
-            return False, f"{subset_key(u)} and {subset_key(v)} are not adjacent in the Johnson graph"
-    adj = sub.adjacency()
-    for v, nbrs in adj.items():
+            return f"{subset_key(u)} and {subset_key(v)} are not adjacent in the Johnson graph"
+    for v, nbrs in sub.adjacency().items():
         for u, w in combinations(nbrs, 2):
-            bad = _pair_ok(u, v, w)
+            bad = _path_violation(u, v, w, need)
             if bad is not None:
-                return False, bad
-    return True, None
+                return bad
+    return None
+
+
+def is_exact(n: int, r: int, sub: ExactSubgraph) -> tuple[bool, str | None]:
+    """Literal exactness check; on failure returns the offending witness."""
+    bad = _structure_violation(n, r, sub, r + 2)
+    return bad is None, bad
 
 
 def expand_cc(cc, r: int) -> ExactSubgraph:
@@ -171,13 +165,17 @@ def parse_cop(text: str) -> tuple[int, ...]:
 def alternate_cops(cop_a, cop_b, n: int) -> ExactSubgraph | None:
     """Search for an exact cycle alternating the subsets of the two COPs.
 
-    Returns None when exhaustive backtracking finds no exact alternation.
+    Exactness here is host-capped: a 2-path may involve min(r+2, n-1)
+    elements, so in a tight host (n = r+2) the cycle can fail the strict
+    is_exact.  Returns None when exhaustive backtracking finds no exact
+    alternation.
     """
     fam_a = sorted(expand_cop(cop_a, n), key=subset_key)
     fam_b = sorted(expand_cop(cop_b, n), key=subset_key)
     if len(fam_a) != len(fam_b) or set(fam_a) & set(fam_b):
         return None
     m = len(fam_a)
+    need = min(len(fam_a[0]) + 2, n - 1)
     # frames[i] yields the candidates for path position i+1; the families
     # are disjoint, so one used set serves both
     path = [fam_a[0]]
@@ -186,7 +184,7 @@ def alternate_cops(cop_a, cop_b, n: int) -> ExactSubgraph | None:
     while frames:
         for cand in frames[-1]:
             if (cand not in used and is_johnson_edge(path[-1], cand)
-                    and (len(path) < 2 or _pair_ok_capped(n, path[-2], path[-1], cand) is None)):
+                    and (len(path) < 2 or _path_violation(path[-2], path[-1], cand, need) is None)):
                 break
         else:
             frames.pop()
@@ -197,8 +195,8 @@ def alternate_cops(cop_a, cop_b, n: int) -> ExactSubgraph | None:
         if len(path) < 2 * m:
             frames.append(iter(fam_b if len(path) % 2 else fam_a))
         elif (is_johnson_edge(path[-1], path[0])
-              and _pair_ok_capped(n, path[-2], path[-1], path[0]) is None
-              and _pair_ok_capped(n, path[-1], path[0], path[1]) is None):
+              and _path_violation(path[-2], path[-1], path[0], need) is None
+              and _path_violation(path[-1], path[0], path[1], need) is None):
             edges = tuple((path[i], path[(i + 1) % (2 * m)]) for i in range(2 * m))
             return ExactSubgraph(vertices=frozenset(path), edges=edges, kind="cycle")
         else:
@@ -212,7 +210,8 @@ def _pair_table(n: int, r: int) -> tuple[list[Subset], list[int], list[dict[int,
     Returns (verts, full, ok): full[v] is the bitmask of the Johnson
     neighbors of vertex v, and for each neighbor u of v, ok[v][u] is the
     mask of neighbors w whose 2-path u-v-w is exact, by the (dropped,
-    added) rule stated in search_exact_2factor.
+    added) rule stated in search_exact_2factor: the verdicts of
+    _path_violation with need = r+2, computed from masks.
     """
     verts = [frozenset(c) for c in combinations(range(1, n + 1), r)]
     index = {v: i for i, v in enumerate(verts)}
@@ -248,8 +247,6 @@ def search_exact_2factor(n: int, r: int, max_vertices: int = 40) -> ExactSubgrap
     search is iterative, with an explicit stack, and returns None only
     after complete enumeration.
     """
-    from math import comb
-
     if not 2 < r < n - 1:
         raise ValueError(f"need 2 < r < n-1, got r={r}, n={n}")
     if comb(n, r) > max_vertices:
@@ -291,56 +288,30 @@ def search_exact_2factor(n: int, r: int, max_vertices: int = 40) -> ExactSubgrap
 
 
 def validate_nest(n: int, r: int, sub: ExactSubgraph) -> tuple[bool, str]:
-    """Check the nest conditions: spanning, max degree 3, unicyclic
-    caterpillar components, and host-capped exactness of every 2-path
-    (see _pair_ok_capped)."""
-    from math import comb
-
+    """Check the nest conditions: spanning, max degree 3, every component
+    a cycle with pendant vertices, Johnson edges between r-subsets of
+    1..n, and exactness of every 2-path under the host cap min(r+2, n-1)
+    (see _path_violation)."""
     if len(sub.vertices) != comb(n, r):
         return False, f"not spanning: {len(sub.vertices)} of {comb(n, r)} vertices"
-    for u, v in sub.edges:
-        if not is_johnson_edge(u, v):
-            return False, f"{subset_key(u)}-{subset_key(v)} is not a Johnson edge"
     adj = sub.adjacency()
     if any(len(set(nb)) != len(nb) for nb in adj.values()):
         return False, "repeated edge"
-    maxdeg = max(len(nb) for nb in adj.values())
+    deg = {v: len(nb) for v, nb in adj.items()}
+    maxdeg = max(deg.values())
     if maxdeg > 3:
         return False, f"degree {maxdeg} > 3"
-
-    # component structure: unicyclic, and deleting pendant vertices leaves a cycle
-    seen: set[Subset] = set()
-    components: list[set[Subset]] = []
-    for v in sub.vertices:
-        if v in seen:
-            continue
-        comp = {v}
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        seen |= comp
-        components.append(comp)
-    for comp in components:
-        ecount = sum(1 for u, v in sub.edges if u in comp)
-        if ecount != len(comp):
-            return False, f"component of size {len(comp)} has {ecount} edges (not unicyclic)"
-        core = {v for v in comp if len(adj[v]) >= 2}
-        if not core:
-            return False, "component has no cycle core"
-        for v in core:
-            if sum(1 for w in adj[v] if w in core) != 2:
-                return False, f"core of component is not a cycle at {subset_key(v)}"
-
+    # every component is a cycle with pendants iff each core vertex
+    # (degree >= 2) has two core neighbors and each other vertex has one
+    # neighbor, a core vertex
     for v, nbrs in adj.items():
-        for u, w in combinations(nbrs, 2):
-            bad = _pair_ok_capped(n, u, v, w)
-            if bad is not None:
-                return False, bad
-    return True, "nest"
+        core_nbrs = sum(deg[w] >= 2 for w in nbrs)
+        if deg[v] >= 2 and core_nbrs != 2:
+            return False, f"core is not a cycle at {subset_key(v)}"
+        if deg[v] < 2 and core_nbrs != 1:
+            return False, f"{subset_key(v)} is not a pendant on a cycle"
+    bad = _structure_violation(n, r, sub, min(r + 2, n - 1))
+    return (False, bad) if bad is not None else (True, "nest")
 
 
 def successor_orientations(sub: ExactSubgraph):

@@ -154,6 +154,26 @@ def test_johnson_validate_nest(tmp_path, capsys):
     assert code == 0 and data["valid"]
 
 
+def test_johnson_alternate_tight_host_is_not_strictly_exact(capsys):
+    # alternation caps a 2-path's element count at n-1 = 5 when n = r+2;
+    # "exact" reports the strict rule, which asks for r+2 = 6
+    code, data = run_json(capsys, "johnson", "alternate", "1113", "1122", "6")
+    assert code == 0
+    assert data["found"] and len(data["structure"]["vertices"]) == 12
+    assert data["exact"] is False and "< 6 elements" in data["witness"]
+
+
+def test_johnson_validate_nest_rejects_values_outside_the_host(tmp_path, capsys):
+    nest = json.loads((FIXTURES / "nest_g35.json").read_text())
+    for key in ("vertices", "edges"):
+        nest[key] = json.loads(json.dumps(nest[key]).replace("5", "6"))
+    path = tmp_path / "nest_g36.json"
+    path.write_text(json.dumps(nest))
+    code, data = run_json(capsys, "johnson", "validate-nest", "5", "3", str(path))
+    assert code == 1 and not data["valid"]
+    assert "not between r-subsets of 1..5" in data["detail"]
+
+
 def test_tables_tsv(capsys):
     code = run(["tables", "3"])
     out = capsys.readouterr().out

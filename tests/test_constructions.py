@@ -215,8 +215,13 @@ def test_cli_nonuniform_intermediate_r4_exits_2(monkeypatch, capsys):
     (lambda: nonuniform_extension(3, "intermediate").certificate, "2ae89c2f6509ca3f"),
     (lambda: uniform_from_exact(build_tree(3, 2), two_factor_g35()), "48789b2e635c3a9d"),
     (lambda: uniform_from_exact(build_tree(3, 2), nest_g35()), "c0ec593a0caff4f3"),
+    (lambda: puncture_attempt(3, 2).certificate, "6ca33ff4905ce4a2"),
+    (lambda: puncture_attempt(4, 2).certificate, "ca840d14a4c97ea6"),
+    (lambda: puncture_attempt(4, 3).certificate, "ef222d316731dba5"),
+    (lambda: puncture_attempt(5, 2).certificate, "09b6bb410a3f5c80"),
 ], ids=["xprime3", "nonuniform3-final", "nonuniform3-intermediate",
-        "uniform32-two-factor", "uniform32-nest"])
+        "uniform32-two-factor", "uniform32-nest",
+        "puncture32", "puncture42", "puncture43", "puncture52"])
 def test_construction_golden_certificates(make, digest):
     # the certificates pin the order of the pick and orientation searches
     data = json.dumps(cert_to_dict(make()))

@@ -5,11 +5,15 @@ import hashlib
 import json
 import random
 from itertools import combinations
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import nest_g35, nest_g46, two_factor_g35
-from permpack.johnson import (_pair_ok, _pair_table, alternate_cops, expand_cc,
+from permpack import johnson
+from permpack.johnson import (_pair_table, _path_violation, alternate_cops, expand_cc,
                               expand_cop, is_exact, is_johnson_edge,
                               johnson_neighbors,
                               make_subgraph, parse_cop, search_exact_2factor,
@@ -141,7 +145,7 @@ def test_search_exact_2factor_golden_certificates(n, r, digest):
 
 @pytest.mark.parametrize("n, r", [(5, 3), (6, 4), (7, 4), (8, 5)])
 def test_pair_table_matches_pair_ok(n, r):
-    # the search trusts this table in place of _pair_ok
+    # the search trusts this table in place of the strict _path_violation
     verts, full, ok = _pair_table(n, r)
     assert [subset_key(v) for v in verts] == sorted(map(subset_key, verts))
     for i, v in enumerate(verts):
@@ -150,8 +154,25 @@ def test_pair_table_matches_pair_ok(n, r):
         assert sorted(ok[i]) == nbrs
         for u in nbrs:
             for w in nbrs:
-                exact = _pair_ok(verts[u], v, verts[w]) is None
+                exact = _path_violation(verts[u], v, verts[w], r + 2) is None
                 assert bool(ok[i][u] >> w & 1) == exact
+
+
+@given(st.data())
+def test_path_violation_is_the_dropped_added_rule(data):
+    # u = v - {a'} | {b'} and w = v - {a} | {b}: the 2-path is exact iff
+    # a != a' and (b != b' or the host cap lets it involve r+1 elements)
+    n = data.draw(st.integers(5, 9))
+    r = data.draw(st.integers(3, n - 2))
+    v = frozenset(data.draw(st.permutations(range(1, n + 1)))[:r])
+    moves = johnson_neighbors(n, r, v)
+    _, u = data.draw(st.sampled_from(moves))
+    _, w = data.draw(st.sampled_from(moves))
+    need = data.draw(st.sampled_from([r + 2, min(r + 2, n - 1), r + 1]))
+    (a1,), (b1,) = v - u, u - v
+    (a2,), (b2,) = v - w, w - v
+    expected = a1 != a2 and (b1 != b2 or need <= r + 1)
+    assert (_path_violation(u, v, w, need) is None) == expected
 
 
 def test_search_exact_2factor_size_gate():
@@ -187,6 +208,86 @@ def test_validate_nest_rejects_high_degree():
     sub = make_subgraph(edges, extra_vertices=rest)
     ok, why = validate_nest(5, 3, sub)
     assert not ok
+
+
+def _relabel(sub, old, new):
+    def image(s):
+        return frozenset(new if x == old else x for x in s)
+    return make_subgraph([(image(u), image(v)) for u, v in sub.edges], kind=sub.kind,
+                         extra_vertices=map(image, sub.vertices))
+
+
+@pytest.mark.parametrize("n, r, make", [
+    (5, 3, lambda: _relabel(nest_g35(), 5, 6)),
+    (5, 2, nest_g35),
+    (6, 2, nest_g46),
+], ids=["g35-value-6", "g35-as-r2", "g46-as-r2"])
+def test_validate_nest_rejects_vertices_outside_the_host(n, r, make):
+    # each has as many vertices as C(n, r) and a nest's shape and 2-paths
+    ok, why = validate_nest(n, r, make())
+    assert not ok and f"not between r-subsets of 1..{n}" in why
+
+
+def _plain_nest_shape(sub):
+    """Every component has as many edges as vertices, and deleting its
+    degree-1 vertices leaves a non-empty core in which every vertex has
+    degree 2."""
+    adj = sub.adjacency()
+    seen = set()
+    for start in adj:
+        if start in seen:
+            continue
+        comp, frontier = {start}, [start]
+        while frontier:
+            frontier = [w for u in frontier for w in adj[u] if w not in comp]
+            comp.update(frontier)
+        seen |= comp
+        if sum(len(adj[v]) for v in comp) != 2 * len(comp):
+            return False
+        core = {v for v in comp if len(adj[v]) >= 2}
+        if not core or any(sum(w in core for w in adj[v]) != 2 for v in core):
+            return False
+    return True
+
+
+@settings(max_examples=400)
+@given(st.data())
+def test_validate_nest_shape_matches_definition(data):
+    # the vertex set split into parts, each a cycle with pendants on
+    # distinct cycle vertices or a forest, then an edge toggled and degrees
+    # capped at 3; exactness is stubbed, so only the shape decides.  About
+    # one example in 25 tells the rule apart from a variant that accepts a
+    # lone edge or a path, hence the example count
+    verts = [frozenset(c) for c in combinations(range(1, 6), 3)]
+    order = data.draw(st.permutations(range(len(verts))))
+    cuts = sorted(data.draw(st.sets(st.integers(1, len(order) - 1), max_size=2)))
+    edges = set()
+    for lo, hi in zip([0] + cuts, cuts + [len(order)]):
+        part = order[lo:hi]
+        size = len(part)
+        if size >= 3 and data.draw(st.sampled_from([True, True, False])):
+            ring = data.draw(st.integers(max(3, (size + 1) // 2), size))
+            hosts = data.draw(st.permutations(part[:ring]))
+            edges |= {frozenset((part[k], part[k - 1 if k else ring - 1])) for k in range(ring)}
+            edges |= {frozenset(pair) for pair in zip(part[ring:], hosts)}
+        else:
+            for k in range(1, size):
+                j = data.draw(st.integers(-1, k - 1))
+                if j >= 0:
+                    edges.add(frozenset((part[k], part[j])))
+    for a, b in data.draw(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=1)):
+        if a != b:
+            edges ^= {frozenset((a, b))}
+    degree = [0] * len(verts)
+    kept = []
+    for a, b in sorted(tuple(sorted(e)) for e in edges):
+        if degree[a] < 3 and degree[b] < 3:
+            degree[a] += 1
+            degree[b] += 1
+            kept.append((verts[a], verts[b]))
+    sub = make_subgraph(kept, extra_vertices=verts)
+    with mock.patch.object(johnson, "_structure_violation", lambda *args: None):
+        assert validate_nest(5, 3, sub)[0] == _plain_nest_shape(sub)
 
 
 def test_successor_orientations_cover_all_vertices():
