@@ -292,6 +292,8 @@ def validate_nest(n: int, r: int, sub: ExactSubgraph) -> tuple[bool, str]:
     a cycle with pendant vertices, Johnson edges between r-subsets of
     1..n, and exactness of every 2-path under the host cap min(r+2, n-1)
     (see _path_violation)."""
+    if not 1 <= r <= n:
+        raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
     if len(sub.vertices) != comb(n, r):
         return False, f"not spanning: {len(sub.vertices)} of {comb(n, r)} vertices"
     adj = sub.adjacency()

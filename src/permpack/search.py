@@ -1,15 +1,17 @@
 """Exhaustive decision and optimization searches.
 
 E-set existence is an exact cover problem: the universe is all n!
-vertices and the candidate sets are the closed 1-spheres.  Solved with
-iterative dancing links and minimum-remaining-candidates column
-selection.  Column sizes live in a bytearray in which a covered column
-carries the mark ``_COVERED``, so the first uncovered column of the
-smallest size is one ``bytearray.find`` per size value rather than a
-Python walk over the header ring.  The right-translation symmetry lets
-the search fix the identity as a center (any E-set translates to one
-whose spheres include the identity as a center), and absence under that
-reduction is absence outright.
+vertices and the candidate sets are the closed 1-spheres.  Solved by
+iterative Algorithm X with minimum-remaining-candidates column
+selection on two bytearrays: one live flag per row and one live-row
+count per column, in which a covered column carries the mark
+``_COVERED``, so the first uncovered column of the smallest size is one
+``bytearray.find`` per size value.  Selecting a row kills the live rows
+that meet its columns; there is no unselect.  A level that branches
+snapshots both arrays with ``bytes`` and backtracking copies them back.
+The right-translation symmetry lets the search fix the identity as a
+center (any E-set translates to one whose spheres include the identity
+as a center), and absence under that reduction is absence outright.
 
 Maximum 1-sphere packing is branch and bound over center sets; sphere
 disjointness is equivalent to pairwise distance >= 3, so this is a
@@ -41,8 +43,9 @@ BEST_EFFORT = "best_effort"
 _MAX_N = 7
 _COUNT_MAX_N = 5
 
-# added to a DLX column's size byte while the column is covered; every
-# column has fewer rows (a vertex lies in exactly n closed spheres)
+# an exact-cover column's size byte while the column is covered; an
+# uncovered column's live-row count is always smaller (a vertex lies in
+# exactly n closed spheres)
 _COVERED = 128
 
 
@@ -75,129 +78,72 @@ def _sphere_ranks(tree: TranspositionTree, rank: dict[Perm, int]) -> list[list[i
     return list(map(sorted, zip(range(len(rank)), *columns)))
 
 
-class _DancingLinks:
-    """Array-based dancing links over a 0/1 membership matrix.
+class _ExactCover:
+    """Exact cover over a 0/1 membership matrix, backtracked by snapshots.
 
-    ``size[c]`` is column c's row count, plus ``_COVERED`` while c is
-    covered; the root ``size[0]`` holds ``_COVERED`` for good.  A covered
-    column's count never changes while it is covered (its remaining rows
-    meet no covered column), so the mark is exact.  Columns must have
-    fewer than ``_COVERED`` rows.
+    ``rows[r]`` lists row r's columns and ``col_rows[c]`` column c's rows,
+    both ascending; ``col_rows`` defaults to the transpose of ``rows``
+    (a closed-sphere table is its own transpose).  ``live[r]`` is 1 while
+    row r meets no covered column, and ``size[c]`` is column c's count of
+    live rows, or exactly ``_COVERED`` once c is covered.  Columns must
+    have fewer than ``_COVERED`` rows.
     """
 
-    def __init__(self, num_cols: int, rows: list[list[int]]):
-        total = 1 + num_cols + sum(len(r) for r in rows)
-        self.L = [0] * total
-        self.R = [0] * total
-        self.U = [0] * total
-        self.D = [0] * total
-        self.C = [0] * total
-        size = [0] * (num_cols + 1)
-        self.row_of = [-1] * total
-        # header ring: node 0 is the root, nodes 1..num_cols the columns
-        for c in range(num_cols + 1):
-            self.L[c] = c - 1 if c else num_cols
-            self.R[c] = (c + 1) % (num_cols + 1)
-            self.U[c] = c
-            self.D[c] = c
-            self.C[c] = c
-        nxt = num_cols + 1
-        self.row_nodes: list[int] = []
-        for ri, cols in enumerate(rows):
-            first = nxt
-            for c in cols:
-                col = c + 1
-                node = nxt
-                nxt += 1
-                self.C[node] = col
-                self.row_of[node] = ri
-                self.U[node] = self.U[col]
-                self.D[node] = col
-                self.D[self.U[col]] = node
-                self.U[col] = node
-                size[col] += 1
-                if node == first:
-                    self.L[node] = node
-                    self.R[node] = node
-                else:
-                    self.L[node] = self.L[first]
-                    self.R[node] = first
-                    self.R[self.L[first]] = node
-                    self.L[first] = node
-            self.row_nodes.append(first)
-        if max(size) >= _COVERED:
-            raise ValueError(f"a column has {max(size)} rows; at most {_COVERED - 1} allowed")
-        size[0] = _COVERED
-        self.size = bytearray(size)
+    def __init__(self, num_cols: int, rows: list[list[int]],
+                 col_rows: list[list[int]] | None = None):
+        if col_rows is None:
+            col_rows = [[] for _ in range(num_cols)]
+            for r, cols in enumerate(rows):
+                for c in cols:
+                    col_rows[c].append(r)
+        most = max(map(len, col_rows), default=0)
+        if most >= _COVERED:
+            raise ValueError(f"a column has {most} rows; at most {_COVERED - 1} allowed")
+        self.rows = rows
+        self.col_rows = col_rows
+        self.size = bytearray(map(len, col_rows))
+        self.live = bytearray(b"\1") * len(rows)
 
-    def cover(self, col: int) -> None:
-        L, R, U, D, C, size = self.L, self.R, self.U, self.D, self.C, self.size
-        R[L[col]] = R[col]
-        L[R[col]] = L[col]
-        size[col] += _COVERED
-        i = D[col]
-        while i != col:
-            j = R[i]
-            while j != i:
-                D[U[j]] = D[j]
-                U[D[j]] = U[j]
-                size[C[j]] -= 1
-                j = R[j]
-            i = D[i]
-
-    def uncover(self, col: int) -> None:
-        L, R, U, D, C, size = self.L, self.R, self.U, self.D, self.C, self.size
-        i = U[col]
-        while i != col:
-            j = L[i]
-            while j != i:
-                size[C[j]] += 1
-                D[U[j]] = j
-                U[D[j]] = j
-                j = L[j]
-            i = U[i]
-        size[col] -= _COVERED
-        R[L[col]] = col
-        L[R[col]] = col
-
-    def select_row(self, node: int) -> None:
-        self.cover(self.C[node])
-        j = self.R[node]
-        while j != node:
-            self.cover(self.C[j])
-            j = self.R[j]
-
-    def deselect_row(self, node: int) -> None:
-        j = self.L[node]
-        while j != node:
-            self.uncover(self.C[j])
-            j = self.L[j]
-        self.uncover(self.C[node])
+    def select_row(self, row: int) -> None:
+        """Put live row ``row`` in the cover: cover each of its columns,
+        killing every live row that meets one.  A dead row's columns lose
+        one live row each, so a covered column drops to 0 and then
+        carries ``_COVERED``; no live row meets it afterwards."""
+        rows, col_rows, size, live = self.rows, self.col_rows, self.size, self.live
+        for c in rows[row]:
+            for w in col_rows[c]:
+                if live[w]:
+                    live[w] = 0
+                    for d in rows[w]:
+                        size[d] -= 1
+            size[c] = _COVERED
 
     def solve(self):
         """Yield every solution (a list of row indices) by exhaustive enumeration.
 
-        Iterative: ``chosen`` holds one selected row node per level.  A
-        branch takes the first column with the fewest rows and tries its
-        rows top to bottom; backtracking pops the deepest level, deselects
-        it and moves down to the next row of the same column, popping
-        again when that is the column header.  ``self.nodes`` counts
-        branches.
-
-        The header ring always lists the uncovered columns in index order
-        (``uncover`` restores a column in place), and covered columns and
-        the root carry ``_COVERED`` in ``size``, so ``size.find(k)`` for
-        k = 0, 1, 2, ... stops at exactly that column: the first
-        uncovered one of the smallest size, a dead end when k is 0.
+        Iterative: ``chosen`` holds the row selected at each level.  A
+        branch takes the first uncovered column with the fewest live rows
+        (``size.find(k)`` for k = 0, 1, 2, ..., a dead end when k is 0)
+        and tries its live rows in ascending index, which is the dancing
+        links order.  A level with two or more rows pushes a snapshot of
+        ``size``, ``live`` and the uncovered count before its first row;
+        backtracking restores the deepest snapshot in place, by slice
+        assignment, and selects that level's next row, dropping the
+        snapshot with its last row.  A level with one row pushes nothing,
+        so a deep, nearly forced path costs no memory per level.
+        ``self.nodes`` counts branches.
         """
-        R, D, C, row_of = self.R, self.D, self.C, self.row_of
-        find = self.size.find
+        rows, col_rows, size, live = self.rows, self.col_rows, self.size, self.live
+        find = size.find
+        select = self.select_row
         self.nodes = 0
+        uncovered = len(size) - size.count(_COVERED)
         chosen: list[int] = []
+        # (depth, untried rows in reverse order, size, live, uncovered)
+        branches: list[tuple[int, list[int], bytes, bytes, int]] = []
         while True:
-            if R[0] == 0:
-                yield [row_of[node] for node in chosen]
-            else:
+            row = -1
+            if uncovered:
                 # minimum remaining candidates column
                 k = 0
                 best = find(0)
@@ -206,20 +152,26 @@ class _DancingLinks:
                     best = find(k)
                 if k:
                     self.nodes += 1
-                    node = D[best]
-                    chosen.append(node)
-                    self.select_row(node)
-                    continue
-            while chosen:
-                node = chosen.pop()
-                self.deselect_row(node)
-                node = D[node]
-                if node != C[node]:
-                    chosen.append(node)
-                    self.select_row(node)
-                    break
+                    picks = [w for w in col_rows[best] if live[w]]
+                    row = picks[0]
+                    if k > 1:
+                        branches.append((len(chosen), picks[:0:-1], bytes(size), bytes(live),
+                                         uncovered))
             else:
-                return
+                yield chosen[:]
+            if row < 0:
+                if not branches:
+                    return
+                depth, untried, was_size, was_live, uncovered = branches[-1]
+                size[:] = was_size
+                live[:] = was_live
+                row = untried.pop()
+                if not untried:
+                    branches.pop()
+                del chosen[depth:]
+            chosen.append(row)
+            select(row)
+            uncovered -= len(rows[row])
 
 
 def _cert_from_ranks(tree: TranspositionTree, ranks) -> PackingCertificate:
@@ -233,18 +185,18 @@ def find_eset(tree: TranspositionTree, symmetry: bool = True) -> SearchOutcome:
     if tree.n > _MAX_N:
         raise ValueError(f"n={tree.n} too large: {math.factorial(tree.n)} vertices")
     spheres = _sphere_ranks(tree, _rank_index(tree.n))
-    dlx = _DancingLinks(len(spheres), spheres)
+    cover = _ExactCover(len(spheres), spheres, spheres)
     # the identity has lex rank 0
     forced = [0] if symmetry else []
     for v in forced:
-        dlx.select_row(dlx.row_nodes[v])
-    for rows in dlx.solve():
+        cover.select_row(v)
+    for rows in cover.solve():
         cert = _cert_from_ranks(tree, forced + rows)
         report = verify_eset(tree, cert)
         assert report.is_eset, "search returned an unsound certificate"
-        return SearchOutcome(status=FOUND, certificate=cert, nodes_explored=dlx.nodes,
+        return SearchOutcome(status=FOUND, certificate=cert, nodes_explored=cover.nodes,
                              covered_count=report.covered_count)
-    return SearchOutcome(status=NONE_EXHAUSTIVE, certificate=None, nodes_explored=dlx.nodes)
+    return SearchOutcome(status=NONE_EXHAUSTIVE, certificate=None, nodes_explored=cover.nodes)
 
 
 def count_esets(tree: TranspositionTree) -> int:
@@ -252,8 +204,7 @@ def count_esets(tree: TranspositionTree) -> int:
     if tree.n > _COUNT_MAX_N:
         raise ValueError(f"n={tree.n} too large for exhaustive enumeration")
     spheres = _sphere_ranks(tree, _rank_index(tree.n))
-    dlx = _DancingLinks(len(spheres), spheres)
-    return sum(1 for _ in dlx.solve())
+    return sum(1 for _ in _ExactCover(len(spheres), spheres, spheres).solve())
 
 
 def _branch_and_bound(cand: int, conflict: list[int], comp_masks: list[int], cap: int,

@@ -174,6 +174,14 @@ def test_johnson_validate_nest_rejects_values_outside_the_host(tmp_path, capsys)
     assert "not between r-subsets of 1..5" in data["detail"]
 
 
+def test_johnson_validate_nest_rejects_r_outside_1_to_n(tmp_path, capsys):
+    # C(3, 5) = 0, so an empty structure would pass the spanning check
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"vertices": [], "edges": []}))
+    assert run(["johnson", "validate-nest", "3", "5", str(path)]) == 2
+    assert "need 1 <= r <= n, got r=5, n=3" in capsys.readouterr().err
+
+
 def test_tables_tsv(capsys):
     code = run(["tables", "3"])
     out = capsys.readouterr().out

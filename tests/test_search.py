@@ -4,6 +4,7 @@ import gc
 import hashlib
 import json
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -19,7 +20,7 @@ from permpack.constructions import (_disjoint_picks, nonuniform_extension,
 from permpack.johnson import alternate_cops, parse_cop, search_exact_2factor
 from permpack.perms import all_perms, lex_rank, perm_to_str
 from permpack.search import (BEST_EFFORT, FOUND, NONE_EXHAUSTIVE, _branch_and_bound,
-                             _DancingLinks, _packing_graph, _rank_index, _sphere_ranks,
+                             _ExactCover, _packing_graph, _rank_index, _sphere_ranks,
                              count_esets, find_eset, max_packing)
 
 
@@ -110,17 +111,46 @@ def test_dancing_links_matches_algorithm_x(matrix):
     # reference, which pins the column choice and the row order
     num_cols, rows = matrix
     solutions, nodes = _algorithm_x(num_cols, rows)
-    dlx = _DancingLinks(num_cols, [sorted(r) for r in rows])
+    dlx = _ExactCover(num_cols, [sorted(r) for r in rows])
     assert list(dlx.solve()) == solutions
     assert dlx.nodes == nodes
 
 
+@pytest.mark.parametrize("tree", [star_tree(4), build_tree(2, 2), build_tree(2, 2, RENUMBERED)],
+                         ids=["s4", "x22", "x22-renumbered"])
+def test_exact_cover_matches_algorithm_x_on_sphere_tables(tree):
+    # find_eset passes the sphere table as its own column lists (closed
+    # spheres are symmetric); the transpose built from the rows must agree
+    spheres = _sphere_ranks(tree, _rank_index(tree.n))
+    solutions, nodes = _algorithm_x(len(spheres), [set(s) for s in spheres])
+    for cover in (_ExactCover(len(spheres), spheres, spheres),
+                  _ExactCover(len(spheres), spheres)):
+        assert list(cover.solve()) == solutions
+        assert cover.nodes == nodes
+
+
+def test_exact_cover_memory_on_a_deep_path():
+    # the S7 star's solution is 720 levels deep; a snapshot per level
+    # would hold about 7 MiB, snapshots at branching levels only well
+    # under 2 MiB (the sphere table itself is built before tracing)
+    spheres = _sphere_ranks(star_tree(7), _rank_index(7))
+    tracemalloc.start()
+    try:
+        cover = _ExactCover(len(spheres), spheres, spheres)
+        solution = next(cover.solve())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(solution) == 720
+    assert peak < 2 * 2**20
+
+
 def test_dancing_links_column_size_limit():
     # column sizes are bytes with a covered mark of 128 added on top
-    dlx = _DancingLinks(1, [[0]] * 127)
+    dlx = _ExactCover(1, [[0]] * 127)
     assert sum(1 for _ in dlx.solve()) == 127
     with pytest.raises(ValueError):
-        _DancingLinks(1, [[0]] * 128)
+        _ExactCover(1, [[0]] * 128)
 
 
 def test_find_eset_leaves_no_cyclic_garbage():
@@ -156,7 +186,9 @@ def test_searches_do_not_recurse_per_level():
     (star_tree(5, 2), False, "041bd6f6d7764b6a", 24),
     (build_tree(3, 3), False, "4514b5b0ef3554b8", 4419),
     (build_tree(4, 2), True, "c64dc7d056344336", 248),
-], ids=["star6-1", "star6-3", "star5-2-nosym", "x33-nosym", "x42"])
+    (star_tree(7, 1), True, "14a51ef9765eb2cd", 719),
+    (star_tree(7, 4), True, "76dc0efaff40ba89", 1260),
+], ids=["star6-1", "star6-3", "star5-2-nosym", "x33-nosym", "x42", "star7-1", "star7-4"])
 def test_find_eset_golden(tree, symmetry, digest, nodes):
     # status, branch count and certificate pin the preorder of the DLX search
     out = find_eset(tree, symmetry=symmetry)
