@@ -149,29 +149,24 @@ def _cmd_build_tree(args) -> int:
 
 
 def _cmd_construct(args) -> int:
+    # each construction also returns the verifier's report of its certificate
     if args.what == "xprime":
-        cert = constructions.xprime_perfect_code(args.r)
-        tree = build_tree(args.r, args.r, RENUMBERED)
-        report = certify.verify_on_subgraph(tree, cert, cert.base_subgraph)
+        cert, report = constructions._xprime_perfect_code(args.r)
         _emit({"certificate": certify.cert_to_dict(cert),
                "report": certify.report_to_dict(report)}, args.output)
         return 0
     if args.what == "uniform":
         tree = _parse_tree(args.tree, args.numbering)
         structure = johnson.subgraph_from_dict(_load_json(args.structure))
-        cert = constructions.uniform_from_exact(tree, structure)
-        report = certify.verify_packing(tree, cert)
+        cert, report = constructions._uniform_from_exact(tree, structure)
         _emit({"certificate": certify.cert_to_dict(cert),
                "report": certify.report_to_dict(report)}, args.output)
         return 0
     # nonuniform / puncture share the result shape
     if args.what == "nonuniform":
-        result = constructions.nonuniform_extension(args.r, stage=args.stage)
-        tree = build_tree(args.r, args.r, RENUMBERED)
+        result, report = constructions._nonuniform_extension(args.r, args.stage)
     else:
-        result = constructions.puncture_attempt(args.r, args.t)
-        tree = build_tree(args.r, args.t, RENUMBERED)
-    report = certify.verify_packing(tree, result.certificate)
+        result, report = constructions._puncture_attempt(args.r, args.t)
     _emit({"certificate": certify.cert_to_dict(result.certificate),
            "achieved_alpha": _frac(result.achieved_alpha),
            "target_alpha": _frac(result.target_alpha),

@@ -4,7 +4,9 @@ the nonuniform extension, puncturing, and the type-census table rows.
 
 The constructive searches are deterministic (fixed orderings, no
 randomness) and every certificate they emit is checked by the verifier
-before being returned.
+before being returned.  Each public construction has a private twin
+that also returns that verification report, which the CLI prints
+instead of verifying the certificate a second time.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from . import johnson
 from .cayley import (RENUMBERED, TranspositionTree, all_components, build_tree,
                      closed_sphere, component_of, component_type,
                      packing_union)
-from .certify import (PackingCertificate, verify_on_subgraph, verify_packing)
+from .certify import (PackingCertificate, VerificationReport, verify_on_subgraph,
+                      verify_packing)
 from .perms import Perm, relative_parity, swap_positions
 
 
@@ -152,6 +155,11 @@ def _xprime_options(tree: TranspositionTree):
 
 def xprime_perfect_code(r: int) -> PackingCertificate:
     """A perfect 1-sphere packing of the subgraph X'(r,r) of X3(r,r)."""
+    return _xprime_perfect_code(r)[0]
+
+
+def _xprime_perfect_code(r: int) -> tuple[PackingCertificate, VerificationReport]:
+    """``xprime_perfect_code`` with the report that accepted it."""
     if r < 2:
         raise ValueError("need r >= 2")
     tree = build_tree(r, r, RENUMBERED)
@@ -162,7 +170,7 @@ def xprime_perfect_code(r: int) -> PackingCertificate:
                                   base_subgraph=comps)
         report = verify_on_subgraph(tree, cert, comps)
         if report.is_eset:
-            return cert
+            return cert, report
     raise ConstructionError(
         f"no perfect packing of X'({r},{r}) found; this would falsify the r={r} case")
 
@@ -177,6 +185,12 @@ def uniform_from_exact(tree: TranspositionTree, structure: johnson.ExactSubgraph
     lost element at the left hub and the gained element at the right hub,
     so sphere completions cross the hub edge into the successor component.
     Orientations are backtracked until the verifier accepts."""
+    return _uniform_from_exact(tree, structure)[0]
+
+
+def _uniform_from_exact(tree: TranspositionTree, structure: johnson.ExactSubgraph,
+                        ) -> tuple[PackingCertificate, VerificationReport]:
+    """``uniform_from_exact`` with the report that accepted it."""
     universe = set(range(1, tree.n + 1))
     for v in structure.vertices:
         if len(v) != tree.r or not v <= universe:
@@ -195,7 +209,7 @@ def uniform_from_exact(tree: TranspositionTree, structure: johnson.ExactSubgraph
                                   r=tree.r, t=tree.t, numbering=tree.numbering)
         report = verify_packing(tree, cert)
         if report.valid:
-            return cert
+            return cert, report
         last_error = report.violations[0] if report.violations else "invalid"
     raise ConstructionError(f"no orientation of the structure packs: {last_error}")
 
@@ -266,6 +280,11 @@ def nonuniform_extension(r: int, stage: str = "final") -> NonuniformResult:
     extends the first X' code that admits an extension.  With no pick it
     falls back to the X' code alone and reports the shortfall.
     """
+    return _nonuniform_extension(r, stage)[0]
+
+
+def _nonuniform_extension(r: int, stage: str) -> tuple[NonuniformResult, VerificationReport]:
+    """``nonuniform_extension`` with its certificate's report."""
     if stage not in ("intermediate", "final"):
         raise ValueError(f"unknown stage {stage!r}")
     if stage == "intermediate" and r >= 4:
@@ -299,7 +318,7 @@ def nonuniform_extension(r: int, stage: str = "final") -> NonuniformResult:
     else:
         target = row.alpha
     return NonuniformResult(certificate=cert, achieved_alpha=report.alpha,
-                            target_alpha=target, shortfall=report.alpha < target)
+                            target_alpha=target, shortfall=report.alpha < target), report
 
 
 def density_bounds(r: int, t: int) -> tuple[Fraction, Fraction]:
@@ -315,6 +334,11 @@ def puncture_attempt(r: int, t: int) -> NonuniformResult:
     """Best-effort nonuniform packing of X3(r,t) for r > t: greedy
     maximal packing seeded component by component with hub-slice
     products, measured by the verifier; no claim of maximality."""
+    return _puncture_attempt(r, t)[0]
+
+
+def _puncture_attempt(r: int, t: int) -> tuple[NonuniformResult, VerificationReport]:
+    """``puncture_attempt`` with its certificate's report."""
     if not r > t > 1:
         raise ValueError("puncturing applies to r > t > 1")
     tree = build_tree(r, t, RENUMBERED)
@@ -338,7 +362,7 @@ def puncture_attempt(r: int, t: int) -> NonuniformResult:
     assert report.valid
     lower, upper = density_bounds(r, t)
     return NonuniformResult(certificate=cert, achieved_alpha=report.alpha,
-                            target_alpha=upper, shortfall=report.alpha < upper)
+                            target_alpha=upper, shortfall=report.alpha < upper), report
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,16 @@ The right-translation symmetry lets the search fix the identity as a
 center (any E-set translates to one whose spheres include the identity
 as a center), and absence under that reduction is absence outright.
 
+Both searches index vertices by lex rank through per-degree tables
+kept for the life of the process, built only for the degrees they
+accept (n <= 7): the lex-ordered tuple of all n! permutations with its
+{perm: rank} dict, and one rank-space column per position pair (i, j),
+mapping rank v to the rank of the rank-v permutation with positions i
+and j swapped.  A tree's sphere table zips the columns of its edges, so
+no permutation is hashed per call, and a certificate's centers are its
+sorted ranks looked up in the tuple.  At n = 7 the tables hold 5040
+permutations and at most C(7, 2) = 21 columns.
+
 Maximum 1-sphere packing is branch and bound over center sets; sphere
 disjointness is equivalent to pairwise distance >= 3, so this is a
 maximum independent set in the distance-<=2 conflict graph, bounded
@@ -28,10 +38,11 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import cache
 
 from .cayley import TranspositionTree, all_components, component_of, edge_getters
 from .certify import PackingCertificate, verify_eset, verify_packing
-from .perms import Perm, all_perms, lex_unrank
+from .perms import Perm, all_perms
 
 FOUND = "found"
 NONE_EXHAUSTIVE = "none_exhaustive"
@@ -60,22 +71,42 @@ class SearchOutcome:
     upper_bound: int | None = None
 
 
-def _rank_index(n: int) -> dict[Perm, int]:
-    """{perm: lex rank} over all degree-n permutations, in rank order."""
-    return {g: v for v, g in enumerate(all_perms(n))}
+# (n, i, j) -> the swap column of positions i, j (see _swap_columns);
+# at most C(7, 2) = 21 columns per degree
+_COLUMNS: dict[tuple[int, int, int], tuple[int, ...]] = {}
 
 
-def _sphere_ranks(tree: TranspositionTree, rank: dict[Perm, int]) -> list[list[int]]:
-    """sphere[v] = sorted ranks of the closed sphere of the rank-v vertex.
+@cache
+def _lex_table(n: int) -> tuple[tuple[Perm, ...], dict[Perm, int]]:
+    """(perms, rank): every degree-n permutation in lex order, so perms[v]
+    has rank v, and the {perm: rank} dict.  Built once per degree, and
+    only for degrees the searches accept."""
+    if n > _MAX_N:
+        raise ValueError(f"no lex table for n={n} > {_MAX_N}")
+    perms = tuple(all_perms(n))
+    return perms, {g: v for v, g in enumerate(perms)}
 
-    One column per tree edge: the edge's getter from
-    ``cayley.edge_getters`` maps each vertex, in rank order, to its
-    neighbor across that edge, and ``rank`` maps the neighbor back to its
-    rank.  Both loops run in C; the sphere of v is v plus one entry of
-    every column.
-    """
-    columns = [map(rank.__getitem__, map(get, rank)) for get in edge_getters(tree)]
-    return list(map(sorted, zip(range(len(rank)), *columns)))
+
+def _swap_columns(tree: TranspositionTree) -> list[tuple[int, ...]]:
+    """One rank-space column per tree edge, in edge order: the column of
+    edge (i, j) maps rank v to the rank of the rank-v permutation with
+    positions i and j swapped.  Columns are shared by every tree of the
+    degree with that edge and built on first use, from the edge's getter
+    in ``cayley.edge_getters`` and the lex table."""
+    perms, rank = _lex_table(tree.n)
+    out = []
+    for (i, j), get in zip(tree.edges, edge_getters(tree)):
+        col = _COLUMNS.get((tree.n, i, j))
+        if col is None:
+            col = _COLUMNS[tree.n, i, j] = tuple(map(rank.__getitem__, map(get, perms)))
+        out.append(col)
+    return out
+
+
+def _sphere_ranks(tree: TranspositionTree) -> list[list[int]]:
+    """sphere[v] = sorted ranks of the closed sphere of the rank-v vertex:
+    v plus one entry of every edge's swap column."""
+    return list(map(sorted, zip(range(math.factorial(tree.n)), *_swap_columns(tree))))
 
 
 class _ExactCover:
@@ -175,7 +206,9 @@ class _ExactCover:
 
 
 def _cert_from_ranks(tree: TranspositionTree, ranks) -> PackingCertificate:
-    centers = sorted(lex_unrank(v, tree.n) for v in ranks)
+    # lex order is rank order, so sorted ranks index sorted centers
+    perms = _lex_table(tree.n)[0]
+    centers = [perms[v] for v in sorted(ranks)]
     return PackingCertificate(n=tree.n, kind="one_sphere", centers=centers,
                               r=tree.r, t=tree.t, numbering=tree.numbering)
 
@@ -184,7 +217,7 @@ def find_eset(tree: TranspositionTree, symmetry: bool = True) -> SearchOutcome:
     """Decide whether the Cayley graph has an efficient dominating set."""
     if tree.n > _MAX_N:
         raise ValueError(f"n={tree.n} too large: {math.factorial(tree.n)} vertices")
-    spheres = _sphere_ranks(tree, _rank_index(tree.n))
+    spheres = _sphere_ranks(tree)
     cover = _ExactCover(len(spheres), spheres, spheres)
     # the identity has lex rank 0
     forced = [0] if symmetry else []
@@ -203,7 +236,7 @@ def count_esets(tree: TranspositionTree) -> int:
     """Number of distinct E-sets, by exhaustive exact-cover enumeration."""
     if tree.n > _COUNT_MAX_N:
         raise ValueError(f"n={tree.n} too large for exhaustive enumeration")
-    spheres = _sphere_ranks(tree, _rank_index(tree.n))
+    spheres = _sphere_ranks(tree)
     return sum(1 for _ in _ExactCover(len(spheres), spheres, spheres).solve())
 
 
@@ -286,8 +319,7 @@ def _packing_graph(tree: TranspositionTree) -> tuple[list[int], list[int]]:
     of vertices at distance <= 2 from v (their spheres meet v's), and
     comp_masks holds one bitmask per component (the whole graph for a
     star)."""
-    rank = _rank_index(tree.n)
-    spheres = _sphere_ranks(tree, rank)
+    spheres = _sphere_ranks(tree)
     conflict = []
     for sph in spheres:
         m = 0
@@ -296,9 +328,9 @@ def _packing_graph(tree: TranspositionTree) -> tuple[list[int], list[int]]:
                 m |= 1 << w
         conflict.append(m)
     if tree.r is None:
-        return conflict, [(1 << len(rank)) - 1]
+        return conflict, [(1 << len(spheres)) - 1]
     comp_mask = dict.fromkeys(all_components(tree), 0)
-    for g, v in rank.items():
+    for v, g in enumerate(_lex_table(tree.n)[0]):
         comp_mask[component_of(tree, g)] |= 1 << v
     return conflict, list(comp_mask.values())
 
@@ -324,7 +356,10 @@ def max_packing(tree: TranspositionTree, node_budget: int = 2_000_000,
     share the ``time_budget`` deadline; ``nodes_explored`` counts the
     main search only.  The main search carries its bound down the tree
     (see ``_branch_and_bound``) with the values, and so the preorder, of
-    recomputing it per node.
+    recomputing it per node.  A star is one component, so its forced cap
+    search is already a search of the whole graph: v0 plus its packing,
+    its node count and its exhaustiveness are the result, and no main
+    search runs.
 
     Forcing shrinks the cap search, not the cap: wherever the search
     without v0 forced would also finish within the budget, the output
@@ -333,10 +368,10 @@ def max_packing(tree: TranspositionTree, node_budget: int = 2_000_000,
     subtrees that cannot beat the incumbent, so the packing found
     within the same budget is at least as large.
 
-    ``upper_bound`` is the packing size when the main search is
-    exhaustive, else the smaller of the root bound ``cap * len(comp_masks)``
-    and the sphere-volume bound n! // n (disjoint closed spheres of n
-    vertices each).  The status is ``found`` whenever the packing meets
+    ``upper_bound`` is the packing size when the search is exhaustive,
+    else the smaller of the root bound ``cap * len(comp_masks)`` and the
+    sphere-volume bound n! // n (disjoint closed spheres of n vertices
+    each).  The status is ``found`` whenever the packing meets
     ``upper_bound``, so a stopped search that reached the bound is
     reported optimal; ``wall_budget_exceeded`` still says that it
     stopped.  The verifier re-checks the packing before it is returned.
@@ -350,12 +385,15 @@ def max_packing(tree: TranspositionTree, node_budget: int = 2_000_000,
     first = comp_masks[0]
     size = first.bit_count()
     v0 = (first & -first).bit_length() - 1
-    sample, _, exact = _branch_and_bound(first & ~conflict[v0], conflict, [first], size,
-                                         node_budget, deadline)
+    sample, nodes, exact = _branch_and_bound(first & ~conflict[v0], conflict, [first], size,
+                                             node_budget, deadline)
     cap = 1 + len(sample) if exact else size
-
-    best, nodes, exhaustive = _branch_and_bound((1 << len(conflict)) - 1, conflict, comp_masks,
-                                                cap, node_budget, deadline)
+    if len(comp_masks) == 1:
+        # a star: the cap search already searched the whole graph
+        best, exhaustive = [v0] + sample, exact
+    else:
+        best, nodes, exhaustive = _branch_and_bound((1 << len(conflict)) - 1, conflict,
+                                                    comp_masks, cap, node_budget, deadline)
     cert = _cert_from_ranks(tree, best)
     report = verify_packing(tree, cert)
     assert report.valid, "search returned an unsound certificate"

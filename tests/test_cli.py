@@ -10,6 +10,9 @@ import pytest
 
 import permpack
 from conftest import FIXTURES
+from permpack import certify, constructions
+from permpack.cayley import build_tree
+from permpack.certify import verify_packing
 from permpack.cli import run
 
 
@@ -108,6 +111,26 @@ def test_construct_verify_roundtrip(tmp_path, capsys):
     # the -o file itself verifies too
     code, direct = run_json(capsys, "verify", "--tree", "3,2", str(out_path))
     assert code == 0 and direct == report
+
+
+def test_construct_verifies_each_certificate_once(monkeypatch, capsys):
+    # the construction verifies every orientation it tries (one fails on
+    # this nest, one packs); the CLI prints the accepted one's report
+    # instead of verifying the certificate again
+    calls = []
+
+    def counting(tree, cert):
+        calls.append(cert)
+        return verify_packing(tree, cert)
+
+    monkeypatch.setattr(certify, "verify_packing", counting)
+    monkeypatch.setattr(constructions, "verify_packing", counting)
+    code, data = run_json(capsys, "construct", "uniform", "--tree", "3,2",
+                          "--structure", str(FIXTURES / "nest_g35.json"))
+    assert code == 0
+    assert len(calls) == 2
+    cert = certify.cert_from_dict(data["certificate"])
+    assert data["report"] == certify.report_to_dict(verify_packing(build_tree(3, 2), cert))
 
 
 def test_construct_xprime(capsys):

@@ -1,5 +1,6 @@
 """Exhaustive E-set decision, enumeration, and maximum packing."""
 
+import functools
 import gc
 import hashlib
 import json
@@ -18,10 +19,10 @@ from permpack.cli import run
 from permpack.constructions import (_disjoint_picks, nonuniform_extension,
                                     uniform_from_exact, xprime_perfect_code)
 from permpack.johnson import alternate_cops, parse_cop, search_exact_2factor
-from permpack.perms import all_perms, lex_rank, perm_to_str
+from permpack.perms import all_perms, lex_rank, lex_unrank, perm_to_str, swap_positions
 from permpack.search import (BEST_EFFORT, FOUND, NONE_EXHAUSTIVE, _branch_and_bound,
-                             _ExactCover, _packing_graph, _rank_index, _sphere_ranks,
-                             count_esets, find_eset, max_packing)
+                             _cert_from_ranks, _ExactCover, _packing_graph, _sphere_ranks,
+                             _swap_columns, count_esets, find_eset, max_packing)
 
 
 def test_find_eset_star_n3_found():
@@ -66,10 +67,69 @@ def test_sphere_table_matches_lex_rank():
     # relabelled trees with other edge lists are checked too
     for tree in (star_tree(5), star_tree(5, 3), build_tree(3, 2),
                  _placed_x3(4, 2, 2, 5), _placed_x3(3, 3, 3, 6)):
-        table = _sphere_ranks(tree, _rank_index(tree.n))
+        table = _sphere_ranks(tree)
         for v, g in enumerate(all_perms(tree.n)):
             expected = sorted([lex_rank(g)] + [lex_rank(h) for _, h in neighbors(tree, g)])
             assert table[v] == expected, g
+
+
+def test_swap_columns_match_lex_rank():
+    # the stars of a degree cover every position pair; at n = 7 the
+    # hub-1 star's six pairs
+    trees = [star_tree(n, hub) for n in range(2, 7) for hub in range(1, n + 1)] + [star_tree(7)]
+    for tree in trees:
+        perms = list(all_perms(tree.n))
+        for (i, j), column in zip(tree.edges, _swap_columns(tree)):
+            assert column == tuple(lex_rank(swap_positions(g, i, j)) for g in perms), (tree, i, j)
+
+
+def test_cert_from_ranks_matches_unranking():
+    for tree in (build_tree(3, 2), star_tree(7, 3)):
+        size = math.factorial(tree.n)
+        ranks = [v * 7919 % size for v in range(0, size, 11)]
+        cert = _cert_from_ranks(tree, ranks)
+        assert cert.centers == sorted(lex_unrank(v, tree.n) for v in ranks)
+
+
+def test_find_eset_leaves_the_tables_unchanged():
+    # the tables are shared by every call: each sphere table is the
+    # caller's own, and a second search returns the same outcome
+    for tree in (star_tree(7, 4), _placed_x3(3, 3, 2, 5)):
+        first = find_eset(tree)
+        _sphere_ranks(tree)[0].append(-1)
+        assert find_eset(tree) == first
+        assert -1 not in _sphere_ranks(tree)[0]
+
+
+def test_no_tables_beyond_degree_7(monkeypatch):
+    monkeypatch.setattr(search, "_lex_table", _no_setup)
+    with pytest.raises(ValueError):
+        find_eset(star_tree(8))
+    with pytest.raises(ValueError):
+        count_esets(build_tree(4, 4))
+    with pytest.raises(ValueError):
+        max_packing(build_tree(5, 3), node_budget=1)
+    monkeypatch.undo()
+    assert not [key for key in search._COLUMNS if key[0] > 7]
+    with pytest.raises(ValueError):
+        search._lex_table(8)
+
+
+def test_degree_7_tables_memory(monkeypatch):
+    # every n = 7 table, built from empty caches: the lex table and all
+    # C(7, 2) = 21 swap columns (the seven stars cover every pair)
+    monkeypatch.setattr(search, "_lex_table", functools.cache(search._lex_table.__wrapped__))
+    monkeypatch.setattr(search, "_COLUMNS", {})
+    stars = [star_tree(7, hub) for hub in range(1, 8)]
+    tracemalloc.start()
+    try:
+        for star in stars:
+            _swap_columns(star)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(search._COLUMNS) == 21
+    assert peak < 3 * 2**20
 
 
 def _algorithm_x(num_cols, rows):
@@ -121,7 +181,7 @@ def test_dancing_links_matches_algorithm_x(matrix):
 def test_exact_cover_matches_algorithm_x_on_sphere_tables(tree):
     # find_eset passes the sphere table as its own column lists (closed
     # spheres are symmetric); the transpose built from the rows must agree
-    spheres = _sphere_ranks(tree, _rank_index(tree.n))
+    spheres = _sphere_ranks(tree)
     solutions, nodes = _algorithm_x(len(spheres), [set(s) for s in spheres])
     for cover in (_ExactCover(len(spheres), spheres, spheres),
                   _ExactCover(len(spheres), spheres)):
@@ -133,7 +193,7 @@ def test_exact_cover_memory_on_a_deep_path():
     # the S7 star's solution is 720 levels deep; a snapshot per level
     # would hold about 7 MiB, snapshots at branching levels only well
     # under 2 MiB (the sphere table itself is built before tracing)
-    spheres = _sphere_ranks(star_tree(7), _rank_index(7))
+    spheres = _sphere_ranks(star_tree(7))
     tracemalloc.start()
     try:
         cover = _ExactCover(len(spheres), spheres, spheres)
@@ -180,22 +240,43 @@ def test_searches_do_not_recurse_per_level():
     assert len(pick) == 300
 
 
+def _golden_digest(status, nodes, centers):
+    data = json.dumps([status, nodes, centers])
+    return hashlib.sha256(data.encode()).hexdigest()[:16]
+
+
+# every hub placement of the eset-dlx benchmark's X3(4,2) and X3(3,3)
+# trees, none of which has an E-set: (r, t, hub_left, hub_right,
+# branches with the identity fixed, branches without)
+_PLACED_X3_NODES = [
+    (4, 2, 1, 5, 415, 2360), (4, 2, 1, 6, 409, 2350), (4, 2, 2, 5, 373, 2345),
+    (4, 2, 2, 6, 375, 2357), (4, 2, 3, 5, 422, 2110), (4, 2, 3, 6, 414, 2178),
+    (4, 2, 4, 5, 248, 1367), (4, 2, 4, 6, 248, 1427),
+    (3, 3, 1, 4, 858, 4632), (3, 3, 1, 5, 840, 4770), (3, 3, 1, 6, 896, 4742),
+    (3, 3, 2, 4, 668, 4222), (3, 3, 2, 5, 723, 4228), (3, 3, 2, 6, 750, 4083),
+    (3, 3, 3, 4, 792, 4419), (3, 3, 3, 5, 658, 4265), (3, 3, 3, 6, 666, 4312),
+]
+_PLACED_X3_CASES = [
+    pytest.param(_placed_x3(r, t, hl, hr), sym, _golden_digest(NONE_EXHAUSTIVE, nodes, None),
+                 nodes, id=f"x{r}{t}-hubs{hl}{hr}" + ("" if sym else "-nosym"))
+    for r, t, hl, hr, *counts in _PLACED_X3_NODES for sym, nodes in zip((True, False), counts)]
+
+
 @pytest.mark.parametrize("tree, symmetry, digest, nodes", [
-    (star_tree(6, 1), True, "6b186bfe36600b43", 119),
-    (star_tree(6, 3), True, "fa83eb9cb3099cde", 119),
-    (star_tree(5, 2), False, "041bd6f6d7764b6a", 24),
-    (build_tree(3, 3), False, "4514b5b0ef3554b8", 4419),
-    (build_tree(4, 2), True, "c64dc7d056344336", 248),
-    (star_tree(7, 1), True, "14a51ef9765eb2cd", 719),
-    (star_tree(7, 4), True, "76dc0efaff40ba89", 1260),
-], ids=["star6-1", "star6-3", "star5-2-nosym", "x33-nosym", "x42", "star7-1", "star7-4"])
+    pytest.param(star_tree(6, 1), True, "6b186bfe36600b43", 119, id="star6-1"),
+    pytest.param(star_tree(6, 3), True, "fa83eb9cb3099cde", 119, id="star6-3"),
+    pytest.param(star_tree(5, 2), False, "041bd6f6d7764b6a", 24, id="star5-2-nosym"),
+    pytest.param(build_tree(3, 3), False, "4514b5b0ef3554b8", 4419, id="x33-nosym"),
+    pytest.param(build_tree(4, 2), True, "c64dc7d056344336", 248, id="x42"),
+    pytest.param(star_tree(7, 1), True, "14a51ef9765eb2cd", 719, id="star7-1"),
+    pytest.param(star_tree(7, 4), True, "76dc0efaff40ba89", 1260, id="star7-4"),
+] + _PLACED_X3_CASES)
 def test_find_eset_golden(tree, symmetry, digest, nodes):
     # status, branch count and certificate pin the preorder of the DLX search
     out = find_eset(tree, symmetry=symmetry)
     assert out.nodes_explored == nodes
     centers = [perm_to_str(c) for c in out.certificate.centers] if out.certificate else None
-    data = json.dumps([out.status, out.nodes_explored, centers])
-    assert hashlib.sha256(data.encode()).hexdigest()[:16] == digest
+    assert _golden_digest(out.status, out.nodes_explored, centers) == digest
 
 
 def test_find_eset_size_gate():
@@ -385,7 +466,7 @@ def _milp_packing(tree, mask):
     vertex lying in at most one chosen sphere, solved by scipy's HiGHS."""
     opt = pytest.importorskip("scipy.optimize")
     np = pytest.importorskip("numpy")
-    spheres = _sphere_ranks(tree, _rank_index(tree.n))
+    spheres = _sphere_ranks(tree)
     cols = [v for v in range(len(spheres)) if mask >> v & 1]
     a = np.zeros((len(spheres), len(cols)))
     for j, v in enumerate(cols):
