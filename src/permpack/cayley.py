@@ -193,16 +193,6 @@ def graph_distance(tree: TranspositionTree, g: Perm, h: Perm) -> int:
     raise AssertionError("Cayley graph of a tree is connected")
 
 
-def ball2(tree: TranspositionTree, g: Perm) -> frozenset[Perm]:
-    """All vertices at distance <= 2 from g."""
-    out = set([g])
-    for _, h in neighbors(tree, g):
-        out.add(h)
-        for _, w in neighbors(tree, h):
-            out.add(w)
-    return frozenset(out)
-
-
 def component_of(tree: TranspositionTree, g: Perm) -> frozenset[int]:
     """Values occupying the hub-r-side positions of g, which are 1..r
     under both numberings."""

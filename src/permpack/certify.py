@@ -63,6 +63,10 @@ def _check_wellformed(tree: TranspositionTree, cert: PackingCertificate) -> None
         raise CertificateError(f"unknown sphere kind {cert.kind!r}")
     if cert.n != tree.n:
         raise CertificateError(f"certificate degree {cert.n} != tree degree {tree.n}")
+    for name in ("r", "t", "numbering"):
+        declared, actual = getattr(cert, name), getattr(tree, name)
+        if declared is not None and declared != actual:
+            raise CertificateError(f"certificate {name} {declared!r} != tree {name} {actual!r}")
     flat = _flat_centers(cert)
     values = list(range(1, cert.n + 1))
     for p in flat:

@@ -149,29 +149,24 @@ def _cmd_build_tree(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    # each construction also returns the verifier's report of its certificate
     if args.what == "xprime":
-        cert, report = constructions._xprime_perfect_code(args.r)
-        _emit({"certificate": certify.cert_to_dict(cert),
-               "report": certify.report_to_dict(report)}, args.output)
-        return 0
-    if args.what == "uniform":
+        made = constructions.xprime_perfect_code(args.r)
+    elif args.what == "uniform":
         tree = _parse_tree(args.tree, args.numbering)
         structure = johnson.subgraph_from_dict(_load_json(args.structure))
-        cert, report = constructions._uniform_from_exact(tree, structure)
-        _emit({"certificate": certify.cert_to_dict(cert),
-               "report": certify.report_to_dict(report)}, args.output)
-        return 0
-    # nonuniform / puncture share the result shape
-    if args.what == "nonuniform":
-        result, report = constructions._nonuniform_extension(args.r, args.stage)
+        made = constructions.uniform_from_exact(tree, structure)
+    elif args.what == "nonuniform":
+        made = constructions.nonuniform_extension(args.r, args.stage)
     else:
-        result, report = constructions._puncture_attempt(args.r, args.t)
-    _emit({"certificate": certify.cert_to_dict(result.certificate),
-           "achieved_alpha": _frac(result.achieved_alpha),
-           "target_alpha": _frac(result.target_alpha),
-           "shortfall": result.shortfall,
-           "report": certify.report_to_dict(report)}, args.output)
+        made = constructions.puncture_attempt(args.r, args.t)
+    # the construction's own report: the certificate is not verified again
+    out = {"certificate": certify.cert_to_dict(made.certificate)}
+    if made.target_alpha is not None:
+        out.update(achieved_alpha=_frac(made.report.alpha),
+                   target_alpha=_frac(made.target_alpha),
+                   shortfall=made.report.alpha < made.target_alpha)
+    out["report"] = certify.report_to_dict(made.report)
+    _emit(out, args.output)
     return 0
 
 

@@ -3,10 +3,9 @@ subgraph X'(r,r), uniform packings driven by exact Johnson structures,
 the nonuniform extension, puncturing, and the type-census table rows.
 
 The constructive searches are deterministic (fixed orderings, no
-randomness) and every certificate they emit is checked by the verifier
-before being returned.  Each public construction has a private twin
-that also returns that verification report, which the CLI prints
-instead of verifying the certificate a second time.
+randomness).  Each construction returns a ``Construction``: its
+certificate together with the verifier's report that accepted it, so a
+caller never has to verify the certificate a second time.
 """
 
 from __future__ import annotations
@@ -50,11 +49,14 @@ class TableRow:
 
 
 @dataclass
-class NonuniformResult:
+class Construction:
+    """A certificate and the verifier's report that accepted it.
+
+    ``target_alpha`` is the density the construction aims at, when it has
+    one; it falls short when ``report.alpha < target_alpha``."""
     certificate: PackingCertificate
-    achieved_alpha: Fraction
-    target_alpha: Fraction
-    shortfall: bool
+    report: VerificationReport
+    target_alpha: Fraction | None = None
 
 
 def _with_value(values, k: int, i: int) -> list[Perm]:
@@ -153,13 +155,8 @@ def _xprime_options(tree: TranspositionTree):
             for c in xprime_components(tree.r)]
 
 
-def xprime_perfect_code(r: int) -> PackingCertificate:
+def xprime_perfect_code(r: int) -> Construction:
     """A perfect 1-sphere packing of the subgraph X'(r,r) of X3(r,r)."""
-    return _xprime_perfect_code(r)[0]
-
-
-def _xprime_perfect_code(r: int) -> tuple[PackingCertificate, VerificationReport]:
-    """``xprime_perfect_code`` with the report that accepted it."""
     if r < 2:
         raise ValueError("need r >= 2")
     tree = build_tree(r, r, RENUMBERED)
@@ -170,7 +167,7 @@ def _xprime_perfect_code(r: int) -> tuple[PackingCertificate, VerificationReport
                                   base_subgraph=comps)
         report = verify_on_subgraph(tree, cert, comps)
         if report.is_eset:
-            return cert, report
+            return Construction(cert, report)
     raise ConstructionError(
         f"no perfect packing of X'({r},{r}) found; this would falsify the r={r} case")
 
@@ -180,17 +177,11 @@ def _xprime_perfect_code(r: int) -> tuple[PackingCertificate, VerificationReport
 
 
 def uniform_from_exact(tree: TranspositionTree, structure: johnson.ExactSubgraph,
-                       ) -> PackingCertificate:
+                       ) -> Construction:
     """Per component with a successor in the structure, centers fix the
     lost element at the left hub and the gained element at the right hub,
     so sphere completions cross the hub edge into the successor component.
     Orientations are backtracked until the verifier accepts."""
-    return _uniform_from_exact(tree, structure)[0]
-
-
-def _uniform_from_exact(tree: TranspositionTree, structure: johnson.ExactSubgraph,
-                        ) -> tuple[PackingCertificate, VerificationReport]:
-    """``uniform_from_exact`` with the report that accepted it."""
     universe = set(range(1, tree.n + 1))
     for v in structure.vertices:
         if len(v) != tree.r or not v <= universe:
@@ -209,7 +200,7 @@ def _uniform_from_exact(tree: TranspositionTree, structure: johnson.ExactSubgrap
                                   r=tree.r, t=tree.t, numbering=tree.numbering)
         report = verify_packing(tree, cert)
         if report.valid:
-            return cert, report
+            return Construction(cert, report)
         last_error = report.violations[0] if report.violations else "invalid"
     raise ConstructionError(f"no orientation of the structure packs: {last_error}")
 
@@ -266,7 +257,7 @@ def _local_configs(tree: TranspositionTree, values: frozenset[int], size: int):
     return [(combo, foot) for combo, foot in feet.items() if foot is not None]
 
 
-def nonuniform_extension(r: int, stage: str = "final") -> NonuniformResult:
+def nonuniform_extension(r: int, stage: str = "final") -> Construction:
     """Extend the X' perfect code into the densest nonuniform packing the
     guided search reaches; target alpha is the table-row value.
 
@@ -280,11 +271,6 @@ def nonuniform_extension(r: int, stage: str = "final") -> NonuniformResult:
     extends the first X' code that admits an extension.  With no pick it
     falls back to the X' code alone and reports the shortfall.
     """
-    return _nonuniform_extension(r, stage)[0]
-
-
-def _nonuniform_extension(r: int, stage: str) -> tuple[NonuniformResult, VerificationReport]:
-    """``nonuniform_extension`` with its certificate's report."""
     if stage not in ("intermediate", "final"):
         raise ValueError(f"unknown stage {stage!r}")
     if stage == "intermediate" and r >= 4:
@@ -317,28 +303,14 @@ def _nonuniform_extension(r: int, stage: str) -> tuple[NonuniformResult, Verific
         target = Fraction(xprime_size + len(comps) * per_comp * 2 * r, factorial(2 * r))
     else:
         target = row.alpha
-    return NonuniformResult(certificate=cert, achieved_alpha=report.alpha,
-                            target_alpha=target, shortfall=report.alpha < target), report
+    return Construction(cert, report, target)
 
 
-def density_bounds(r: int, t: int) -> tuple[Fraction, Fraction]:
-    """The (possibly empty) bound window n/(rt) < alpha <= Sigma'_t/Sigma_r."""
-    if not r > t > 1:
-        raise ValueError("bounds are stated for r > t > 1")
-    lower = Fraction(r + t, r * t)
-    upper = Fraction(table_row(t).SigmaPrime, comb(2 * r, r))
-    return lower, upper
-
-
-def puncture_attempt(r: int, t: int) -> NonuniformResult:
+def puncture_attempt(r: int, t: int) -> Construction:
     """Best-effort nonuniform packing of X3(r,t) for r > t: greedy
     maximal packing seeded component by component with hub-slice
-    products, measured by the verifier; no claim of maximality."""
-    return _puncture_attempt(r, t)[0]
-
-
-def _puncture_attempt(r: int, t: int) -> tuple[NonuniformResult, VerificationReport]:
-    """``puncture_attempt`` with its certificate's report."""
+    products, measured by the verifier; no claim of maximality and no
+    target density."""
     if not r > t > 1:
         raise ValueError("puncturing applies to r > t > 1")
     tree = build_tree(r, t, RENUMBERED)
@@ -360,9 +332,7 @@ def _puncture_attempt(r: int, t: int) -> tuple[NonuniformResult, VerificationRep
                               r=r, t=t, numbering=RENUMBERED)
     report = verify_packing(tree, cert)
     assert report.valid
-    lower, upper = density_bounds(r, t)
-    return NonuniformResult(certificate=cert, achieved_alpha=report.alpha,
-                            target_alpha=upper, shortfall=report.alpha < upper), report
+    return Construction(cert, report)
 
 
 # ---------------------------------------------------------------------------

@@ -65,7 +65,7 @@ def test_criterion_3_x22_certificates_and_optimum():
 
 def test_criterion_4_uniform_packing_of_x32():
     tree = build_tree(3, 2)
-    cert = uniform_from_exact(tree, two_factor_g35())
+    cert = uniform_from_exact(tree, two_factor_g35()).certificate
     rep = verify_packing(tree, cert)
     assert rep.valid
     assert len(cert.centers) == 20
@@ -93,18 +93,18 @@ def test_criterion_5_johnson_results():
 
 def test_criterion_6_type0_code_and_nonuniform_stages():
     tree = build_tree(3, 3, RENUMBERED)
-    code = xprime_perfect_code(3)
+    code = xprime_perfect_code(3).certificate
     assert len(code.centers) == 48
     assert len(code.base_subgraph) == 8
     rep = verify_on_subgraph(tree, code, code.base_subgraph)
     assert rep.is_eset and rep.covered_count == 288
     mid = nonuniform_extension(3, stage="intermediate")
     assert verify_packing(tree, mid.certificate).valid
-    assert mid.achieved_alpha * math.factorial(6) == 432
+    assert mid.report.alpha * math.factorial(6) == 432
     fin = nonuniform_extension(3, stage="final")
     assert verify_packing(tree, fin.certificate).valid
-    assert fin.achieved_alpha == Fraction(4, 5)
-    assert fin.achieved_alpha * math.factorial(6) == 576
+    assert fin.report.alpha == Fraction(4, 5)
+    assert fin.report.alpha * math.factorial(6) == 576
     print("criterion 6: PASS (288-vertex perfect subgraph code; 432 and 576 stages)")
 
 
@@ -177,7 +177,7 @@ def test_criterion_9_property_suites():
     assert verify_packing(tree, moved).alpha == verify_packing(tree, cert).alpha
     # (iii) uniform certificates never exceed alpha = n/(rt)
     for structure in (two_factor_g35(), nest_g35()):
-        c = uniform_from_exact(tree, structure)
+        c = uniform_from_exact(tree, structure).certificate
         rep = verify_packing(tree, c)
         assert rep.valid and rep.alpha <= Fraction(5, 6)
         assert uniformity_check(tree, c)[0]

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import permpack
-from permpack.cayley import (ORIGINAL, RENUMBERED, all_components, ball2,
+from permpack.cayley import (ORIGINAL, RENUMBERED, all_components,
                              build_tree, closed_sphere, component_of,
                              component_type, enumerate_component,
                              graph_distance, neighbors, num_vertices,
@@ -70,14 +70,6 @@ def test_graph_distance_small():
     assert graph_distance(tree, (1, 2, 3, 4), (1, 2, 3, 4)) == 0
     assert graph_distance(tree, (1, 2, 3, 4), (2, 1, 3, 4)) == 1
     assert graph_distance(tree, (1, 2, 3, 4), (2, 1, 4, 3)) == 2
-
-
-def test_ball2_is_distance_le_2():
-    tree = build_tree(2, 2)
-    g = (1, 2, 3, 4)
-    ball = ball2(tree, g)
-    for h in all_perms(4):
-        assert (h in ball) == (graph_distance(tree, g, h) <= 2)
 
 
 def test_components_partition():

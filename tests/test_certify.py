@@ -54,7 +54,7 @@ def test_declared_alpha_mismatch():
     assert any("declared" in v for v in rep.violations)
     # the subgraph verifier checks a declared alpha too
     tree = build_tree(3, 3, RENUMBERED)
-    code = xprime_perfect_code(3)
+    code = xprime_perfect_code(3).certificate
     code.declared_alpha = Fraction(1, 2)
     rep = verify_on_subgraph(tree, code, code.base_subgraph)
     assert rep.violations == ["declared alpha 1/2 != measured 2/5"]
@@ -88,7 +88,7 @@ def test_double_sphere_requires_adjacent_centers():
 
 def test_s_sphere_enlarges_across_the_hub_matching():
     tree = build_tree(3, 3, RENUMBERED)
-    code = xprime_perfect_code(3)
+    code = xprime_perfect_code(3).certificate
     cert = PackingCertificate(n=6, kind="s_sphere", centers=list(code.centers),
                               r=3, t=3, numbering=RENUMBERED,
                               base_subgraph=xprime_components(3))
@@ -108,7 +108,7 @@ def test_verify_eset_requires_one_sphere():
 
 def test_verify_on_subgraph_counts_against_component_sizes():
     tree = build_tree(3, 3, RENUMBERED)
-    code = xprime_perfect_code(3)
+    code = xprime_perfect_code(3).certificate
     rep = verify_on_subgraph(tree, code, code.base_subgraph)
     assert rep.valid and rep.is_eset and rep.covered_count == 288
 
@@ -145,7 +145,7 @@ def test_uniformity_needs_components():
 
 def test_uniformity_of_x53_from_j85():
     tree = build_tree(5, 3)
-    cert = uniform_from_exact(tree, search_exact_2factor(8, 5, max_vertices=90))
+    cert = uniform_from_exact(tree, search_exact_2factor(8, 5, max_vertices=90)).certificate
     assert uniformity_check(tree, cert) == (True, None)
     # move one center within its component: the counts still match, so
     # only the translations can tell the components apart
@@ -264,7 +264,7 @@ def test_verify_packing_matches_reference(data):
 
 def test_verify_packing_names_the_overlap_of_x53_from_j85():
     tree = build_tree(5, 3)
-    cert = uniform_from_exact(tree, search_exact_2factor(8, 5, max_vertices=90))
+    cert = uniform_from_exact(tree, search_exact_2factor(8, 5, max_vertices=90)).certificate
     assert report_to_dict(verify_packing(tree, cert)) == _reference_report(tree, cert)
     # one center replaced by a neighbor of another: the fast union falls
     # short and the ordered loop names the same overlap as the reference
@@ -279,7 +279,7 @@ def test_verify_packing_names_the_overlap_of_x53_from_j85():
 
 def _golden_cases():
     t22, t32, t33 = build_tree(2, 2), build_tree(3, 2), build_tree(3, 3, RENUMBERED)
-    code = xprime_perfect_code(3)
+    code = xprime_perfect_code(3).certificate
     s_sphere = PackingCertificate(n=6, kind="s_sphere", centers=list(code.centers), r=3, t=3,
                                   numbering=RENUMBERED, base_subgraph=xprime_components(3))
     s_overlap = PackingCertificate(n=6, kind="s_sphere",
@@ -326,7 +326,7 @@ def test_translation_invariance_randomized():
 
 def test_profile_by_type():
     tree = build_tree(3, 3, RENUMBERED)
-    code = xprime_perfect_code(3)
+    code = xprime_perfect_code(3).certificate
     prof = profile_by_type(tree, code)
     # the type-0 code covers its 8 components fully and nothing else
     assert prof[0] == Fraction(8)

@@ -1,5 +1,7 @@
 """Command-line dispatcher: exit codes, JSON output, round-trips."""
 
+import ast
+import hashlib
 import json
 import os
 import pathlib
@@ -10,7 +12,7 @@ import pytest
 
 import permpack
 from conftest import FIXTURES
-from permpack import certify, constructions
+from permpack import certify, cli, constructions
 from permpack.cayley import build_tree
 from permpack.certify import verify_packing
 from permpack.cli import run
@@ -145,6 +147,64 @@ def test_construct_nonuniform(capsys):
     assert code == 0
     assert data["achieved_alpha"] == "4/5"
     assert not data["shortfall"]
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["xprime", "2"], "a3fb291436ec1c2e6466f338e6d5aee1b73d1fb46d14151bc1b33df66f847945"),
+    (["xprime", "3"], "944e665c3557518362e32fa9036ac9eb63a5698476e6e70899b52289eea72bdb"),
+    (["nonuniform", "2"], "d305c0616767b83d09540dcac665099bf1be02f30c75f51ba49f110bb2595956"),
+    (["nonuniform", "3"], "c71e6ede52ae1ed8c44513e1dcbf1bad7da826d02c50e46292ed0a9e55d041a5"),
+    (["nonuniform", "3", "--stage", "intermediate"],
+     "02ef108ff5688ab4c064f1f4b47a53d6df1305b1a822d519ae9475417f59f389"),
+    (["uniform", "--tree", "3,2", "--structure", str(FIXTURES / "nest_g35.json")],
+     "7eb365931b151a82d59dd2d1db24624551fb1ce5d854588b0c2e7b354cd007ec"),
+], ids=["xprime2", "xprime3", "nonuniform2", "nonuniform3-final",
+        "nonuniform3-intermediate", "uniform32-nest"])
+def test_construct_output_golden(capsys, argv, digest):
+    # the whole stdout: key order, the density fields and the report
+    assert run(["construct"] + argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_construct_puncture_reports_no_target(capsys):
+    # puncturing has no proven density to aim at, so it prints none
+    code, data = run_json(capsys, "construct", "puncture", "3", "2")
+    assert code == 0
+    assert data.keys() == {"certificate", "report"}
+    assert data["report"]["alpha"] == "3/4"
+
+
+def test_verify_rejects_a_certificate_of_another_tree(tmp_path, capsys):
+    path = tmp_path / "nonuniform.json"
+    assert run(["construct", "nonuniform", "3", "-o", str(path)]) == 0
+    capsys.readouterr()
+    assert run(["verify", "--tree", "3,3", str(path)]) == 2
+    assert ("certificate numbering 'renumbered' != tree numbering 'original'"
+            in capsys.readouterr().err)
+    # same degree, other hubs
+    assert run(["verify", "--tree", "4,2", "--numbering", "renumbered", str(path)]) == 2
+    assert "certificate r 3 != tree r 4" in capsys.readouterr().err
+    code, report = run_json(capsys, "verify", "--tree", "3,3", "--numbering", "renumbered",
+                            str(path))
+    assert code == 0 and report["valid"] and report["alpha"] == "4/5"
+
+
+def test_cli_reads_no_private_name_of_a_permpack_module():
+    # perfbench traces the public library functions; a private twin
+    # called from the CLI would run outside every span
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text())
+    modules, private = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:
+                modules.update(a.asname or a.name for a in node.names)
+            private += [a.name for a in node.names if a.name.startswith("_")]
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and node.attr.startswith("_")):
+            private.append(f"{node.value.id}.{node.attr}")
+    assert "constructions" in modules
+    assert private == []
 
 
 def test_johnson_expand_cc(capsys):

@@ -16,7 +16,7 @@ from permpack.cayley import (ORIGINAL, RENUMBERED, all_components, build_tree, c
 from permpack.certify import (PackingCertificate, cert_to_dict, uniformity_check,
                               verify_eset, verify_on_subgraph, verify_packing)
 from permpack.cli import run
-from permpack.constructions import (ConstructionError, _component_centers, density_bounds,
+from permpack.constructions import (ConstructionError, _component_centers,
                                     nonuniform_extension, partner,
                                     product_eset, puncture_attempt, star_eset,
                                     table_T, table_row, uniform_from_exact,
@@ -122,7 +122,7 @@ def test_component_centers_match_reference(r):
 
 def test_xprime_perfect_code_r2():
     tree = build_tree(2, 2, RENUMBERED)
-    code = xprime_perfect_code(2)
+    code = xprime_perfect_code(2).certificate
     assert len(code.centers) == 4
     rep = verify_on_subgraph(tree, code, code.base_subgraph)
     assert rep.is_eset and rep.covered_count == 16
@@ -135,7 +135,7 @@ def test_xprime_perfect_code_r2():
 
 def test_xprime_perfect_code_r3():
     tree = build_tree(3, 3, RENUMBERED)
-    code = xprime_perfect_code(3)
+    code = xprime_perfect_code(3).certificate
     assert len(code.centers) == 48
     rep = verify_on_subgraph(tree, code, code.base_subgraph)
     assert rep.is_eset and rep.covered_count == 288
@@ -143,7 +143,7 @@ def test_xprime_perfect_code_r3():
 
 def test_uniform_from_exact_via_nest():
     tree = build_tree(3, 2)
-    cert = uniform_from_exact(tree, nest_g35())
+    cert = uniform_from_exact(tree, nest_g35()).certificate
     rep = verify_packing(tree, cert)
     assert rep.valid and len(cert.centers) == 20
     assert rep.alpha == Fraction(5, 6) == Fraction(tree.n, tree.r * tree.t)
@@ -152,7 +152,7 @@ def test_uniform_from_exact_via_nest():
 
 def test_uniform_from_exact_via_two_factor():
     tree = build_tree(3, 2)
-    cert = uniform_from_exact(tree, two_factor_g35())
+    cert = uniform_from_exact(tree, two_factor_g35()).certificate
     rep = verify_packing(tree, cert)
     assert rep.valid and len(cert.centers) == 20 and rep.alpha == Fraction(5, 6)
 
@@ -165,23 +165,21 @@ def test_uniform_from_exact_rejects_wrong_host():
 
 def test_nonuniform_r2_is_bare_type0_code():
     res = nonuniform_extension(2)
-    assert res.achieved_alpha == Fraction(2, 3) == res.target_alpha
-    assert not res.shortfall
+    assert res.report.alpha == Fraction(2, 3) == res.target_alpha
     assert len(res.certificate.centers) == 4
 
 
 def test_nonuniform_r3_intermediate():
     res = nonuniform_extension(3, stage="intermediate")
     assert len(res.certificate.centers) == 72
-    assert res.achieved_alpha == Fraction(432, 720)
-    assert not res.shortfall
+    assert res.report.alpha == Fraction(432, 720)
+    assert not res.report.alpha < res.target_alpha
 
 
 def test_nonuniform_r3_final():
     res = nonuniform_extension(3)
     assert len(res.certificate.centers) == 96
-    assert res.achieved_alpha == Fraction(4, 5) == res.target_alpha
-    assert not res.shortfall
+    assert res.report.alpha == Fraction(4, 5) == res.target_alpha
     tree = build_tree(3, 3, RENUMBERED)
     rep = verify_packing(tree, res.certificate)
     assert rep.valid and rep.covered_count == 576
@@ -210,11 +208,12 @@ def test_cli_nonuniform_intermediate_r4_exits_2(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("make, digest", [
-    (lambda: xprime_perfect_code(3), "4bc7b8626a06854c"),
+    (lambda: xprime_perfect_code(3).certificate, "4bc7b8626a06854c"),
     (lambda: nonuniform_extension(3).certificate, "0e62c7f152e28a05"),
     (lambda: nonuniform_extension(3, "intermediate").certificate, "2ae89c2f6509ca3f"),
-    (lambda: uniform_from_exact(build_tree(3, 2), two_factor_g35()), "48789b2e635c3a9d"),
-    (lambda: uniform_from_exact(build_tree(3, 2), nest_g35()), "c0ec593a0caff4f3"),
+    (lambda: uniform_from_exact(build_tree(3, 2), two_factor_g35()).certificate,
+     "48789b2e635c3a9d"),
+    (lambda: uniform_from_exact(build_tree(3, 2), nest_g35()).certificate, "c0ec593a0caff4f3"),
     (lambda: puncture_attempt(3, 2).certificate, "6ca33ff4905ce4a2"),
     (lambda: puncture_attempt(4, 2).certificate, "ca840d14a4c97ea6"),
     (lambda: puncture_attempt(4, 3).certificate, "ef222d316731dba5"),
@@ -228,20 +227,13 @@ def test_construction_golden_certificates(make, digest):
     assert hashlib.sha256(data.encode()).hexdigest()[:16] == digest
 
 
-def test_density_bounds():
-    lower, upper = density_bounds(3, 2)
-    assert lower == Fraction(5, 6)
-    assert upper == Fraction(4, 20)
-    # the window can be empty; both ends are reported honestly
-    assert lower > upper
-
-
 def test_puncture_attempt_reports_bounds():
     res = puncture_attempt(3, 2)
     tree = build_tree(3, 2, RENUMBERED)
     rep = verify_packing(tree, res.certificate)
     assert rep.valid
-    assert res.achieved_alpha == rep.alpha > 0
+    assert res.report == rep and rep.alpha > 0
+    assert res.target_alpha is None
     with pytest.raises(ValueError):
         puncture_attempt(2, 3)
 
