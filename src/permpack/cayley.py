@@ -34,8 +34,9 @@ RENUMBERED = "renumbered"
 class TranspositionTree:
     """A tree on vertices 1..n whose edges generate S_n as transpositions.
 
-    epsilon is the hub-hub edge of a diameter-3 tree (None for stars).
-    r, t are the hub degrees when the tree has diameter 3.
+    epsilon is the hub-hub edge of a diameter-3 tree (None for stars),
+    hub-r end first.  r, t are the hub degrees when the tree has
+    diameter 3.
     """
 
     n: int
@@ -46,63 +47,53 @@ class TranspositionTree:
     numbering: str | None = None
 
     def __post_init__(self):
-        verts = set()
         for i, j in self.edges:
             if not (1 <= i <= self.n and 1 <= j <= self.n and i != j):
                 raise ValueError(f"bad edge {(i, j)} for n={self.n}")
-            verts.update((i, j))
-        if len(self.edges) != self.n - 1 or (self.n > 1 and verts != set(range(1, self.n + 1))):
+        # n - 1 edges connecting 1..n form a tree
+        if len(self.edges) != self.n - 1 or len(_distances(self.n, self.edges, 1)) != self.n:
             raise ValueError("edges do not form a spanning tree")
         if self.epsilon is not None and self.epsilon not in self.edges:
             raise ValueError(f"epsilon {self.epsilon} is not a tree edge")
 
     @property
-    def left_positions(self) -> frozenset[int]:
-        """Tree vertices on the hub-r side; {1..r} under both numberings."""
-        if self.r is None:
-            raise ValueError("left side defined only for diameter-3 trees")
-        return frozenset(range(1, self.r + 1))
-
-    @property
     def hub_left(self) -> int:
-        if self.r is None:
+        if self.epsilon is None:
             raise ValueError("hubs defined only for diameter-3 trees")
-        return self.r if self.numbering == ORIGINAL else 1
+        return self.epsilon[0]
 
     @property
     def hub_right(self) -> int:
-        if self.r is None:
+        if self.epsilon is None:
             raise ValueError("hubs defined only for diameter-3 trees")
-        return self.r + 1
+        return self.epsilon[1]
 
 
 def _edge(i: int, j: int) -> Edge:
     return (i, j) if i < j else (j, i)
 
 
-def tree_diameter(n: int, edges) -> int:
+def _distances(n: int, edges, src: int) -> dict[int, int]:
+    """BFS distances from src over the graph on 1..n with these edges;
+    unreachable vertices are absent."""
     adj = {v: [] for v in range(1, n + 1)}
     for i, j in edges:
         adj[i].append(j)
         adj[j].append(i)
+    dist = {src: 0}
+    queue = deque([src])
+    while queue:
+        u = queue.popleft()
+        for v in adj[u]:
+            if v not in dist:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
 
-    def farthest(src):
-        dist = {src: 0}
-        queue = deque([src])
-        far = src
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    if dist[v] > dist[far]:
-                        far = v
-                    queue.append(v)
-        return far, dist[far]
 
-    a, _ = farthest(1)
-    _, d = farthest(a)
-    return d
+def tree_diameter(n: int, edges) -> int:
+    dist = _distances(n, edges, 1)
+    return max(_distances(n, edges, max(dist, key=dist.get)).values())
 
 
 def build_tree(r: int, t: int, numbering: str = ORIGINAL) -> TranspositionTree:

@@ -208,9 +208,8 @@ def uniformity_check(tree: TranspositionTree, cert: PackingCertificate) -> tuple
     by_comp: dict[frozenset[int], set[Perm]] = {c: set() for c in all_components(tree)}
     for p in cert.centers:
         by_comp[component_of(tree, p)].add(p)
-    comps = sorted(by_comp, key=lambda c: tuple(sorted(c)))
-    base = comps[0]
-    for c in comps[1:]:
+    base, *rest = by_comp  # all_components order: lexicographic
+    for c in rest:
         if not _equivalent(by_comp[base], by_comp[c]):
             return False, (f"components {tuple(sorted(base))} and {tuple(sorted(c))} "
                            f"carry inequivalent center sets")

@@ -2,6 +2,12 @@
 subgraph X'(r,r), uniform packings driven by exact Johnson structures,
 the nonuniform extension, puncturing, and the type-census table rows.
 
+Every packing of a diameter-3 tree is built from hub slices
+(``hub_slice``): the vertices of one component with one value fixed at
+the left hub and one at the right hub.  The uniform construction takes
+a nest that ``johnson.validate_nest`` accepts and raises ValueError on
+any other structure, with the validator's verdict.
+
 The constructive searches are deterministic (fixed orderings, no
 randomness).  Each construction returns a ``Construction``: its
 certificate together with the verifier's report that accepted it, so a
@@ -26,15 +32,6 @@ from .perms import Perm, relative_parity, swap_positions
 
 class ConstructionError(RuntimeError):
     """A construction search exhausted without a certificate."""
-
-
-@dataclass
-class EsetSlice:
-    """All permutations with value i at position j; (n-1)! members."""
-    n: int
-    j: int
-    i: int
-    members: list[Perm]
 
 
 @dataclass
@@ -65,28 +62,27 @@ def _with_value(values, k: int, i: int) -> list[Perm]:
     return [w[:k] + (i,) + w[k:] for w in permutations(sorted(v for v in values if v != i))]
 
 
-def star_eset(n: int, j: int, i: int) -> EsetSlice:
+def star_eset(n: int, j: int, i: int) -> list[Perm]:
+    """All permutations with value i at position j, in lex order; (n-1)!
+    members, an E-set of the star."""
     if not (1 <= j <= n and 1 <= i <= n):
         raise ValueError(f"position/value out of range for n={n}")
-    return EsetSlice(n=n, j=j, i=i, members=_with_value(range(1, n + 1), j - 1, i))
+    return _with_value(range(1, n + 1), j - 1, i)
 
 
-def product_eset(tree: TranspositionTree, component, left_slice, right_slice) -> list[Perm]:
-    """Centers in the component with fixed values at one left and one
-    right position; for hub positions this is a product of factor E-sets."""
-    values = frozenset(component)
-    j, i = left_slice
-    j2, i2 = right_slice
-    if j not in tree.left_positions or not tree.r < j2 <= tree.n:
-        raise ValueError("slice positions must lie on opposite factor sides")
+def hub_slice(tree: TranspositionTree, values, i: int, j: int) -> list[Perm]:
+    """The vertices of the component ``values`` with value i at the left
+    hub and value j at the right hub, in lex order: a product of factor
+    E-sets."""
+    values = frozenset(values)
     complement = frozenset(range(1, tree.n + 1)) - values
-    if i not in values or i2 not in complement:
-        raise ValueError(f"slice values {i},{i2} unavailable in component {sorted(values)}")
+    if i not in values or j not in complement:
+        raise ValueError(f"slice values {i},{j} unavailable in component {sorted(values)}")
     if len(values) != tree.r or not values <= frozenset(range(1, tree.n + 1)):
         raise ValueError(f"not an r-subset of values: {sorted(values)}")
     # lex-ordered sides in a left-major product: enumerate_component's order
-    rights = _with_value(complement, j2 - 1 - tree.r, i2)
-    return [left + right for left in _with_value(values, j - 1, i) for right in rights]
+    rights = _with_value(complement, tree.hub_right - 1 - tree.r, j)
+    return [left + right for left in _with_value(values, tree.hub_left - 1, i) for right in rights]
 
 
 def partner(r: int, v: int) -> int:
@@ -108,9 +104,7 @@ def _component_centers(tree: TranspositionTree, values: frozenset[int], flag: st
     right side has the chosen parity.
     """
     r = tree.r
-    return [g for i in sorted(values)
-            for g in product_eset(tree, values, (tree.hub_left, i),
-                                  (tree.hub_right, partner(r, i)))
+    return [g for i in sorted(values) for g in hub_slice(tree, values, i, partner(r, i))
             if relative_parity(g[r:]) == flag]
 
 
@@ -181,21 +175,23 @@ def uniform_from_exact(tree: TranspositionTree, structure: johnson.ExactSubgraph
     """Per component with a successor in the structure, centers fix the
     lost element at the left hub and the gained element at the right hub,
     so sphere completions cross the hub edge into the successor component.
-    Orientations are backtracked until the verifier accepts."""
-    universe = set(range(1, tree.n + 1))
-    for v in structure.vertices:
-        if len(v) != tree.r or not v <= universe:
-            raise ValueError(f"structure vertex {sorted(v)} is not an r-subset of values")
+    Orientations are backtracked until the verifier accepts.
+
+    The structure must be a nest of J(n, r) that johnson.validate_nest
+    accepts; any other structure raises ValueError with its verdict.
+    """
+    if tree.r is None:
+        raise ValueError("uniform packings are defined only for diameter-3 trees")
+    ok, why = johnson.validate_nest(tree.n, tree.r, structure)
+    if not ok:
+        raise ValueError(f"structure is not a nest of J({tree.n},{tree.r}): {why}")
     last_error = None
     for succ in johnson.successor_orientations(structure):
         centers = []
         for c, s in succ.items():
-            lost = c - s
-            gained = s - c
-            if len(lost) != 1 or len(gained) != 1:
-                raise ValueError(f"structure edge {sorted(c)}-{sorted(s)} is not a Johnson edge")
-            centers.extend(product_eset(tree, c, (tree.hub_left, next(iter(lost))),
-                                        (tree.hub_right, next(iter(gained)))))
+            # a nest has Johnson edges only: one value lost, one gained
+            (lost,), (gained,) = c - s, s - c
+            centers.extend(hub_slice(tree, c, lost, gained))
         cert = PackingCertificate(n=tree.n, kind="one_sphere", centers=sorted(centers),
                                   r=tree.r, t=tree.t, numbering=tree.numbering)
         report = verify_packing(tree, cert)
@@ -219,7 +215,7 @@ def _eligible_components(tree: TranspositionTree):
         if r % 2 == 0 and k == r // 2:
             continue
         out.append(c)
-    return sorted(out, key=lambda c: tuple(sorted(c)))
+    return out
 
 
 def _local_configs(tree: TranspositionTree, values: frozenset[int], size: int):
@@ -238,7 +234,7 @@ def _local_configs(tree: TranspositionTree, values: frozenset[int], size: int):
     hub_edges = [e for e in tree.edges if e != tree.epsilon]
     for i in sorted(values):
         for j in complement:
-            base = product_eset(tree, values, (tree.hub_left, i), (tree.hub_right, j))
+            base = hub_slice(tree, values, i, j)
             for disp in [None] + hub_edges:
                 group = tuple(sorted(
                     base if disp is None else [swap_positions(g, *disp) for g in base]))
@@ -314,10 +310,9 @@ def puncture_attempt(r: int, t: int) -> Construction:
     if not r > t > 1:
         raise ValueError("puncturing applies to r > t > 1")
     tree = build_tree(r, t, RENUMBERED)
-    comps = sorted(all_components(tree), key=lambda c: tuple(sorted(c)))
-    seeds = (g for values in comps for i in sorted(values)
+    seeds = (g for values in all_components(tree) for i in sorted(values)
              for j in sorted(set(range(1, tree.n + 1)) - values)
-             for g in product_eset(tree, values, (tree.hub_left, i), (tree.hub_right, j)))
+             for g in hub_slice(tree, values, i, j))
     # the hub slices of a component list all its vertices, so the greedy
     # packing is maximal
     covered: set[Perm] = set()

@@ -10,6 +10,9 @@ alternation and nest validation cap the count of (b) at the host,
 min(r+2, n-1), which tolerates 2-paths involving n-1 elements when
 n = r+2.  One predicate, _path_violation, states (a) and (b); its
 callers pass the count.
+
+validate_nest is the one nest check: successor_orientations, and the
+uniform construction built on it, take only structures it accepts.
 """
 
 from __future__ import annotations
@@ -319,34 +322,25 @@ def validate_nest(n: int, r: int, sub: ExactSubgraph) -> tuple[bool, str]:
 def successor_orientations(sub: ExactSubgraph):
     """Yield successor maps (vertex -> out-neighbor) with out-degree 1.
 
-    Pendant vertices point at their unique neighbor; each cycle core can
-    run in either direction.
+    sub must be a nest that validate_nest accepts.  Pendant vertices
+    point at their unique neighbor; each cycle core can run in either
+    direction.
     """
     adj = sub.adjacency()
     core = {v for v in sub.vertices if len(adj[v]) >= 2}
-    succ_base: dict[Subset, Subset] = {}
-    for v in sub.vertices - core:
-        if len(adj[v]) != 1:
-            return
-        succ_base[v] = adj[v][0]
-    # decompose the core into cycles
+    succ_base = {v: adj[v][0] for v in sub.vertices - core}
+    # decompose the core into cycles: each core vertex has two core neighbors
     cycles: list[list[Subset]] = []
     seen: set[Subset] = set()
     for v in sorted(core, key=subset_key):
         if v in seen:
             continue
         cyc = [v]
-        seen.add(v)
-        prev, cur = None, v
-        while True:
-            nxts = [w for w in adj[cur] if w in core and w != prev]
-            if not nxts:
-                break
-            prev, cur = cur, nxts[0]
-            if cur == v:
-                break
+        prev, cur = v, next(w for w in adj[v] if w in core)
+        while cur != v:
             cyc.append(cur)
-            seen.add(cur)
+            prev, cur = cur, next(w for w in adj[cur] if w in core and w != prev)
+        seen.update(cyc)
         cycles.append(cyc)
 
     # the first cycle's direction varies slowest

@@ -42,6 +42,15 @@ def nest_g35() -> ExactSubgraph:
     return make_subgraph(edges, kind="nest")
 
 
+def cut_nest_g35() -> ExactSubgraph:
+    """nest_g35 without the edge of its pendant (1, 2, 4), which stays
+    as an isolated vertex: spanning, but not a nest."""
+    nest = nest_g35()
+    cut = {frozenset({2, 3, 4}), frozenset({1, 2, 4})}
+    return make_subgraph([e for e in nest.edges if set(e) != cut], kind="nest",
+                         extra_vertices=nest.vertices)
+
+
 def nest_g46() -> ExactSubgraph:
     """12-cycle alternating the 1113 and 1122 cyclic compositions of 6,
     plus three pendant edges into the 1212 family; spans all fifteen

@@ -43,9 +43,9 @@ def test_criterion_2_star_slices():
         for i in range(1, n + 1):
             slc = star_eset(n, 1, i)
             rep = verify_eset(star, PackingCertificate(
-                n=n, kind="one_sphere", centers=slc.members))
+                n=n, kind="one_sphere", centers=slc))
             assert rep.is_eset, (n, i)
-            union.update(slc.members)
+            union.update(slc)
         assert len(union) == math.factorial(n), n
     print("criterion 2: PASS (star slices are E-sets and partition S_n, n=3..6)")
 

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import permpack
-from permpack.cayley import (ORIGINAL, RENUMBERED, all_components,
+from permpack.cayley import (ORIGINAL, RENUMBERED, TranspositionTree, all_components,
                              build_tree, closed_sphere, component_of,
                              component_type, enumerate_component,
                              graph_distance, neighbors, num_vertices,
@@ -23,7 +23,6 @@ def test_build_tree_original_numbering():
     assert tree.n == 5
     assert tree.epsilon == (3, 4)
     assert set(tree.edges) == {(1, 3), (2, 3), (3, 4), (4, 5)}
-    assert tree.left_positions == frozenset({1, 2, 3})
     assert tree.hub_left == 3 and tree.hub_right == 4
     assert tree_diameter(tree.n, tree.edges) == 3
 
@@ -33,7 +32,24 @@ def test_build_tree_renumbered():
     assert tree.epsilon == (1, 4)
     assert set(tree.edges) == {(1, 2), (1, 3), (1, 4), (4, 5), (4, 6)}
     assert tree.hub_left == 1 and tree.hub_right == 4
-    assert tree.left_positions == frozenset({1, 2, 3})
+
+
+def test_hubs_are_the_ends_of_epsilon():
+    # X3(3,3) with its hubs at positions 2 and 5 and no numbering
+    edges = ((1, 2), (2, 3), (2, 5), (4, 5), (5, 6))
+    tree = TranspositionTree(n=6, edges=edges, epsilon=(2, 5), r=3, t=3)
+    assert (tree.hub_left, tree.hub_right) == (2, 5)
+    with pytest.raises(ValueError):
+        star_tree(4).hub_left
+
+
+@pytest.mark.parametrize("n, edges", [
+    (5, ((1, 2), (1, 3), (2, 3), (4, 5))),  # a triangle and a loose edge
+    (4, ((1, 2), (1, 2), (3, 4))),  # a repeated edge
+])
+def test_tree_rejects_edge_sets_that_are_not_trees(n, edges):
+    with pytest.raises(ValueError, match="spanning tree"):
+        TranspositionTree(n=n, edges=edges)
 
 
 def test_build_tree_rejects_degenerate_hubs():
@@ -85,6 +101,14 @@ def test_components_partition():
     assert component_of(build_tree(3, 2, RENUMBERED), (5, 1, 3, 2, 4)) == frozenset({1, 3, 5})
     with pytest.raises(ValueError):
         component_of(star_tree(4), (1, 2, 3, 4))
+
+
+@pytest.mark.parametrize("numbering", [ORIGINAL, RENUMBERED])
+@pytest.mark.parametrize("r, t", [(2, 2), (3, 2), (3, 3), (5, 3)])
+def test_all_components_in_subset_order(r, t, numbering):
+    # callers rely on this order and do not sort again
+    comps = all_components(build_tree(r, t, numbering))
+    assert comps == sorted(comps, key=lambda c: tuple(sorted(c)))
 
 
 def test_enumerate_component():

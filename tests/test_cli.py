@@ -11,8 +11,8 @@ import sys
 import pytest
 
 import permpack
-from conftest import FIXTURES
-from permpack import certify, cli, constructions
+from conftest import FIXTURES, cut_nest_g35
+from permpack import certify, cli, constructions, johnson
 from permpack.cayley import build_tree
 from permpack.certify import verify_packing
 from permpack.cli import run
@@ -133,6 +133,26 @@ def test_construct_verifies_each_certificate_once(monkeypatch, capsys):
     assert len(calls) == 2
     cert = certify.cert_from_dict(data["certificate"])
     assert data["report"] == certify.report_to_dict(verify_packing(build_tree(3, 2), cert))
+
+
+def test_construct_uniform_rejects_a_structure_that_is_not_a_nest(tmp_path, capsys):
+    path = tmp_path / "cut.json"
+    path.write_text(json.dumps(johnson.subgraph_to_dict(cut_nest_g35())))
+    assert run(["construct", "uniform", "--tree", "3,2", "--structure", str(path)]) == 2
+    assert "(1, 2, 4) is not a pendant on a cycle" in capsys.readouterr().err
+
+
+def test_closed_pipe_ends_without_traceback():
+    # the reader is gone before the first write, so every write fails
+    src = pathlib.Path(permpack.__file__).resolve().parent.parent
+    proc = subprocess.Popen([sys.executable, "-m", "permpack.cli", "construct", "xprime", "3"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                            env=dict(os.environ, PYTHONPATH=str(src)))
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert "Traceback" not in err
 
 
 def test_construct_xprime(capsys):

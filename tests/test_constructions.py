@@ -9,7 +9,7 @@ from itertools import permutations
 
 import pytest
 
-from conftest import nest_g35, two_factor_g35
+from conftest import cut_nest_g35, nest_g35, two_factor_g35
 from permpack import constructions
 from permpack.cayley import (ORIGINAL, RENUMBERED, all_components, build_tree, component_of,
                              component_type, enumerate_component, star_tree)
@@ -17,10 +17,11 @@ from permpack.certify import (PackingCertificate, cert_to_dict, uniformity_check
                               verify_eset, verify_on_subgraph, verify_packing)
 from permpack.cli import run
 from permpack.constructions import (ConstructionError, _component_centers,
-                                    nonuniform_extension, partner,
-                                    product_eset, puncture_attempt, star_eset,
+                                    hub_slice, nonuniform_extension, partner,
+                                    puncture_attempt, star_eset,
                                     table_T, table_row, uniform_from_exact,
                                     xprime_components, xprime_perfect_code)
+from permpack.johnson import alternate_cops
 from permpack.perms import all_perms, relative_parity
 
 
@@ -30,11 +31,11 @@ def test_star_eset_slices_partition():
         seen = set()
         for i in range(1, n + 1):
             slc = star_eset(n, 1, i)
-            assert len(slc.members) == math.factorial(n - 1)
+            assert len(slc) == math.factorial(n - 1)
             rep = verify_eset(star, PackingCertificate(
-                n=n, kind="one_sphere", centers=slc.members))
+                n=n, kind="one_sphere", centers=slc))
             assert rep.is_eset
-            seen.update(slc.members)
+            seen.update(slc)
         assert len(seen) == math.factorial(n)
 
 
@@ -44,7 +45,7 @@ def test_star_eset_is_the_filtered_slice():
         perms = list(all_perms(n))
         for j in range(1, n + 1):
             for i in range(1, n + 1):
-                assert star_eset(n, j, i).members == [p for p in perms if p[j - 1] == i]
+                assert star_eset(n, j, i) == [p for p in perms if p[j - 1] == i]
 
 
 def test_star_eset_validates_input():
@@ -52,25 +53,22 @@ def test_star_eset_validates_input():
         star_eset(4, 5, 1)
 
 
-def test_product_eset_shape():
+def test_hub_slice_shape():
     tree = build_tree(3, 2)
-    centers = product_eset(tree, {1, 2, 3}, (tree.hub_left, 1), (tree.hub_right, 4))
+    centers = hub_slice(tree, {1, 2, 3}, 1, 4)
     assert len(centers) == math.factorial(2) * math.factorial(1)
     for g in centers:
         assert component_of(tree, g) == frozenset({1, 2, 3})
         assert g[tree.hub_left - 1] == 1 and g[tree.hub_right - 1] == 4
     with pytest.raises(ValueError):
-        product_eset(tree, {1, 2, 3}, (tree.hub_left, 4), (tree.hub_right, 5))
-    for j2 in (0, tree.n + 1):  # right positions are r+1..n
-        with pytest.raises(ValueError):
-            product_eset(tree, {1, 2, 3}, (tree.hub_left, 1), (j2, 4))
+        hub_slice(tree, {1, 2, 3}, 4, 5)
     with pytest.raises(ValueError):
-        product_eset(tree, {1, 2}, (tree.hub_left, 1), (tree.hub_right, 4))
+        hub_slice(tree, {1, 2}, 1, 4)
 
 
 @pytest.mark.parametrize("r, t, numbering", [(3, 2, ORIGINAL), (3, 2, RENUMBERED),
                                              (3, 3, ORIGINAL), (3, 3, RENUMBERED)])
-def test_product_eset_is_the_filtered_component(r, t, numbering):
+def test_hub_slice_is_the_filtered_component(r, t, numbering):
     # the members are generated directly; they must be the component's
     # vertices with the two fixed values, in enumerate_component's order
     tree = build_tree(r, t, numbering)
@@ -80,7 +78,7 @@ def test_product_eset_is_the_filtered_component(r, t, numbering):
             for i2 in sorted(set(range(1, tree.n + 1)) - comp):
                 expected = [g for g in enumerate_component(tree, comp)
                             if g[j - 1] == i and g[j2 - 1] == i2]
-                assert product_eset(tree, comp, (j, i), (j2, i2)) == expected
+                assert hub_slice(tree, comp, i, i2) == expected
 
 
 def test_partner():
@@ -161,6 +159,18 @@ def test_uniform_from_exact_rejects_wrong_host():
     tree = build_tree(2, 2)
     with pytest.raises(ValueError):
         uniform_from_exact(tree, nest_g35())
+    with pytest.raises(ValueError, match="diameter-3"):
+        uniform_from_exact(star_tree(5), nest_g35())
+
+
+def test_uniform_from_exact_takes_only_nests():
+    # validate_nest is the one nest check; its verdict names the fault
+    with pytest.raises(ValueError, match=r"not a nest of J\(5,3\): \(1, 2, 4\) is not a pendant"):
+        uniform_from_exact(build_tree(3, 2), cut_nest_g35())
+    # an exact 14-cycle that spans 14 of the 35 vertices of J(7,4)
+    cycle = alternate_cops((1, 1, 2, 3), (2, 1, 1, 3), 7)
+    with pytest.raises(ValueError, match="not spanning: 14 of 35"):
+        uniform_from_exact(build_tree(4, 3), cycle)
 
 
 def test_nonuniform_r2_is_bare_type0_code():
