@@ -10,13 +10,14 @@ search's sphere table and the sphere unions of ``packing_union``, the
 single disjointness rule for packings, all come from these columns.
 For a diameter-3 tree with hub degrees r and t, deleting the hub-hub
 edge splits the graph into C(n, r) components, one per r-subset of
-values occupying the hub-r-side positions 1..r.
+values occupying the hub-r-side positions 1..r; ``TranspositionTree``
+checks that layout when built.  One breadth-first search, ``_bfs``,
+serves the tree on 1..n and the Cayley graph (``graph_distance``).
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, permutations
@@ -35,8 +36,9 @@ class TranspositionTree:
     """A tree on vertices 1..n whose edges generate S_n as transpositions.
 
     epsilon is the hub-hub edge of a diameter-3 tree (None for stars),
-    hub-r end first.  r, t are the hub degrees when the tree has
-    diameter 3.
+    hub-r end first, and r, t are its hub degrees, given with it.  Checked
+    here: r, t >= 2 with r + t = n, every edge touches a hub, and the
+    hub-r end and its other neighbours are positions 1..r.
     """
 
     n: int
@@ -47,14 +49,29 @@ class TranspositionTree:
     numbering: str | None = None
 
     def __post_init__(self):
+        layout = (self.epsilon, self.r, self.t)
+        if None in layout and layout != (None, None, None):
+            raise ValueError("epsilon, r and t are given together or not at all")
+        if self.r is not None and (min(self.r, self.t) < 2 or self.r + self.t != self.n):
+            raise ValueError(f"no diameter-3 tree with hub degrees r={self.r}, t={self.t} "
+                             f"on n={self.n}")
         for i, j in self.edges:
             if not (1 <= i <= self.n and 1 <= j <= self.n and i != j):
                 raise ValueError(f"bad edge {(i, j)} for n={self.n}")
         # n - 1 edges connecting 1..n form a tree
         if len(self.edges) != self.n - 1 or len(_distances(self.n, self.edges, 1)) != self.n:
             raise ValueError("edges do not form a spanning tree")
-        if self.epsilon is not None and self.epsilon not in self.edges:
+        if self.epsilon is None:
+            return
+        if self.epsilon not in self.edges:
             raise ValueError(f"epsilon {self.epsilon} is not a tree edge")
+        a, b = self.epsilon
+        for e in self.edges:
+            if a not in e and b not in e:
+                raise ValueError(f"edge {e} touches no hub")
+        left = {v for e in self.edges if a in e for v in e if v != b}
+        if left != set(range(1, self.r + 1)):
+            raise ValueError(f"the hub-r side {sorted(left)} is not positions 1..{self.r}")
 
     @property
     def hub_left(self) -> int:
@@ -73,6 +90,21 @@ def _edge(i: int, j: int) -> Edge:
     return (i, j) if i < j else (j, i)
 
 
+def _bfs(src, step):
+    """Yield (vertex, distance) for src and every vertex reachable from
+    it, in the order breadth-first search discovers them; ``step(u)``
+    lists the neighbours of u."""
+    dist = {src: 0}
+    queue = [src]
+    yield src, 0
+    for u in queue:
+        for v in step(u):
+            if v not in dist:
+                dist[v] = d = dist[u] + 1
+                queue.append(v)
+                yield v, d
+
+
 def _distances(n: int, edges, src: int) -> dict[int, int]:
     """BFS distances from src over the graph on 1..n with these edges;
     unreachable vertices are absent."""
@@ -80,15 +112,7 @@ def _distances(n: int, edges, src: int) -> dict[int, int]:
     for i, j in edges:
         adj[i].append(j)
         adj[j].append(i)
-    dist = {src: 0}
-    queue = deque([src])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if v not in dist:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    return dist
+    return dict(_bfs(src, adj.__getitem__))
 
 
 def tree_diameter(n: int, edges) -> int:
@@ -97,28 +121,16 @@ def tree_diameter(n: int, edges) -> int:
 
 
 def build_tree(r: int, t: int, numbering: str = ORIGINAL) -> TranspositionTree:
-    """The diameter-3 tree with hub degrees r and t on n = r + t vertices."""
-    if r < 2 or t < 2:
-        raise ValueError(f"no diameter-3 tree with hub degrees r={r}, t={t}")
-    n = r + t
-    if numbering == ORIGINAL:
-        hub_l, hub_r = r, r + 1
-        left_leaves = range(1, r)
-        right_leaves = range(r + 2, n + 1)
-    elif numbering == RENUMBERED:
-        hub_l, hub_r = 1, r + 1
-        left_leaves = range(2, r + 1)
-        right_leaves = range(r + 2, n + 1)
-    else:
+    """The diameter-3 tree with hub degrees r and t on n = r + t vertices:
+    the hubs sit at positions r and r + 1 (original numbering) or 1 and
+    r + 1 (renumbered), and every other position is a leaf of its side's
+    hub.  The tree checks the layout."""
+    if numbering not in (ORIGINAL, RENUMBERED):
         raise ValueError(f"unknown numbering {numbering!r}")
-    edges = [_edge(hub_l, hub_r)]
-    edges += [_edge(v, hub_l) for v in left_leaves]
-    edges += [_edge(v, hub_r) for v in right_leaves]
-    edges = tuple(sorted(edges))
-    tree = TranspositionTree(n=n, edges=edges, epsilon=_edge(hub_l, hub_r),
+    hubs = (r if numbering == ORIGINAL else 1, r + 1)
+    edges = [hubs] + [_edge(v, hubs[v > r]) for v in range(1, r + t + 1) if v not in hubs]
+    return TranspositionTree(n=r + t, edges=tuple(sorted(edges)), epsilon=hubs,
                              r=r, t=t, numbering=numbering)
-    assert tree_diameter(n, edges) == 3
-    return tree
 
 
 def star_tree(n: int, hub: int = 1) -> TranspositionTree:
@@ -168,20 +180,12 @@ def packing_union(tree: TranspositionTree, centers) -> set[Perm] | None:
 
 
 def graph_distance(tree: TranspositionTree, g: Perm, h: Perm) -> int:
-    if g == h:
-        return 0
-    dist = {g: 0}
-    queue = deque([g])
-    while queue:
-        u = queue.popleft()
-        for get in edge_getters(tree):
-            v = get(u)
-            if v not in dist:
-                if v == h:
-                    return dist[u] + 1
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    raise AssertionError("Cayley graph of a tree is connected")
+    """Length of a shortest path; the search stops when it discovers h."""
+    vertices = list(range(1, tree.n + 1))
+    if sorted(g) != vertices or sorted(h) != vertices:
+        raise ValueError(f"{g} and {h} are not both vertices of X with n={tree.n}")
+    getters = edge_getters(tree)
+    return next(d for v, d in _bfs(g, lambda u: [get(u) for get in getters]) if v == h)
 
 
 def component_of(tree: TranspositionTree, g: Perm) -> frozenset[int]:

@@ -169,6 +169,8 @@ def verify_eset(tree: TranspositionTree, cert: PackingCertificate) -> Verificati
 def verify_on_subgraph(tree: TranspositionTree, cert: PackingCertificate,
                        components) -> VerificationReport:
     """Spheres measured inside the subgraph induced by the listed components."""
+    if tree.r is None:
+        raise ValueError("components defined only for diameter-3 trees")
     if cert.kind != "one_sphere":
         raise CertificateError("subgraph verification applies to one_sphere certificates")
     _check_wellformed(tree, cert)

@@ -36,8 +36,8 @@ def _parse_tree(spec: str, numbering: str) -> cayley.TranspositionTree:
     return build_tree(r, t, numbering)
 
 
-def _parse_budget(text: str) -> float:
-    text = text.strip()
+def _parse_budget(spec: str) -> float:
+    text = spec.strip()
     mult = 1.0
     if text.endswith("m"):
         mult, text = 60.0, text[:-1]
@@ -46,9 +46,9 @@ def _parse_budget(text: str) -> float:
     try:
         seconds = float(text) * mult
     except ValueError:
-        raise UsageError(f"bad budget {text!r}; expected seconds like 60 or 60s")
+        seconds = math.nan
     if not (math.isfinite(seconds) and seconds > 0):
-        raise UsageError(f"bad budget {text!r}; expected a positive number of seconds")
+        raise UsageError(f"bad budget {spec!r}; expected a positive time like 60, 60s or 1m")
     return seconds
 
 

@@ -108,19 +108,17 @@ def _component_centers(tree: TranspositionTree, values: frozenset[int], flag: st
             if relative_parity(g[r:]) == flag]
 
 
-def _disjoint_picks(options, covered: set[Perm]):
+def _disjoint_picks(options):
     """Backtrack over slots: pick one (centers, footprint) per slot of
-    ``options``, the footprints disjoint from ``covered`` and from each
-    other (a None footprint never fits); yield each pick's centers as one
-    flat list, in slot order.
+    ``options``, the footprints pairwise disjoint (a None footprint never
+    fits); yield each pick's centers as one flat list, in slot order.
+    Every caller passes at least one slot.
 
     Iterative: ``frames`` holds one option iterator per open slot and
     ``picks`` the options taken so far, so the depth is not bounded by
     Python's recursion limit.
     """
-    if not options:
-        yield []
-        return
+    covered: set[Perm] = set()
     picks: list = []
     frames = [iter(options[0])]
     while frames:
@@ -155,15 +153,14 @@ def xprime_perfect_code(r: int) -> Construction:
         raise ValueError("need r >= 2")
     tree = build_tree(r, r, RENUMBERED)
     comps = xprime_components(r)
-    for centers in _disjoint_picks(_xprime_options(tree), set()):
-        cert = PackingCertificate(n=tree.n, kind="one_sphere", centers=sorted(centers),
-                                  r=r, t=r, numbering=RENUMBERED,
-                                  base_subgraph=comps)
-        report = verify_on_subgraph(tree, cert, comps)
-        if report.is_eset:
-            return Construction(cert, report)
-    raise ConstructionError(
-        f"no perfect packing of X'({r},{r}) found; this would falsify the r={r} case")
+    # any disjoint pick is a perfect code: 2^r r!^2 / 2r spheres of 2r
+    # vertices each, all inside X', which has 2^r r!^2 vertices
+    centers = next(_disjoint_picks(_xprime_options(tree)))
+    cert = PackingCertificate(n=tree.n, kind="one_sphere", centers=sorted(centers),
+                              r=r, t=r, numbering=RENUMBERED, base_subgraph=comps)
+    report = verify_on_subgraph(tree, cert, comps)
+    assert report.is_eset, f"the X'({r},{r}) pick is not a perfect code"
+    return Construction(cert, report)
 
 
 # ---------------------------------------------------------------------------
@@ -283,10 +280,10 @@ def nonuniform_extension(r: int, stage: str = "final") -> Construction:
 
     type0 = _xprime_options(tree)
     residual = [_local_configs(tree, c, per_comp) for c in comps]
-    pick = next(_disjoint_picks(type0 + residual, set()), None)
+    pick = next(_disjoint_picks(type0 + residual), None)
     if pick is None:
         # fall back to the base code alone; honest shortfall report
-        pick = next(_disjoint_picks(type0, set()))
+        pick = next(_disjoint_picks(type0))
     # the X' code has one center per 2r-vertex sphere; the rest is residual
     split = xprime_size // (2 * r)
     best = sorted(pick[:split]) + sorted(pick[split:])

@@ -1,14 +1,16 @@
 """Exhaustive decision and optimization searches.
 
 E-set existence is an exact cover problem: the universe is all n!
-vertices and the candidate sets are the closed 1-spheres.  Solved by
-iterative Algorithm X with minimum-remaining-candidates column
-selection on two bytearrays: one live flag per row and one live-row
-count per column, in which a covered column carries the mark
-``_COVERED``, so the first uncovered column of the smallest size is one
-``bytearray.find`` per size value.  Selecting a row kills the live rows
-that meet its columns; there is no unselect.  A level that branches
-snapshots both arrays with ``bytes`` and backtracking copies them back.
+vertices and the candidate sets are the closed 1-spheres.  Its one
+input is the sphere table, read both as rows and as columns (closed
+spheres are symmetric; see ``_ExactCover``).  Solved by iterative
+Algorithm X with minimum-remaining-candidates column selection on two
+bytearrays: one live flag per row and one live-row count per column, in
+which a covered column carries the mark ``_COVERED``, so the first
+uncovered column of the smallest size is one ``bytearray.find`` per
+size value.  Selecting a row kills the live rows that meet its columns;
+there is no unselect.  A level that branches snapshots both arrays
+with ``bytes`` and backtracking copies them back.
 The right-translation symmetry lets the search fix the identity as a
 center (any E-set translates to one whose spheres include the identity
 as a center), and absence under that reduction is absence outright.
@@ -56,7 +58,7 @@ _COUNT_MAX_N = 5
 
 # an exact-cover column's size byte while the column is covered; an
 # uncovered column's live-row count is always smaller (a vertex lies in
-# exactly n closed spheres)
+# exactly n <= 7 closed spheres)
 _COVERED = 128
 
 
@@ -110,42 +112,33 @@ def _sphere_ranks(tree: TranspositionTree) -> list[list[int]]:
 
 
 class _ExactCover:
-    """Exact cover over a 0/1 membership matrix, backtracked by snapshots.
+    """Exact cover of the vertices by closed spheres, backtracked by snapshots.
 
-    ``rows[r]`` lists row r's columns and ``col_rows[c]`` column c's rows,
-    both ascending; ``col_rows`` defaults to the transpose of ``rows``
-    (a closed-sphere table is its own transpose).  ``live[r]`` is 1 while
-    row r meets no covered column, and ``size[c]`` is column c's count of
-    live rows, or exactly ``_COVERED`` once c is covered.  Columns must
-    have fewer than ``_COVERED`` rows.
+    ``spheres[v]`` lists the ranks in the closed sphere of vertex v,
+    ascending.  It is read both as row v (the vertices sphere v covers)
+    and as column v (the spheres that cover vertex v): u lies in the
+    sphere of v exactly when v lies in the sphere of u, so the table is
+    its own transpose.  ``live[r]`` is 1 while sphere r meets no covered
+    vertex, and ``size[c]`` is vertex c's count of live spheres, or
+    exactly ``_COVERED`` once c is covered.
     """
 
-    def __init__(self, num_cols: int, rows: list[list[int]],
-                 col_rows: list[list[int]] | None = None):
-        if col_rows is None:
-            col_rows = [[] for _ in range(num_cols)]
-            for r, cols in enumerate(rows):
-                for c in cols:
-                    col_rows[c].append(r)
-        most = max(map(len, col_rows), default=0)
-        if most >= _COVERED:
-            raise ValueError(f"a column has {most} rows; at most {_COVERED - 1} allowed")
-        self.rows = rows
-        self.col_rows = col_rows
-        self.size = bytearray(map(len, col_rows))
-        self.live = bytearray(b"\1") * len(rows)
+    def __init__(self, spheres: list[list[int]]):
+        self.spheres = spheres
+        self.size = bytearray(map(len, spheres))
+        self.live = bytearray(b"\1") * len(spheres)
 
     def select_row(self, row: int) -> None:
         """Put live row ``row`` in the cover: cover each of its columns,
         killing every live row that meets one.  A dead row's columns lose
         one live row each, so a covered column drops to 0 and then
         carries ``_COVERED``; no live row meets it afterwards."""
-        rows, col_rows, size, live = self.rows, self.col_rows, self.size, self.live
-        for c in rows[row]:
-            for w in col_rows[c]:
+        spheres, size, live = self.spheres, self.size, self.live
+        for c in spheres[row]:
+            for w in spheres[c]:
                 if live[w]:
                     live[w] = 0
-                    for d in rows[w]:
+                    for d in spheres[w]:
                         size[d] -= 1
             size[c] = _COVERED
 
@@ -164,7 +157,7 @@ class _ExactCover:
         so a deep, nearly forced path costs no memory per level.
         ``self.nodes`` counts branches.
         """
-        rows, col_rows, size, live = self.rows, self.col_rows, self.size, self.live
+        spheres, size, live = self.spheres, self.size, self.live
         find = size.find
         select = self.select_row
         self.nodes = 0
@@ -183,7 +176,7 @@ class _ExactCover:
                     best = find(k)
                 if k:
                     self.nodes += 1
-                    picks = [w for w in col_rows[best] if live[w]]
+                    picks = [w for w in spheres[best] if live[w]]
                     row = picks[0]
                     if k > 1:
                         branches.append((len(chosen), picks[:0:-1], bytes(size), bytes(live),
@@ -202,7 +195,7 @@ class _ExactCover:
                 del chosen[depth:]
             chosen.append(row)
             select(row)
-            uncovered -= len(rows[row])
+            uncovered -= len(spheres[row])
 
 
 def _cert_from_ranks(tree: TranspositionTree, ranks) -> PackingCertificate:
@@ -217,8 +210,7 @@ def find_eset(tree: TranspositionTree, symmetry: bool = True) -> SearchOutcome:
     """Decide whether the Cayley graph has an efficient dominating set."""
     if tree.n > _MAX_N:
         raise ValueError(f"n={tree.n} too large: {math.factorial(tree.n)} vertices")
-    spheres = _sphere_ranks(tree)
-    cover = _ExactCover(len(spheres), spheres, spheres)
+    cover = _ExactCover(_sphere_ranks(tree))
     # the identity has lex rank 0
     forced = [0] if symmetry else []
     for v in forced:
@@ -236,8 +228,7 @@ def count_esets(tree: TranspositionTree) -> int:
     """Number of distinct E-sets, by exhaustive exact-cover enumeration."""
     if tree.n > _COUNT_MAX_N:
         raise ValueError(f"n={tree.n} too large for exhaustive enumeration")
-    spheres = _sphere_ranks(tree)
-    return sum(1 for _ in _ExactCover(len(spheres), spheres, spheres).solve())
+    return sum(1 for _ in _ExactCover(_sphere_ranks(tree)).solve())
 
 
 def _branch_and_bound(cand: int, conflict: list[int], comp_masks: list[int], cap: int,

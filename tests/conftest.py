@@ -9,6 +9,7 @@ import sys
 import pytest
 from hypothesis import settings
 
+from permpack.cayley import TranspositionTree
 from permpack.johnson import ExactSubgraph, expand_cc, make_subgraph
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -62,6 +63,18 @@ def nest_g46() -> ExactSubgraph:
     edges += [((1, 2, 3, 5), (1, 2, 4, 5)), ((3, 4, 5, 1), (3, 4, 6, 1)),
               ((5, 6, 1, 3), (2, 3, 5, 6))]
     return make_subgraph([(frozenset(a), frozenset(b)) for a, b in edges], kind="nest")
+
+
+def placed_x3(r, t, hub_left, hub_right) -> TranspositionTree:
+    """X3(r,t) with the hubs at positions hub_left <= r < hub_right; every
+    other position of a side is a leaf of that side's hub.  The same
+    r*t placements as the benchmark's relabelled trees."""
+    n = r + t
+    edges = [(hub_left, hub_right)]
+    edges += [tuple(sorted((v, hub_left))) for v in range(1, r + 1) if v != hub_left]
+    edges += [tuple(sorted((v, hub_right))) for v in range(r + 1, n + 1) if v != hub_right]
+    return TranspositionTree(n=n, edges=tuple(sorted(edges)), epsilon=(hub_left, hub_right),
+                             r=r, t=t)
 
 
 @contextlib.contextmanager

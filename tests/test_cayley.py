@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import permpack
+from conftest import placed_x3
 from permpack.cayley import (ORIGINAL, RENUMBERED, TranspositionTree, all_components,
                              build_tree, closed_sphere, component_of,
                              component_type, enumerate_component,
@@ -52,6 +53,56 @@ def test_tree_rejects_edge_sets_that_are_not_trees(n, edges):
         TranspositionTree(n=n, edges=edges)
 
 
+@pytest.mark.parametrize("n, edges, layout, why", [
+    # a path: t = 1, and ε splits it into the sides {1, 2} and {3, 4}
+    (4, ((1, 2), (2, 3), (3, 4)), dict(epsilon=(2, 3), r=3, t=1), "hub degrees"),
+    # hub degrees 3 and 2, but the hub-3 side is {1, 2, 4}, not 1..3
+    (5, ((1, 4), (2, 4), (3, 5), (4, 5)), dict(epsilon=(4, 5), r=3, t=2), "hub-r side"),
+    # the hub-2 side is {2, 4}
+    (4, ((1, 3), (2, 3), (2, 4)), dict(epsilon=(2, 3), r=2, t=2), "hub-r side"),
+    # r without t
+    (4, ((1, 2), (2, 3), (3, 4)), dict(epsilon=(2, 3), r=2), "together"),
+    # diameter 4: the edge (4, 5) touches no hub
+    (5, ((1, 2), (2, 3), (3, 4), (4, 5)), dict(epsilon=(2, 3), r=2, t=3), "touches no hub"),
+])
+def test_tree_rejects_a_wrong_hub_layout(n, edges, layout, why):
+    with pytest.raises(ValueError, match=why):
+        TranspositionTree(n=n, edges=edges, **layout)
+
+
+@pytest.mark.parametrize("r, t", [(4, 2), (3, 3), (2, 2), (5, 3), (6, 3)])
+def test_tree_accepts_every_hub_placement(r, t):
+    # every hub_left <= r < hub_right, as in the benchmark's trees
+    for hub_left in range(1, r + 1):
+        for hub_right in range(r + 1, r + t + 1):
+            tree = placed_x3(r, t, hub_left, hub_right)
+            assert (tree.hub_left, tree.hub_right) == (hub_left, hub_right)
+            assert tree_diameter(tree.n, tree.edges) == 3
+
+
+def _reference_build_tree(r, t, numbering):
+    """(edges, epsilon) of X3(r,t) from explicit per-numbering leaf ranges."""
+    n = r + t
+    if numbering == ORIGINAL:
+        hub_l, hub_r, left_leaves = r, r + 1, range(1, r)
+    else:
+        hub_l, hub_r, left_leaves = 1, r + 1, range(2, r + 1)
+    edges = [(hub_l, hub_r)]
+    edges += [tuple(sorted((v, hub_l))) for v in left_leaves]
+    edges += [tuple(sorted((v, hub_r))) for v in range(r + 2, n + 1)]
+    return tuple(sorted(edges)), (hub_l, hub_r)
+
+
+@pytest.mark.parametrize("numbering", [ORIGINAL, RENUMBERED])
+def test_build_tree_matches_leaf_ranges(numbering):
+    for r in range(2, 9):
+        for t in range(2, 8):
+            tree = build_tree(r, t, numbering)
+            edges, epsilon = _reference_build_tree(r, t, numbering)
+            assert (tree.edges, tree.epsilon) == (edges, epsilon)
+            assert (tree.hub_left, tree.hub_right) == epsilon
+
+
 def test_build_tree_rejects_degenerate_hubs():
     with pytest.raises(ValueError):
         build_tree(1, 3)
@@ -86,6 +137,14 @@ def test_graph_distance_small():
     assert graph_distance(tree, (1, 2, 3, 4), (1, 2, 3, 4)) == 0
     assert graph_distance(tree, (1, 2, 3, 4), (2, 1, 3, 4)) == 1
     assert graph_distance(tree, (1, 2, 3, 4), (2, 1, 4, 3)) == 2
+
+
+def test_graph_distance_rejects_non_vertices():
+    tree = build_tree(2, 2)
+    for g, h in [((1, 2, 3, 4), (1, 2, 3)), ((1, 2, 3, 4), (1, 1, 3, 4)),
+                 ((1, 2, 3), (1, 2, 3, 4))]:
+        with pytest.raises(ValueError):
+            graph_distance(tree, g, h)
 
 
 def test_components_partition():

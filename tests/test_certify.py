@@ -113,6 +113,13 @@ def test_verify_on_subgraph_counts_against_component_sizes():
     assert rep.valid and rep.is_eset and rep.covered_count == 288
 
 
+def test_verify_on_subgraph_needs_components():
+    # a star has no components; refused before any sphere is built
+    cert = PackingCertificate(n=4, kind="one_sphere", centers=[])
+    with pytest.raises(ValueError, match="components defined only for diameter-3 trees"):
+        verify_on_subgraph(star_tree(4), cert, [])
+
+
 def test_verify_on_subgraph_blames_the_overlapping_sphere():
     # 124356 lies outside the X' components; the overlap that follows is
     # 213456's, not that of the certificate's second center

@@ -41,8 +41,8 @@ def test_verify_fixture_uniform(capsys):
 def test_verify_failure_exits_1(tmp_path, capsys):
     with open(FIXTURES / "x22_eset_5_6.json") as fh:
         cert = json.load(fh)
-    cert["centers"][1] = cert["centers"][0][:2] + cert["centers"][0][:2][::-1]
-    # overlapping spheres: tamper by duplicating a center's neighborhood
+    # 2134 is the neighbour of the center 1234 across the tree edge (1, 2),
+    # so its sphere and 1234's share both vertices
     cert["centers"][1] = "2134"
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(cert))
@@ -96,6 +96,16 @@ def test_search_maxpack_rejects_nonpositive_budget(capsys, budget):
     # error, not an empty best-effort certificate or no time limit at all
     assert run(["search", "maxpack", "--tree", "2,2", "--budget", budget]) == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("budget", ["abcm", "0m", "5x"])
+def test_search_maxpack_bad_budget_is_quoted_as_given(capsys, budget):
+    # the message quotes the whole option, unit included, and names the
+    # seconds, "s" and "m" forms
+    assert run(["search", "maxpack", "--tree", "2,2", "--budget", budget]) == 2
+    err = capsys.readouterr().err
+    assert repr(budget) in err
+    assert all(form in err for form in ("60", "60s", "1m"))
 
 
 def test_construct_verify_roundtrip(tmp_path, capsys):

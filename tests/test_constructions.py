@@ -17,7 +17,7 @@ from permpack.certify import (PackingCertificate, cert_to_dict, uniformity_check
                               verify_eset, verify_on_subgraph, verify_packing)
 from permpack.cli import run
 from permpack.constructions import (ConstructionError, _component_centers,
-                                    hub_slice, nonuniform_extension, partner,
+                                    _disjoint_picks, _xprime_options, hub_slice, nonuniform_extension, partner,
                                     puncture_attempt, star_eset,
                                     table_T, table_row, uniform_from_exact,
                                     xprime_components, xprime_perfect_code)
@@ -116,6 +116,19 @@ def test_component_centers_match_reference(r):
         for flag in ("even", "odd"):
             assert (_component_centers(tree, values, flag)
                     == _reference_component_centers(tree, values, flag))
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_every_xprime_pick_is_a_perfect_code(r):
+    # xprime_perfect_code takes the first pick and does not retry
+    tree = build_tree(r, r, RENUMBERED)
+    comps = xprime_components(r)
+    picks = list(_disjoint_picks(_xprime_options(tree)))
+    assert picks
+    for centers in picks:
+        cert = PackingCertificate(n=tree.n, kind="one_sphere", centers=sorted(centers),
+                                  r=r, t=r, numbering=RENUMBERED, base_subgraph=comps)
+        assert verify_on_subgraph(tree, cert, comps).is_eset
 
 
 def test_xprime_perfect_code_r2():

@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import nest_g35, shallow_stack
+from conftest import nest_g35, placed_x3, shallow_stack
 from permpack import search
-from permpack.cayley import RENUMBERED, TranspositionTree, build_tree, neighbors, star_tree
+from permpack.cayley import RENUMBERED, build_tree, neighbors, star_tree
 from permpack.certify import verify_packing
 from permpack.cli import run
 from permpack.constructions import (_disjoint_picks, nonuniform_extension,
@@ -51,22 +51,11 @@ def test_find_eset_reduction_soundness():
             find_eset(tree, symmetry=False).status
 
 
-def _placed_x3(r, t, hub_left, hub_right):
-    # X3(r,t) with the hubs at positions hub_left <= r < hub_right; every
-    # other position of a side is a leaf of that side's hub
-    n = r + t
-    edges = [(hub_left, hub_right)]
-    edges += [tuple(sorted((v, hub_left))) for v in range(1, r + 1) if v != hub_left]
-    edges += [tuple(sorted((v, hub_right))) for v in range(r + 1, n + 1) if v != hub_right]
-    return TranspositionTree(n=n, edges=tuple(sorted(edges)), epsilon=(hub_left, hub_right),
-                             r=r, t=t)
-
-
 def test_sphere_table_matches_lex_rank():
     # the table is built column by column from the tree's edge list, so
     # relabelled trees with other edge lists are checked too
     for tree in (star_tree(5), star_tree(5, 3), build_tree(3, 2),
-                 _placed_x3(4, 2, 2, 5), _placed_x3(3, 3, 3, 6)):
+                 placed_x3(4, 2, 2, 5), placed_x3(3, 3, 3, 6)):
         table = _sphere_ranks(tree)
         for v, g in enumerate(all_perms(tree.n)):
             expected = sorted([lex_rank(g)] + [lex_rank(h) for _, h in neighbors(tree, g)])
@@ -94,7 +83,7 @@ def test_cert_from_ranks_matches_unranking():
 def test_find_eset_leaves_the_tables_unchanged():
     # the tables are shared by every call: each sphere table is the
     # caller's own, and a second search returns the same outcome
-    for tree in (star_tree(7, 4), _placed_x3(3, 3, 2, 5)):
+    for tree in (star_tree(7, 4), placed_x3(3, 3, 2, 5)):
         first = find_eset(tree)
         _sphere_ranks(tree)[0].append(-1)
         assert find_eset(tree) == first
@@ -158,35 +147,42 @@ def _algorithm_x(num_cols, rows):
 
 
 @st.composite
-def _matrices(draw):
-    num_cols = draw(st.integers(0, 8))
-    rows = draw(st.lists(st.sets(st.integers(0, num_cols - 1)) if num_cols else st.just(set()),
-                         max_size=12))
-    return num_cols, rows
+def _closed_neighbourhoods(draw):
+    """The closed-neighbourhood table of a random graph on at most 12
+    vertices: the shape of the sphere table find_eset sends."""
+    n = draw(st.integers(0, 12))
+    table = [{v} for v in range(n)]
+    for u in range(n):
+        for v in range(u + 1, n):
+            if draw(st.booleans()):
+                table[u].add(v)
+                table[v].add(u)
+    return table
 
 
-@given(_matrices())
-def test_dancing_links_matches_algorithm_x(matrix):
+@given(_closed_neighbourhoods())
+def test_dancing_links_matches_algorithm_x(table):
     # same solutions in the same order and the same branch count as the
-    # reference, which pins the column choice and the row order
-    num_cols, rows = matrix
-    solutions, nodes = _algorithm_x(num_cols, rows)
-    dlx = _ExactCover(num_cols, [sorted(r) for r in rows])
+    # reference, which pins the column choice and the row order; the
+    # exact covers of a closed-neighbourhood table are the perfect codes
+    solutions, nodes = _algorithm_x(len(table), table)
+    dlx = _ExactCover([sorted(nbhd) for nbhd in table])
     assert list(dlx.solve()) == solutions
     assert dlx.nodes == nodes
+    for code in solutions:
+        assert all(len(nbhd.intersection(code)) == 1 for nbhd in table)
 
 
 @pytest.mark.parametrize("tree", [star_tree(4), build_tree(2, 2), build_tree(2, 2, RENUMBERED)],
                          ids=["s4", "x22", "x22-renumbered"])
 def test_exact_cover_matches_algorithm_x_on_sphere_tables(tree):
-    # find_eset passes the sphere table as its own column lists (closed
-    # spheres are symmetric); the transpose built from the rows must agree
+    # the sphere table is read as its own column lists (closed spheres
+    # are symmetric)
     spheres = _sphere_ranks(tree)
     solutions, nodes = _algorithm_x(len(spheres), [set(s) for s in spheres])
-    for cover in (_ExactCover(len(spheres), spheres, spheres),
-                  _ExactCover(len(spheres), spheres)):
-        assert list(cover.solve()) == solutions
-        assert cover.nodes == nodes
+    cover = _ExactCover(spheres)
+    assert list(cover.solve()) == solutions
+    assert cover.nodes == nodes
 
 
 def test_exact_cover_memory_on_a_deep_path():
@@ -196,21 +192,13 @@ def test_exact_cover_memory_on_a_deep_path():
     spheres = _sphere_ranks(star_tree(7))
     tracemalloc.start()
     try:
-        cover = _ExactCover(len(spheres), spheres, spheres)
+        cover = _ExactCover(spheres)
         solution = next(cover.solve())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert len(solution) == 720
     assert peak < 2 * 2**20
-
-
-def test_dancing_links_column_size_limit():
-    # column sizes are bytes with a covered mark of 128 added on top
-    dlx = _ExactCover(1, [[0]] * 127)
-    assert sum(1 for _ in dlx.solve()) == 127
-    with pytest.raises(ValueError):
-        _ExactCover(1, [[0]] * 128)
 
 
 def test_find_eset_leaves_no_cyclic_garbage():
@@ -236,7 +224,7 @@ def test_searches_do_not_recurse_per_level():
     # neither may spend a Python frame per level
     with shallow_stack():
         assert find_eset(star_tree(6)).status == FOUND
-        pick = next(_disjoint_picks([[((k,), {k})] for k in range(300)], set()))
+        pick = next(_disjoint_picks([[((k,), {k})] for k in range(300)]))
     assert len(pick) == 300
 
 
@@ -257,7 +245,7 @@ _PLACED_X3_NODES = [
     (3, 3, 3, 4, 792, 4419), (3, 3, 3, 5, 658, 4265), (3, 3, 3, 6, 666, 4312),
 ]
 _PLACED_X3_CASES = [
-    pytest.param(_placed_x3(r, t, hl, hr), sym, _golden_digest(NONE_EXHAUSTIVE, nodes, None),
+    pytest.param(placed_x3(r, t, hl, hr), sym, _golden_digest(NONE_EXHAUSTIVE, nodes, None),
                  nodes, id=f"x{r}{t}-hubs{hl}{hr}" + ("" if sym else "-nosym"))
     for r, t, hl, hr, *counts in _PLACED_X3_NODES for sym, nodes in zip((True, False), counts)]
 
