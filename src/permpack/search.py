@@ -8,9 +8,10 @@ Algorithm X with minimum-remaining-candidates column selection on two
 bytearrays: one live flag per row and one live-row count per column, in
 which a covered column carries the mark ``_COVERED``, so the first
 uncovered column of the smallest size is one ``bytearray.find`` per
-size value.  Selecting a row kills the live rows that meet its columns;
-there is no unselect.  A level that branches snapshots both arrays
-with ``bytes`` and backtracking copies them back.
+size value.  Selecting a row kills the live rows that meet its columns,
+itself first and without decrements, since its own columns are all
+covered; there is no unselect.  A level that branches snapshots both
+arrays with ``bytes`` and backtracking copies them back.
 The right-translation symmetry lets the search fix the identity as a
 center (any E-set translates to one whose spheres include the identity
 as a center), and absence under that reduction is absence outright.
@@ -28,11 +29,15 @@ permutations and at most C(7, 2) = 21 columns.
 Maximum 1-sphere packing is branch and bound over center sets; sphere
 disjointness is equivalent to pairwise distance >= 3, so this is a
 maximum independent set in the distance-<=2 conflict graph, bounded
-per component.  The bound is carried down the search tree: each stack
-entry holds its per-component candidate counts, and a child updates
-only the components its branch vertex reaches.  The per-component cap
-comes from the same search on one component with one vertex forced in,
-which vertex-transitivity of a component makes sound.
+per component.  The bound is carried down the search tree: each node
+holds its per-component candidate counts, and a child updates only the
+components its branch vertex reaches.  A node's take child is expanded
+in place, so the stack holds only skip children, and the path to a
+node is a linked (vertex, parent path) pair, made a list only when the
+search returns.  Each conflict mask is the union of the sphere masks
+of the vertices in one sphere.  The per-component cap comes from the
+same search on one component with one vertex forced in, which
+vertex-transitivity of a component makes sound.
 """
 
 from __future__ import annotations
@@ -40,9 +45,10 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, reduce
+from operator import or_
 
-from .cayley import TranspositionTree, all_components, component_of, edge_getters
+from .cayley import TranspositionTree, all_components, edge_getters
 from .certify import PackingCertificate, verify_eset, verify_packing
 from .perms import Perm, all_perms
 
@@ -130,10 +136,13 @@ class _ExactCover:
 
     def select_row(self, row: int) -> None:
         """Put live row ``row`` in the cover: cover each of its columns,
-        killing every live row that meets one.  A dead row's columns lose
-        one live row each, so a covered column drops to 0 and then
-        carries ``_COVERED``; no live row meets it afterwards."""
+        killing every live row that meets one.  A killed row's columns
+        lose one live row each, and a covered column then carries
+        ``_COVERED``; no live row meets it afterwards.  ``row`` itself is
+        killed first, without decrements: it lies only in its own
+        columns, which all end up covered."""
         spheres, size, live = self.spheres, self.size, self.live
+        live[row] = 0
         for c in spheres[row]:
             for w in spheres[c]:
                 if live[w]:
@@ -241,16 +250,20 @@ def _branch_and_bound(cand: int, conflict: list[int], comp_masks: list[int], cap
     least the largest independent set inside any one component; with
     ``cap`` the component size it is the candidate count.
 
-    Iterative depth-first search over an explicit stack, in preorder:
-    take the lowest candidate first, then skip it.  A node is pruned when
-    its depth plus its bound cannot beat the incumbent.  Each stack entry
-    carries its per-component candidate counts and bound, derived from
-    its parent's: skipping v lowers v's component count by 1, and taking
-    v lowers the count of each component j that ``conflict[v]`` meets by
-    the candidates in ``conflict[v] & comp_masks[j]``.  Returns (best
-    ranks, nodes expanded, exhaustive); the search stops before
-    expanding node ``node_budget + 1`` or once ``time.monotonic()``
-    passes ``deadline``.
+    Iterative depth-first search in preorder: take the lowest candidate
+    first, then skip it.  A node is pruned when its depth plus its bound
+    cannot beat the incumbent.  An expanded node pushes its skip child
+    and goes on to its take child in place, so the explicit stack holds
+    only skip children.  Each node carries its per-component candidate
+    counts and bound, derived from its parent's: skipping v lowers v's
+    component count by 1, and taking v lowers the count of each
+    component j that ``conflict[v]`` meets by the candidates in
+    ``conflict[v] & comp_masks[j]``.  The path to a node is a linked
+    pair (last vertex taken, path to the parent), None at the root,
+    which every node below shares; the best one becomes a list only on
+    return.  Returns (best ranks in the order taken, nodes expanded,
+    exhaustive); the search stops before expanding node
+    ``node_budget + 1`` or once ``time.monotonic()`` passes ``deadline``.
     """
     # home[v]: v's component index; parts[v]: (j, conflict[v] & comp_masks[j])
     # for each component j that conflict[v] meets, over the candidates v
@@ -267,62 +280,67 @@ def _branch_and_bound(cand: int, conflict: list[int], comp_masks: list[int], cap
     counts = [(cand & mask).bit_count() for mask in comp_masks]
     bound = sum(min(cap, c) for c in counts)
 
-    best: list[int] = []
-    chosen: list[int] = []
-    nodes = 0
-    # (candidates, depth of the parent, vertex taken on the way here or None,
-    #  candidates per component, bound); each entry owns its counts list
-    stack = [(cand, 0, None, counts, bound)]
+    best = None
+    best_depth = nodes = 0
+    # skip children: (candidates, path, depth, candidates per component,
+    # bound); each entry owns its counts list
+    stack = [(cand, None, 0, counts, bound)]
     while stack:
-        if nodes >= node_budget or (deadline is not None and time.monotonic() > deadline):
-            return best, nodes, False
-        nodes += 1
-        cand, depth, v, counts, bound = stack.pop()
-        del chosen[depth:]
-        if v is not None:
-            chosen.append(v)
-            depth += 1
-        if depth > len(best):
-            best = chosen[:]
-        if depth + bound <= len(best):
-            continue
-        b = cand & -cand
-        v = b.bit_length() - 1
-        taken = counts[:]
-        take_bound = bound
-        for j, part in parts[v]:
-            c = taken[j]
-            left = c - (cand & part).bit_count()
-            taken[j] = left
-            if left < cap:
-                take_bound -= (c if c < cap else cap) - left
-        j = home[v]
-        if counts[j] <= cap:
-            bound -= 1
-        counts[j] -= 1
-        stack.append((cand ^ b, depth, None, counts, bound))
-        stack.append((cand & ~conflict[v], depth, v, taken, take_bound))
-    return best, nodes, True
+        cand, path, depth, counts, bound = stack.pop()
+        while True:
+            if nodes >= node_budget or (deadline is not None and time.monotonic() > deadline):
+                return _unlink(best), nodes, False
+            nodes += 1
+            if depth > best_depth:
+                best, best_depth = path, depth
+            if depth + bound <= best_depth:
+                break
+            b = cand & -cand
+            v = b.bit_length() - 1
+            taken = counts[:]
+            take_bound = bound
+            for j, part in parts[v]:
+                c = taken[j]
+                left = c - (cand & part).bit_count()
+                taken[j] = left
+                if left < cap:
+                    take_bound -= (c if c < cap else cap) - left
+            j = home[v]
+            if counts[j] <= cap:
+                bound -= 1
+            counts[j] -= 1
+            stack.append((cand ^ b, path, depth, counts, bound))
+            cand, path, depth, counts, bound = (cand & ~conflict[v], (v, path), depth + 1,
+                                                taken, take_bound)
+    return _unlink(best), nodes, True
+
+
+def _unlink(path) -> list[int]:
+    """The vertices of a linked (v, parent) path, root first."""
+    out = []
+    while path is not None:
+        v, path = path
+        out.append(v)
+    out.reverse()
+    return out
 
 
 def _packing_graph(tree: TranspositionTree) -> tuple[list[int], list[int]]:
     """(conflict, comp_masks) over lex ranks: conflict[v] is the bitmask
-    of vertices at distance <= 2 from v (their spheres meet v's), and
-    comp_masks holds one bitmask per component (the whole graph for a
-    star)."""
+    of vertices at distance <= 2 from v (their spheres meet v's), the
+    union of the sphere masks over v's sphere, and comp_masks holds one
+    bitmask per component in ``all_components`` order (the whole graph
+    for a star)."""
     spheres = _sphere_ranks(tree)
-    conflict = []
-    for sph in spheres:
-        m = 0
-        for u in sph:
-            for w in spheres[u]:
-                m |= 1 << w
-        conflict.append(m)
+    masks = [reduce(or_, map((1).__lshift__, sph)) for sph in spheres]
+    conflict = [reduce(or_, map(masks.__getitem__, sph)) for sph in spheres]
     if tree.r is None:
         return conflict, [(1 << len(spheres)) - 1]
+    r = tree.r
     comp_mask = dict.fromkeys(all_components(tree), 0)
     for v, g in enumerate(_lex_table(tree.n)[0]):
-        comp_mask[component_of(tree, g)] |= 1 << v
+        # component_of(tree, g): the values at positions 1..r
+        comp_mask[frozenset(g[:r])] |= 1 << v
     return conflict, list(comp_mask.values())
 
 
@@ -366,10 +384,15 @@ def max_packing(tree: TranspositionTree, node_budget: int = 2_000_000,
     ``upper_bound``, so a stopped search that reached the bound is
     reported optimal; ``wall_budget_exceeded`` still says that it
     stopped.  The verifier re-checks the packing before it is returned.
-    Degrees above 7 are refused before any set-up.
+    Degrees above 7, a ``node_budget`` below 1 and a ``time_budget``
+    that is not positive are refused before any set-up.
     """
     if tree.n > _MAX_N:
         raise ValueError(f"n={tree.n} too large: {math.factorial(tree.n)} vertices")
+    if node_budget < 1:
+        raise ValueError(f"node_budget must be positive, got {node_budget}")
+    if time_budget is not None and not time_budget > 0:
+        raise ValueError(f"time_budget must be positive, got {time_budget}")
     conflict, comp_masks = _packing_graph(tree)
     deadline = None if time_budget is None else time.monotonic() + time_budget
 

@@ -8,7 +8,11 @@ off an imported permpack module must resolve in the current package.
 
 import ast
 import importlib
+import json
+import os
 import pathlib
+import subprocess
+import sys
 import types
 
 import pytest
@@ -99,3 +103,16 @@ def test_traced_functions_exist():
     for modname, fname in pairs:
         assert callable(getattr(importlib.import_module(f"permpack.{modname}"), fname, None)), (
             f"perfbench traces permpack.{modname}.{fname}, which does not exist")
+
+
+def test_cli_import_loads_every_traced_module():
+    # the tracer of the CLI workload wraps sys.modules["permpack." + mod]
+    # right after `import permpack.cli`, so that import must load each
+    # traced module itself
+    src = pathlib.Path(importlib.import_module("permpack").__file__).resolve().parent.parent
+    code = "import json, sys, permpack.cli; print(json.dumps(sorted(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), check=True)
+    loaded = set(json.loads(proc.stdout))
+    missing = {f"permpack.{mod}" for mod, _ in _traced_pairs()} - loaded
+    assert not missing, f"import permpack.cli leaves {sorted(missing)} unloaded"

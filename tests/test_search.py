@@ -3,9 +3,11 @@
 import functools
 import gc
 import hashlib
+import itertools
 import json
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -13,7 +15,8 @@ from hypothesis import strategies as st
 
 from conftest import nest_g35, placed_x3, shallow_stack
 from permpack import search
-from permpack.cayley import RENUMBERED, build_tree, neighbors, star_tree
+from permpack.cayley import (RENUMBERED, all_components, build_tree, closed_sphere,
+                             component_of, neighbors, star_tree)
 from permpack.certify import verify_packing
 from permpack.cli import run
 from permpack.constructions import (_disjoint_picks, nonuniform_extension,
@@ -351,11 +354,28 @@ def test_max_packing_budget_bounds_whole_search(tree, bound, status):
     assert (len(out.certificate.centers) == bound) == (status == FOUND)
 
 
+# every hub placement of the maxpack-bnb benchmark's X3(4,2) and X3(3,3)
+# trees at node_budget 20 000: (r, t, hub_left, hub_right, digest of
+# status, nodes and centers)
+_PLACED_X3_PACKINGS = [
+    (4, 2, 1, 5, "8fecafb420b28dcf"), (4, 2, 1, 6, "548ddc5c14ad62d5"),
+    (4, 2, 2, 5, "c975e707ca0c6b52"), (4, 2, 2, 6, "a243809c7b3a2bce"),
+    (4, 2, 3, 5, "f2dd78e47e01e5d5"), (4, 2, 3, 6, "fe95fbb357444177"),
+    (4, 2, 4, 5, "8ed2ba441dd22d7c"), (4, 2, 4, 6, "97759a0729bff9af"),
+    (3, 3, 1, 4, "7a4b913eea9b2d0a"), (3, 3, 1, 5, "d4544c0f148582e9"),
+    (3, 3, 1, 6, "b0efe96122eb5cf3"), (3, 3, 2, 4, "55b10b4490cedc59"),
+    (3, 3, 2, 5, "bbe2c3b720e605ae"), (3, 3, 2, 6, "f60b598d9d695d2e"),
+    (3, 3, 3, 4, "bcce484cbd2c0238"), (3, 3, 3, 5, "716697928d824507"),
+    (3, 3, 3, 6, "fdb4d6ee759531da"),
+]
+
+
 @pytest.mark.parametrize("tree, digest", [
-    (build_tree(3, 3), "bcce484cbd2c0238"),
-    (build_tree(3, 3, numbering=RENUMBERED), "7a4b913eea9b2d0a"),
-    (build_tree(4, 2, numbering=RENUMBERED), "8fecafb420b28dcf"),
-], ids=["x33", "x33-renumbered", "x42-renumbered"])
+    pytest.param(build_tree(3, 3), "bcce484cbd2c0238", id="x33"),
+    pytest.param(build_tree(3, 3, numbering=RENUMBERED), "7a4b913eea9b2d0a", id="x33-renumbered"),
+    pytest.param(build_tree(4, 2, numbering=RENUMBERED), "8fecafb420b28dcf", id="x42-renumbered"),
+] + [pytest.param(placed_x3(r, t, hl, hr), digest, id=f"x{r}{t}-hubs{hl}{hr}")
+     for r, t, hl, hr, digest in _PLACED_X3_PACKINGS])
 def test_max_packing_golden(tree, digest):
     # status, node count and centers pin the preorder and the bound of the B&B
     out = max_packing(tree, node_budget=20000)
@@ -424,6 +444,58 @@ def test_incremental_bound_matches_recomputed(case):
     cand, conflict, comp_masks, cap, budget = case
     expected = _reference_branch_and_bound(cand, conflict, comp_masks, cap, budget)
     assert _branch_and_bound(cand, conflict, comp_masks, cap, budget, None) == expected
+
+
+def test_deadline_stops_where_the_node_budget_does(monkeypatch):
+    # a clock that ticks once per reading passes deadline k at the check
+    # before node k + 1, exactly where node_budget k stops the search
+    conflict, comp_masks = _packing_graph(placed_x3(3, 3, 2, 5))
+    first = comp_masks[0]
+    searches = [((1 << len(conflict)) - 1, comp_masks, 6), (first, [first], first.bit_count())]
+    for cand, masks, cap in searches:
+        for k in (0, 1, 2, 7, 100, 1234, 5000):
+            clock = SimpleNamespace(monotonic=itertools.count(1).__next__)
+            monkeypatch.setattr(search, "time", clock)
+            stopped = _branch_and_bound(cand, conflict, masks, cap, 10**9, k)
+            monkeypatch.undo()
+            assert stopped == _branch_and_bound(cand, conflict, masks, cap, k, None), (cap, k)
+
+
+def _reference_packing_graph(tree):
+    """(conflict, comp_masks) of ``_packing_graph`` from ``closed_sphere``
+    unions and ``component_of`` over ``Perm`` tuples."""
+    perms = list(all_perms(tree.n))
+    conflict = []
+    for g in perms:
+        ball = set().union(*(closed_sphere(tree, h) for h in closed_sphere(tree, g)))
+        conflict.append(sum(1 << lex_rank(h) for h in ball))
+    if tree.r is None:
+        return conflict, [(1 << len(perms)) - 1]
+    comps = [sum(1 << v for v, g in enumerate(perms) if component_of(tree, g) == c)
+             for c in all_components(tree)]
+    return conflict, comps
+
+
+@pytest.mark.parametrize("tree", [build_tree(2, 2), build_tree(3, 2),
+                                  build_tree(3, 2, RENUMBERED), placed_x3(3, 3, 2, 5),
+                                  star_tree(4)],
+                         ids=["x22", "x32", "x32-renumbered", "x33-hubs25", "s4"])
+def test_packing_graph_matches_closed_spheres(tree):
+    conflict, comp_masks = _packing_graph(tree)
+    assert (conflict, comp_masks) == _reference_packing_graph(tree)
+    # the component masks partition the vertices
+    assert sum(comp_masks) == (1 << math.factorial(tree.n)) - 1
+    assert sum(m.bit_count() for m in comp_masks) == math.factorial(tree.n)
+
+
+@pytest.mark.parametrize("budget", [{"node_budget": 0}, {"node_budget": -5},
+                                    {"time_budget": 0}, {"time_budget": -1},
+                                    {"time_budget": math.nan}],
+                         ids=["nodes-0", "nodes-neg", "time-0", "time-neg", "time-nan"])
+def test_max_packing_rejects_non_positive_budgets(monkeypatch, budget):
+    monkeypatch.setattr(search, "_packing_graph", _no_setup)
+    with pytest.raises(ValueError):
+        max_packing(build_tree(3, 2), **budget)
 
 
 def test_component_caps_agree():
