@@ -11,8 +11,11 @@ single disjointness rule for packings, all come from these columns.
 For a diameter-3 tree with hub degrees r and t, deleting the hub-hub
 edge splits the graph into C(n, r) components, one per r-subset of
 values occupying the hub-r-side positions 1..r; ``TranspositionTree``
-checks that layout when built.  One breadth-first search, ``_bfs``,
-serves the tree on 1..n and the Cayley graph (``graph_distance``).
+checks that layout when built.  ``packing_profile`` applies
+``packing_union`` one component at a time, so checking a packing never
+holds more than one component's union.  One breadth-first search,
+``_bfs``, serves the tree on 1..n and the Cayley graph
+(``graph_distance``).
 """
 
 from __future__ import annotations
@@ -179,6 +182,30 @@ def packing_union(tree: TranspositionTree, centers) -> set[Perm] | None:
     return covered if len(covered) == tree.n * len(centers) else None
 
 
+def packing_profile(tree: TranspositionTree, centers) -> dict[frozenset[int], list[Perm]] | None:
+    """The centers grouped by component (``centers_by_component``), or
+    None when two of their closed spheres meet; {} for a star, which has
+    no components and is checked by ``packing_union`` on the whole graph.
+
+    Each component's centers get their own ``packing_union``, and the
+    epsilon-neighbours of the centers elsewhere that land in the
+    component must miss it.  That is the whole check: a closed sphere
+    leaves its center's component only across epsilon, the hub-hub
+    edge, and two distinct centers never share an epsilon-neighbour.  So
+    no union larger than one component's is ever built.
+    """
+    if tree.r is None:
+        return None if packing_union(tree, centers) is None else {}
+    groups = centers_by_component(tree, centers)
+    across = edge_getters(tree)[tree.edges.index(tree.epsilon)]
+    incoming = centers_by_component(tree, list(map(across, centers)))
+    for comp, members in groups.items():
+        covered = packing_union(tree, members)
+        if covered is None or not covered.isdisjoint(incoming.get(comp, ())):
+            return None
+    return groups
+
+
 def graph_distance(tree: TranspositionTree, g: Perm, h: Perm) -> int:
     """Length of a shortest path; the search stops when it discovers h."""
     vertices = list(range(1, tree.n + 1))
@@ -194,6 +221,17 @@ def component_of(tree: TranspositionTree, g: Perm) -> frozenset[int]:
     if tree.r is None:
         raise ValueError("components defined only for diameter-3 trees")
     return frozenset(g[:tree.r])
+
+
+def centers_by_component(tree: TranspositionTree, centers) -> dict[frozenset[int], list[Perm]]:
+    """The centers of each component that has any, keyed as by
+    ``component_of``, in order of first appearance."""
+    if tree.r is None:
+        raise ValueError("components defined only for diameter-3 trees")
+    groups: dict[frozenset[int], list[Perm]] = {}
+    for key, g in zip(map(frozenset, map(itemgetter(slice(tree.r)), centers)), centers):
+        groups.setdefault(key, []).append(g)
+    return groups
 
 
 def all_components(tree: TranspositionTree) -> list[frozenset[int]]:

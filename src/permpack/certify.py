@@ -7,11 +7,13 @@ as an exact rational, and profiles the centers per component.  No
 floating point is used anywhere.
 
 The verifier reads the graph only through ``cayley.closed_sphere`` and
-``cayley.packing_union``, the single disjointness rule.  For one_sphere
-certificates ``packing_union`` gives the union of the closed spheres,
-or None when two of them meet.  Only then does the verifier run the
-ordered per-sphere loop, which names each sphere that meets an earlier
-one and a vertex they share.
+``cayley.packing_profile``, which applies the single disjointness rule,
+``cayley.packing_union``, one component at a time.  For one_sphere
+certificates ``packing_profile`` gives the centers per component, or
+None when two closed spheres meet; no union larger than one
+component's is built.  Only when two spheres meet does the verifier run
+the ordered per-sphere loop, which names each sphere that meets an
+earlier one and a vertex they share.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cayley import (TranspositionTree, all_components, closed_sphere, component_of,
-                     component_type, packing_union, translate)
+from .cayley import (TranspositionTree, all_components, centers_by_component, closed_sphere,
+                     component_of, component_type, packing_profile, translate)
 from .perms import Perm, compose, invert, perm_from_str, perm_to_str
 
 
@@ -127,23 +129,25 @@ def _ordered_union(cert: PackingCertificate, centers, spheres,
     return covered
 
 
-def _report(tree: TranspositionTree, cert: PackingCertificate, covered: set[Perm],
-            violations: list[str], whole: int) -> VerificationReport:
-    """The report on the covered vertices.
+def _report(cert: PackingCertificate, covered: int, violations: list[str], whole: int,
+            groups: dict) -> VerificationReport:
+    """The report on `covered` vertices, with the centers grouped by
+    component in `groups`.
 
     A wrong declared alpha is appended to violations; alpha is
     covered / n!, and an E-set is a valid one_sphere packing that covers
     all `whole` vertices.
     """
-    alpha = Fraction(len(covered), math.factorial(cert.n))
+    alpha = Fraction(covered, math.factorial(cert.n))
     if cert.declared_alpha is not None and alpha != cert.declared_alpha:
         violations.append(f"declared alpha {cert.declared_alpha} != measured {alpha}")
     return VerificationReport(
         valid=not violations,
-        covered_count=len(covered),
+        covered_count=covered,
         alpha=alpha,
-        is_eset=(not violations) and cert.kind == "one_sphere" and len(covered) == whole,
-        per_component_profile=_profile(tree, cert),
+        is_eset=(not violations) and cert.kind == "one_sphere" and covered == whole,
+        # centers per component, keyed by the sorted left values
+        per_component_profile={tuple(sorted(c)): len(cs) for c, cs in groups.items()},
         violations=violations,
     )
 
@@ -152,12 +156,13 @@ def verify_packing(tree: TranspositionTree, cert: PackingCertificate) -> Verific
     _check_wellformed(tree, cert)
     whole = math.factorial(cert.n)
     if cert.kind == "one_sphere":
-        covered = packing_union(tree, cert.centers)
-        if covered is not None:
-            return _report(tree, cert, covered, [], whole)
+        # disjoint closed spheres of n vertices each
+        groups = packing_profile(tree, cert.centers)
+        if groups is not None:
+            return _report(cert, tree.n * len(cert.centers), [], whole, groups)
     violations: list[str] = []
     covered = _ordered_union(cert, cert.centers, sphere_sets(tree, cert), violations)
-    return _report(tree, cert, covered, violations, whole)
+    return _report(cert, len(covered), violations, whole, _groups(tree, cert))
 
 
 def verify_eset(tree: TranspositionTree, cert: PackingCertificate) -> VerificationReport:
@@ -183,15 +188,14 @@ def verify_on_subgraph(tree: TranspositionTree, cert: PackingCertificate,
             violations.append(f"center {perm_to_str(p)} lies outside the listed components")
     covered = _ordered_union(cert, inside, [_sphere_within(tree, p, comps) for p in inside],
                              violations)
-    return _report(tree, cert, covered, violations,
-                   len(comps) * math.factorial(tree.r) * math.factorial(tree.t))
+    return _report(cert, len(covered), violations,
+                   len(comps) * math.factorial(tree.r) * math.factorial(tree.t),
+                   _groups(tree, cert))
 
 
-def _profile(tree: TranspositionTree, cert: PackingCertificate) -> dict:
-    """Centers per component, keyed by the sorted left values."""
-    if tree.r is None:
-        return {}
-    return dict(Counter(tuple(sorted(component_of(tree, p))) for p in _flat_centers(cert)))
+def _groups(tree: TranspositionTree, cert: PackingCertificate) -> dict:
+    """The certificate's centers per component; {} for a star."""
+    return {} if tree.r is None else centers_by_component(tree, _flat_centers(cert))
 
 
 def uniformity_check(tree: TranspositionTree, cert: PackingCertificate) -> tuple[bool, str | None]:
@@ -207,9 +211,8 @@ def uniformity_check(tree: TranspositionTree, cert: PackingCertificate) -> tuple
     _check_wellformed(tree, cert)
     if not cert.centers:
         return True, None
-    by_comp: dict[frozenset[int], set[Perm]] = {c: set() for c in all_components(tree)}
-    for p in cert.centers:
-        by_comp[component_of(tree, p)].add(p)
+    groups = centers_by_component(tree, cert.centers)
+    by_comp = {c: set(groups.get(c, ())) for c in all_components(tree)}
     base, *rest = by_comp  # all_components order: lexicographic
     for c in rest:
         if not _equivalent(by_comp[base], by_comp[c]):
@@ -260,7 +263,7 @@ def cert_to_dict(cert: PackingCertificate) -> dict:
     if cert.kind == "double_sphere":
         out["centers"] = [[perm_to_str(x), perm_to_str(y)] for x, y in cert.centers]
     else:
-        out["centers"] = [perm_to_str(p) for p in cert.centers]
+        out["centers"] = list(map(perm_to_str, cert.centers))
     if cert.declared_alpha is not None:
         out["declared_alpha"] = f"{cert.declared_alpha.numerator}/{cert.declared_alpha.denominator}"
     if cert.base_subgraph is not None:
@@ -274,7 +277,7 @@ def cert_from_dict(data: dict) -> PackingCertificate:
         if kind == "double_sphere":
             centers = [(perm_from_str(a), perm_from_str(b)) for a, b in data["centers"]]
         else:
-            centers = [perm_from_str(s) for s in data["centers"]]
+            centers = list(map(perm_from_str, data["centers"]))
         alpha = data.get("declared_alpha")
         if alpha is not None:
             alpha = Fraction(alpha)

@@ -9,6 +9,7 @@ NO_COLOR is respected trivially.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -113,7 +114,8 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--no-symmetry", action="store_true")
     q = kind.add_parser("maxpack")
     _tree_args(q)
-    q.add_argument("--budget", default="60s")
+    q.add_argument("--budget", default="60s",
+                   help="time budget; the search runs until it is spent or exhaustive")
 
     p = sub.add_parser("johnson", help="subset-graph structures")
     kind = p.add_subparsers(dest="what", required=True)
@@ -194,7 +196,9 @@ def _cmd_search(args) -> int:
     if args.what == "eset":
         outcome = search.find_eset(tree, symmetry=not args.no_symmetry)
     else:
-        outcome = search.max_packing(tree, time_budget=_parse_budget(args.budget))
+        # the time budget alone stops the search
+        outcome = search.max_packing(tree, node_budget=None,
+                                     time_budget=_parse_budget(args.budget))
     out = {"status": outcome.status,
            "nodes_explored": outcome.nodes_explored,
            "wall_seconds": round(time.monotonic() - start, 3),
@@ -293,6 +297,9 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
+    # a one-shot process: what it allocates lives until exit, so the
+    # cyclic collector would only rescan it
+    gc.disable()
     try:
         code = run()
         sys.stdout.flush()

@@ -7,6 +7,7 @@ every value of 1..n appearing exactly once.  All public I/O is 1-based.
 from __future__ import annotations
 
 import math
+from functools import cache
 from itertools import permutations as _lex_words
 
 Perm = tuple[int, ...]
@@ -102,15 +103,17 @@ def swap_positions(p: Perm, i: int, j: int) -> Perm:
     return tuple(w)
 
 
+@cache
+def _str_format(n: int) -> str:
+    """The %-format of a degree-n word: digits for n <= 9, else commas."""
+    return ("" if n <= 9 else ",").join(["%d"] * n)
+
+
 def perm_to_str(p: Perm) -> str:
     """Digit string for n <= 9, comma-separated integers beyond."""
-    return ("" if len(p) <= 9 else ",").join(map(str, p))
+    return _str_format(len(p)) % tuple(p)
 
 
 def perm_from_str(s: str) -> Perm:
     s = s.strip()
-    if "," in s:
-        word = [int(tok) for tok in s.split(",")]
-    else:
-        word = [int(ch) for ch in s]
-    return as_perm(word)
+    return as_perm(map(int, s.split(",") if "," in s else s))

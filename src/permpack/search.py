@@ -62,6 +62,10 @@ BEST_EFFORT = "best_effort"
 _MAX_N = 7
 _COUNT_MAX_N = 5
 
+# with a deadline, the branch and bound reads the clock once per this
+# many nodes
+_CLOCK_EVERY = 256
+
 # an exact-cover column's size byte while the column is covered; an
 # uncovered column's live-row count is always smaller (a vertex lies in
 # exactly n <= 7 closed spheres)
@@ -241,7 +245,8 @@ def count_esets(tree: TranspositionTree) -> int:
 
 
 def _branch_and_bound(cand: int, conflict: list[int], comp_masks: list[int], cap: int,
-                      node_budget: int, deadline: float | None) -> tuple[list[int], int, bool]:
+                      node_budget: int | None,
+                      deadline: float | None) -> tuple[list[int], int, bool]:
     """Maximum independent set of the candidate bitmask in the conflict graph.
 
     ``conflict[v]`` contains v, and the disjoint ``comp_masks`` cover
@@ -263,7 +268,10 @@ def _branch_and_bound(cand: int, conflict: list[int], comp_masks: list[int], cap
     which every node below shares; the best one becomes a list only on
     return.  Returns (best ranks in the order taken, nodes expanded,
     exhaustive); the search stops before expanding node
-    ``node_budget + 1`` or once ``time.monotonic()`` passes ``deadline``.
+    ``node_budget + 1`` (None: no node cap) or, with a deadline, at the
+    first clock reading past ``deadline``.  The clock is read before
+    nodes 1, 1 + ``_CLOCK_EVERY``, 1 + 2 * ``_CLOCK_EVERY``, ..., so a
+    deadline stops the search at a multiple of ``_CLOCK_EVERY`` nodes.
     """
     # home[v]: v's component index; parts[v]: (j, conflict[v] & comp_masks[j])
     # for each component j that conflict[v] meets, over the candidates v
@@ -282,14 +290,19 @@ def _branch_and_bound(cand: int, conflict: list[int], comp_masks: list[int], cap
 
     best = None
     best_depth = nodes = 0
+    limit = math.inf if node_budget is None else node_budget
+    # the node count at which to stop or, with a deadline, to read the clock
+    check = limit if deadline is None else 0
     # skip children: (candidates, path, depth, candidates per component,
     # bound); each entry owns its counts list
     stack = [(cand, None, 0, counts, bound)]
     while stack:
         cand, path, depth, counts, bound = stack.pop()
         while True:
-            if nodes >= node_budget or (deadline is not None and time.monotonic() > deadline):
-                return _unlink(best), nodes, False
+            if nodes >= check:
+                if nodes >= limit or time.monotonic() > deadline:
+                    return _unlink(best), nodes, False
+                check = min(limit, nodes + _CLOCK_EVERY)
             nodes += 1
             if depth > best_depth:
                 best, best_depth = path, depth
@@ -344,7 +357,7 @@ def _packing_graph(tree: TranspositionTree) -> tuple[list[int], list[int]]:
     return conflict, list(comp_mask.values())
 
 
-def max_packing(tree: TranspositionTree, node_budget: int = 2_000_000,
+def max_packing(tree: TranspositionTree, node_budget: int | None = 2_000_000,
                 time_budget: float | None = None) -> SearchOutcome:
     """Branch and bound for a maximum 1-sphere packing.
 
@@ -361,9 +374,12 @@ def max_packing(tree: TranspositionTree, node_budget: int = 2_000_000,
     x -> (g o h o g^-1) o x maps that coset onto itself and g to g o h,
     so some maximum packing of a component contains any chosen vertex
     of it.  If the cap search runs out of budget, the cap falls back to
-    the component size.  Both searches get ``node_budget`` nodes and
-    share the ``time_budget`` deadline; ``nodes_explored`` counts the
-    main search only.  The main search carries its bound down the tree
+    the component size.  Both searches get ``node_budget`` nodes (None:
+    no node cap, so only the time budget, if any, stops them) and end by
+    the ``time_budget`` deadline; the cap search, which only sharpens
+    the bound, may spend at most half of ``time_budget`` when there is
+    a main search to follow.  ``nodes_explored`` counts the main search
+    only.  The main search carries its bound down the tree
     (see ``_branch_and_bound``) with the values, and so the preorder, of
     recomputing it per node.  A star is one component, so its forced cap
     search is already a search of the whole graph: v0 plus its packing,
@@ -389,18 +405,23 @@ def max_packing(tree: TranspositionTree, node_budget: int = 2_000_000,
     """
     if tree.n > _MAX_N:
         raise ValueError(f"n={tree.n} too large: {math.factorial(tree.n)} vertices")
-    if node_budget < 1:
+    if node_budget is not None and node_budget < 1:
         raise ValueError(f"node_budget must be positive, got {node_budget}")
     if time_budget is not None and not time_budget > 0:
         raise ValueError(f"time_budget must be positive, got {time_budget}")
     conflict, comp_masks = _packing_graph(tree)
-    deadline = None if time_budget is None else time.monotonic() + time_budget
+    deadline = cap_deadline = None
+    if time_budget is not None:
+        deadline = time.monotonic() + time_budget
+        # a star's cap search is its whole search; elsewhere it may spend
+        # at most half the time, so the main search gets the rest
+        cap_deadline = deadline - (time_budget / 2 if len(comp_masks) > 1 else 0)
 
     first = comp_masks[0]
     size = first.bit_count()
     v0 = (first & -first).bit_length() - 1
     sample, nodes, exact = _branch_and_bound(first & ~conflict[v0], conflict, [first], size,
-                                             node_budget, deadline)
+                                             node_budget, cap_deadline)
     cap = 1 + len(sample) if exact else size
     if len(comp_masks) == 1:
         # a star: the cap search already searched the whole graph

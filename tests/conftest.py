@@ -9,8 +9,9 @@ import sys
 import pytest
 from hypothesis import settings
 
-from permpack.cayley import TranspositionTree
-from permpack.johnson import ExactSubgraph, expand_cc, make_subgraph
+from permpack.cayley import TranspositionTree, build_tree
+from permpack.constructions import uniform_from_exact
+from permpack.johnson import ExactSubgraph, expand_cc, make_subgraph, search_exact_2factor
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -92,3 +93,13 @@ def shallow_stack():
 @pytest.fixture
 def fixtures_dir() -> pathlib.Path:
     return FIXTURES
+
+
+@pytest.fixture(scope="session")
+def x53_from_j85():
+    """(tree, structure, construction): X3(5,3), the exact 2-factor of
+    J(8,5) that ``search_exact_2factor`` finds first, and the uniform
+    packing built from it (2688 centers), built once per session."""
+    tree = build_tree(5, 3)
+    structure = search_exact_2factor(8, 5, max_vertices=90)
+    return tree, structure, uniform_from_exact(tree, structure)

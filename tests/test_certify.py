@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations
 
@@ -12,17 +13,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import load_fixture
+from conftest import load_fixture, placed_x3
 from permpack.cayley import (RENUMBERED, all_components, build_tree, closed_sphere,
-                             component_of, enumerate_component, graph_distance, neighbors,
-                             star_tree, translate)
+                             component_of, edge_getters, enumerate_component, graph_distance,
+                             neighbors, packing_profile, packing_union, star_tree, translate)
 from permpack.certify import (CertificateError, PackingCertificate, _equivalent,
                               cert_from_dict, cert_to_dict, profile_by_type,
                               report_to_dict, sphere_sets, uniformity_check,
                               verify_eset, verify_on_subgraph, verify_packing)
-from permpack.constructions import (uniform_from_exact, xprime_components,
-                                    xprime_perfect_code)
-from permpack.johnson import search_exact_2factor
+from permpack.constructions import xprime_components, xprime_perfect_code
 from permpack.perms import all_perms, perm_from_str, perm_to_str
 
 
@@ -150,9 +149,9 @@ def test_uniformity_needs_components():
         uniformity_check(tree, _cert(tree, [(1, 2, 3, 4)]))
 
 
-def test_uniformity_of_x53_from_j85():
-    tree = build_tree(5, 3)
-    cert = uniform_from_exact(tree, search_exact_2factor(8, 5, max_vertices=90)).certificate
+def test_uniformity_of_x53_from_j85(x53_from_j85):
+    tree, _, made = x53_from_j85
+    cert = made.certificate
     assert uniformity_check(tree, cert) == (True, None)
     # move one center within its component: the counts still match, so
     # only the translations can tell the components apart
@@ -269,9 +268,87 @@ def test_verify_packing_matches_reference(data):
     assert report_to_dict(verify_packing(tree, cert)) == _reference_report(tree, cert)
 
 
-def test_verify_packing_names_the_overlap_of_x53_from_j85():
-    tree = build_tree(5, 3)
-    cert = uniform_from_exact(tree, search_exact_2factor(8, 5, max_vertices=90)).certificate
+def _placed_trees():
+    """X3(2,2), (3,2), (3,3) and (4,2) with their hubs at every place,
+    both numberings among them."""
+    return [placed_x3(r, t, a, b) for r, t in ((2, 2), (3, 2), (3, 3), (4, 2))
+            for a in range(1, r + 1) for b in range(r + 1, r + t + 1)]
+
+
+@given(st.data())
+def test_per_component_check_matches_whole_graph_union(data):
+    tree = data.draw(st.sampled_from(_placed_trees()))
+    rnd = random.Random(data.draw(st.integers(0, 2**32)))
+    verts = list(all_perms(tree.n))
+    kind = data.draw(st.sampled_from(["random", "greedy", "eps-center", "eps-neighbour"]))
+    if kind == "random":
+        # repeats allowed: a repeated center is a meeting too
+        centers = [rnd.choice(verts) for _ in range(data.draw(st.integers(0, 40)))]
+    else:
+        # a greedy packing in a random order: disjoint spheres
+        rnd.shuffle(verts)
+        covered, centers = set(), []
+        for g in verts[:data.draw(st.integers(1, len(verts)))]:
+            sph = closed_sphere(tree, g)
+            if covered.isdisjoint(sph):
+                covered |= sph
+                centers.append(g)
+    if kind.startswith("eps"):
+        # d with c.eps = d (d is c's epsilon-neighbour) or c.eps = d.e for a
+        # tree edge e other than eps; the centers whose spheres meet d's,
+        # c aside, are dropped, so the only meeting is across eps
+        getters = dict(zip(tree.edges, edge_getters(tree)))
+        c = rnd.choice(centers)
+        d = getters[tree.epsilon](c)
+        if kind == "eps-neighbour":
+            e = rnd.choice([e for e in tree.edges if e != tree.epsilon])
+            d = getters[e](d)
+        sph = closed_sphere(tree, d)
+        centers = [g for g in centers if g == c or sph.isdisjoint(closed_sphere(tree, g))]
+        centers.insert(rnd.randrange(len(centers) + 1), d)
+        for comp in {component_of(tree, g) for g in centers}:
+            assert packing_union(tree, [g for g in centers if component_of(tree, g) == comp])
+    union = packing_union(tree, centers)
+    groups = packing_profile(tree, centers)
+    assert (groups is None) == (union is None)
+    assert kind in ("random", "greedy") or groups is None
+    by_comp = {}
+    for g in centers:
+        by_comp.setdefault(component_of(tree, g), []).append(g)
+    if groups is not None:
+        assert groups == by_comp and list(groups) == list(by_comp)
+        assert tree.n * len(centers) == len(union)
+    if len(set(centers)) == len(centers):
+        rep = verify_packing(tree, _cert(tree, centers))
+        assert rep.valid == (union is not None)
+        assert rep.covered_count == len(set().union(*sphere_sets(tree, _cert(tree, centers))))
+        assert rep.per_component_profile == {tuple(sorted(k)): len(v) for k, v in by_comp.items()}
+
+
+def test_per_component_check_on_a_star_is_the_whole_graph_union():
+    tree = star_tree(4)
+    assert packing_profile(tree, [(1, 2, 3, 4), (2, 3, 4, 1)]) == {}
+    assert packing_profile(tree, [(1, 2, 3, 4), (2, 1, 3, 4)]) is None
+
+
+def test_verifying_x53_from_j85_builds_no_whole_graph_union(x53_from_j85):
+    tree, _, made = x53_from_j85
+    verify_packing(tree, made.certificate)  # the tree's edge getters are cached
+    tracemalloc.start()
+    try:
+        report = verify_packing(tree, made.certificate)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.valid and report.covered_count == 8 * 2688
+    # the union of all 2688 spheres holds 21 504 words of 8 values, about
+    # 4 MiB with its set; one component's union is 1/56 of that
+    assert peak < 2**20
+
+
+def test_verify_packing_names_the_overlap_of_x53_from_j85(x53_from_j85):
+    tree, _, made = x53_from_j85
+    cert = made.certificate
     assert report_to_dict(verify_packing(tree, cert)) == _reference_report(tree, cert)
     # one center replaced by a neighbor of another: the fast union falls
     # short and the ordered loop names the same overlap as the reference

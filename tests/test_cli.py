@@ -1,6 +1,7 @@
 """Command-line dispatcher: exit codes, JSON output, round-trips."""
 
 import ast
+import gc
 import hashlib
 import json
 import os
@@ -106,6 +107,75 @@ def test_search_maxpack_bad_budget_is_quoted_as_given(capsys, budget):
     err = capsys.readouterr().err
     assert repr(budget) in err
     assert all(form in err for form in ("60", "60s", "1m"))
+
+
+def test_search_maxpack_runs_for_its_time_budget(capsys):
+    # no node cap: the X3(3,3) search runs until the clock stops it
+    code, data = run_json(capsys, "search", "maxpack", "--tree", "3,3", "--budget", "1s")
+    assert code == 0
+    assert data["wall_budget_exceeded"] and data["wall_seconds"] >= 1
+    assert data["status"] == "best_effort" and data["nodes_explored"] > 0
+    assert data["covered_count"] == 6 * len(data["certificate"]["centers"])
+
+
+def test_construct_verify_roundtrip_x53_from_j85(tmp_path, capsys, x53_from_j85):
+    # n = 8: the per-component verifier on 2688 centers in 56 components
+    tree, structure, made = x53_from_j85
+    structure_path, out_path = tmp_path / "j85.json", tmp_path / "construct.json"
+    structure_path.write_text(json.dumps(johnson.subgraph_to_dict(structure)))
+    code = run(["construct", "uniform", "--tree", "5,3", "--structure", str(structure_path),
+                "-o", str(out_path)])
+    capsys.readouterr()
+    assert code == 0
+    emitted = json.loads(out_path.read_text())
+    assert emitted["certificate"] == certify.cert_to_dict(made.certificate)
+    code, report = run_json(capsys, "verify", "--tree", "5,3", "--uniform", str(out_path))
+    assert code == 0 and report.pop("uniform")
+    assert report == emitted["report"] == certify.report_to_dict(made.report)
+    assert report["alpha"] == "8/15" and report["covered_count"] == 8 * 2688
+    assert sorted(report["per_component_profile"].values()) == [48] * 56
+
+
+def test_verify_failure_x53_from_j85_names_the_overlap(tmp_path, capsys, x53_from_j85):
+    # a center moved onto the epsilon-neighbour of the first center, which
+    # lies in another component: those two spheres meet across epsilon
+    tree, _, made = x53_from_j85
+    cert = certify.cert_to_dict(made.certificate)
+    c = made.certificate.centers[0]
+    eps = tree.epsilon
+    moved = list(c)
+    moved[eps[0] - 1], moved[eps[1] - 1] = c[eps[1] - 1], c[eps[0] - 1]
+    cert["centers"][1] = "".join(map(str, moved))
+    path = tmp_path / "moved.json"
+    path.write_text(json.dumps(cert))
+    code, report = run_json(capsys, "verify", "--tree", "5,3", str(path))
+    assert code == 1 and not report["valid"]
+    assert report["violations"][0].startswith(f"sphere of {cert['centers'][1]} overlaps")
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_run_leaves_the_cyclic_collector_as_it_found_it(capsys, enabled):
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert run(["verify", "--tree", "3,2", "--uniform",
+                    str(FIXTURES / "x32_uniform_5_6.json")]) == 0
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    capsys.readouterr()
+
+
+def test_main_runs_without_the_cyclic_collector(monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "run", lambda: seen.append(gc.isenabled()) or 0)
+    was = gc.isenabled()
+    try:
+        with pytest.raises(SystemExit) as stop:
+            cli.main()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False] and stop.value.code == 0
 
 
 def test_construct_verify_roundtrip(tmp_path, capsys):

@@ -85,6 +85,26 @@ def test_serialization_small_and_large_degree():
     assert "," in perm_to_str(big)
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+def test_str_round_trip_every_degree(n):
+    words = [tuple(range(1, n + 1)), tuple(range(n, 0, -1)), lex_unrank(math.factorial(n) // 3, n)]
+    for w in words:
+        text = perm_to_str(w)
+        assert text == perm_to_str(list(w)) == ("" if n <= 9 else ",").join(map(str, w))
+        assert perm_from_str(text) == w
+        assert perm_from_str(f" {text}\n") == w
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1224", "not a permutation of 1..4: (1, 2, 2, 4)"),
+    ("12a4", "invalid literal for int() with base 10: 'a'"),
+])
+def test_perm_from_str_error_text(text, message):
+    with pytest.raises(ValueError) as err:
+        perm_from_str(text)
+    assert str(err.value) == message
+
+
 def test_as_perm_validation():
     assert as_perm([2, 1, 3]) == (2, 1, 3)
     with pytest.raises(ValueError):

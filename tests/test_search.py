@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import json
 import math
+import time
 import tracemalloc
 from types import SimpleNamespace
 
@@ -447,18 +448,52 @@ def test_incremental_bound_matches_recomputed(case):
 
 
 def test_deadline_stops_where_the_node_budget_does(monkeypatch):
-    # a clock that ticks once per reading passes deadline k at the check
-    # before node k + 1, exactly where node_budget k stops the search
+    # the clock is read before nodes 1, 1 + E, 1 + 2E, ... (E =
+    # _CLOCK_EVERY); a clock that ticks once per reading passes deadline
+    # k at the reading before node kE + 1, exactly where node_budget kE
+    # stops the search.  k = 20 lets both searches finish.
+    every = search._CLOCK_EVERY
     conflict, comp_masks = _packing_graph(placed_x3(3, 3, 2, 5))
     first = comp_masks[0]
     searches = [((1 << len(conflict)) - 1, comp_masks, 6), (first, [first], first.bit_count())]
     for cand, masks, cap in searches:
-        for k in (0, 1, 2, 7, 100, 1234, 5000):
+        for k in (0, 1, 2, 7, 20):
             clock = SimpleNamespace(monotonic=itertools.count(1).__next__)
             monkeypatch.setattr(search, "time", clock)
-            stopped = _branch_and_bound(cand, conflict, masks, cap, 10**9, k)
+            stopped = _branch_and_bound(cand, conflict, masks, cap, None, k)
             monkeypatch.undo()
-            assert stopped == _branch_and_bound(cand, conflict, masks, cap, k, None), (cap, k)
+            assert stopped == _branch_and_bound(cand, conflict, masks, cap, k * every, None), \
+                (cap, k)
+        # with a deadline that never passes, the node budget stops the
+        # search exactly, between two clock readings too
+        for budget in (1, every - 1, every + 1, 1000):
+            far = time.monotonic() + 10**6
+            assert (_branch_and_bound(cand, conflict, masks, cap, budget, far)
+                    == _branch_and_bound(cand, conflict, masks, cap, budget, None)), (cap, budget)
+
+
+def test_cap_search_leaves_the_main_search_half_the_time(monkeypatch):
+    # X3(4,3)'s cap search does not finish in thousands of nodes.  With no
+    # node cap and a clock that ticks once per reading from 0, the time
+    # budget 20 ends the cap search at its reading 11 (past 10, half the
+    # budget), after 10 * E nodes, and the main search at reading 21,
+    # after 9 * E nodes (E = _CLOCK_EVERY)
+    monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=itertools.count(0).__next__))
+    out = max_packing(build_tree(4, 3), node_budget=None, time_budget=20)
+    assert out.wall_budget_exceeded and out.status == BEST_EFFORT
+    assert out.nodes_explored == 9 * search._CLOCK_EVERY
+    assert out.certificate.centers
+
+
+def test_no_node_budget_runs_to_the_end():
+    # node_budget None puts no cap on the nodes: the X3(2,2) search ends
+    # exhaustive, as with a budget it never reaches
+    assert max_packing(build_tree(2, 2), node_budget=None) == max_packing(build_tree(2, 2))
+    conflict, comp_masks = _packing_graph(build_tree(2, 2))
+    cand, cap = (1 << len(conflict)) - 1, comp_masks[0].bit_count()
+    unbounded = _branch_and_bound(cand, conflict, comp_masks, cap, None, None)
+    assert unbounded[2]
+    assert unbounded == _branch_and_bound(cand, conflict, comp_masks, cap, 10**9, None)
 
 
 def _reference_packing_graph(tree):
