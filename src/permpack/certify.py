@@ -6,21 +6,27 @@ the declared spheres, measures the covered fraction alpha = covered / n!
 as an exact rational, and profiles the centers per component.  No
 floating point is used anywhere.
 
+``verify_packing`` is the one verifier.  A one_sphere or s_sphere
+certificate that declares a ``base_subgraph`` is measured in the
+subgraph its components induce: a center outside it is a violation,
+and an E-set covers all of its vertices, as the X'(r,r) perfect code
+does.  ``verify_on_subgraph`` passes the base as an argument.
+
 The verifier reads the graph only through ``cayley.closed_sphere`` and
 ``cayley.packing_profile``, which applies the single disjointness rule,
 ``cayley.packing_union``, one component at a time.  For one_sphere
-certificates ``packing_profile`` gives the centers per component, or
-None when two closed spheres meet; no union larger than one
-component's is built.  Only when two spheres meet does the verifier run
-the ordered per-sphere loop, which names each sphere that meets an
-earlier one and a vertex they share.
+certificates with no base ``packing_profile`` gives the centers per
+component, or None when two closed spheres meet; no union larger than
+one component's is built.  Otherwise the verifier runs the ordered
+per-sphere loop, which names each sphere that meets an earlier one and
+a vertex they share.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .cayley import (TranspositionTree, all_components, centers_by_component, closed_sphere,
@@ -82,43 +88,42 @@ def _check_wellformed(tree: TranspositionTree, cert: PackingCertificate) -> None
             if y not in closed_sphere(tree, x):
                 raise CertificateError(
                     f"double-sphere centers {perm_to_str(x)}, {perm_to_str(y)} are not adjacent")
-    if cert.kind == "s_sphere":
-        if cert.base_subgraph is None:
-            raise CertificateError("s_sphere certificate needs a base_subgraph")
-        base = set(frozenset(c) for c in cert.base_subgraph)
-        for p in cert.centers:
-            if component_of(tree, p) not in base:
-                raise CertificateError(
-                    f"center {perm_to_str(p)} lies outside the base subgraph")
+    if cert.kind == "s_sphere" and cert.base_subgraph is None:
+        raise CertificateError("s_sphere certificate needs a base_subgraph")
 
 
-def _sphere_within(tree: TranspositionTree, p: Perm, comps) -> frozenset[Perm]:
-    """The closed sphere of p restricted to the components in comps."""
-    return frozenset(q for q in closed_sphere(tree, p) if component_of(tree, q) in comps)
+def _base(tree: TranspositionTree, cert: PackingCertificate) -> set[frozenset[int]] | None:
+    """The components of the declared base subgraph; None when there is
+    none or the certificate is double_sphere, which ignores it."""
+    if cert.kind == "double_sphere" or cert.base_subgraph is None:
+        return None
+    if tree.r is None:
+        raise ValueError("components defined only for diameter-3 trees")
+    return set(map(frozenset, cert.base_subgraph))
 
 
 def sphere_sets(tree: TranspositionTree, cert: PackingCertificate) -> list[frozenset[Perm]]:
-    """The vertex set of each declared sphere, in certificate order."""
-    if cert.kind == "one_sphere":
-        return [closed_sphere(tree, p) for p in cert.centers]
+    """The vertex set of each declared sphere, in certificate order; with
+    a base subgraph, a one_sphere sphere is its part inside the base."""
     if cert.kind == "double_sphere":
         return [closed_sphere(tree, x) | closed_sphere(tree, y) for x, y in cert.centers]
-    # s_sphere: closed sphere inside the base subgraph plus its outside neighbors
-    base = set(frozenset(c) for c in cert.base_subgraph)
-    out = []
-    for p in cert.centers:
-        inner = _sphere_within(tree, p, base)
-        out.append(inner | {w for q in inner for w in closed_sphere(tree, q)
-                            if component_of(tree, w) not in base})
-    return out
+    base = _base(tree, cert)
+    if base is None:
+        return [closed_sphere(tree, p) for p in cert.centers]
+    inner = [frozenset(q for q in closed_sphere(tree, p) if component_of(tree, q) in base)
+             for p in cert.centers]
+    if cert.kind == "one_sphere":
+        return inner
+    # s_sphere: the sphere inside the base plus its outside neighbors
+    return [s | {w for q in s for w in closed_sphere(tree, q) if component_of(tree, w) not in base}
+            for s in inner]
 
 
-def _ordered_union(cert: PackingCertificate, centers, spheres,
-                   violations: list[str]) -> set[Perm]:
-    """Union of the spheres in order; each sphere that meets an earlier
-    one is named in violations, with a vertex they share."""
+def _ordered_union(cert: PackingCertificate, spheres, violations: list[str]) -> set[Perm]:
+    """Union of the (center, sphere) pairs in order; each sphere that
+    meets an earlier one is named in violations, with a vertex they share."""
     covered: set = set()
-    for center, sph in zip(centers, spheres):
+    for center, sph in spheres:
         clash = covered & sph
         if clash:
             label = ("+".join(map(perm_to_str, center)) if cert.kind == "double_sphere"
@@ -154,15 +159,24 @@ def _report(cert: PackingCertificate, covered: int, violations: list[str], whole
 
 def verify_packing(tree: TranspositionTree, cert: PackingCertificate) -> VerificationReport:
     _check_wellformed(tree, cert)
-    whole = math.factorial(cert.n)
-    if cert.kind == "one_sphere":
-        # disjoint closed spheres of n vertices each
-        groups = packing_profile(tree, cert.centers)
-        if groups is not None:
-            return _report(cert, tree.n * len(cert.centers), [], whole, groups)
-    violations: list[str] = []
-    covered = _ordered_union(cert, cert.centers, sphere_sets(tree, cert), violations)
-    return _report(cert, len(covered), violations, whole, _groups(tree, cert))
+    base = _base(tree, cert)
+    if base is None:
+        whole = math.factorial(cert.n)
+        if cert.kind == "one_sphere":
+            # disjoint closed spheres of n vertices each
+            groups = packing_profile(tree, cert.centers)
+            if groups is not None:
+                return _report(cert, tree.n * len(cert.centers), [], whole, groups)
+    else:
+        whole = len(base) * math.factorial(tree.r) * math.factorial(tree.t)
+    outside = set() if base is None else {
+        p for p in cert.centers if component_of(tree, p) not in base}
+    violations = [f"center {perm_to_str(p)} lies outside the listed components"
+                  for p in cert.centers if p in outside]
+    spheres = [(p, s) for p, s in zip(cert.centers, sphere_sets(tree, cert)) if p not in outside]
+    covered = _ordered_union(cert, spheres, violations)
+    groups = {} if tree.r is None else centers_by_component(tree, _flat_centers(cert))
+    return _report(cert, len(covered), violations, whole, groups)
 
 
 def verify_eset(tree: TranspositionTree, cert: PackingCertificate) -> VerificationReport:
@@ -173,29 +187,12 @@ def verify_eset(tree: TranspositionTree, cert: PackingCertificate) -> Verificati
 
 def verify_on_subgraph(tree: TranspositionTree, cert: PackingCertificate,
                        components) -> VerificationReport:
-    """Spheres measured inside the subgraph induced by the listed components."""
+    """``verify_packing`` with the listed components as the base subgraph."""
     if tree.r is None:
         raise ValueError("components defined only for diameter-3 trees")
     if cert.kind != "one_sphere":
         raise CertificateError("subgraph verification applies to one_sphere certificates")
-    _check_wellformed(tree, cert)
-    comps = set(frozenset(c) for c in components)
-    violations, inside = [], []
-    for p in cert.centers:
-        if component_of(tree, p) in comps:
-            inside.append(p)
-        else:
-            violations.append(f"center {perm_to_str(p)} lies outside the listed components")
-    covered = _ordered_union(cert, inside, [_sphere_within(tree, p, comps) for p in inside],
-                             violations)
-    return _report(cert, len(covered), violations,
-                   len(comps) * math.factorial(tree.r) * math.factorial(tree.t),
-                   _groups(tree, cert))
-
-
-def _groups(tree: TranspositionTree, cert: PackingCertificate) -> dict:
-    """The certificate's centers per component; {} for a star."""
-    return {} if tree.r is None else centers_by_component(tree, _flat_centers(cert))
+    return verify_packing(tree, replace(cert, base_subgraph=list(components)))
 
 
 def uniformity_check(tree: TranspositionTree, cert: PackingCertificate) -> tuple[bool, str | None]:
@@ -298,7 +295,7 @@ def report_to_dict(report: VerificationReport) -> dict:
         "covered_count": report.covered_count,
         "alpha": f"{report.alpha.numerator}/{report.alpha.denominator}",
         "is_eset": report.is_eset,
-        "per_component_profile": {"".join(map(str, k)) if isinstance(k, tuple) else str(k): v
+        "per_component_profile": {"".join(map(str, k)): v
                                   for k, v in sorted(report.per_component_profile.items())},
         "violations": report.violations,
     }

@@ -25,8 +25,7 @@ from . import johnson
 from .cayley import (RENUMBERED, TranspositionTree, all_components, build_tree,
                      closed_sphere, component_of, component_type,
                      packing_union)
-from .certify import (PackingCertificate, VerificationReport, verify_on_subgraph,
-                      verify_packing)
+from .certify import PackingCertificate, VerificationReport, verify_packing
 from .perms import Perm, relative_parity, swap_positions
 
 
@@ -158,7 +157,7 @@ def xprime_perfect_code(r: int) -> Construction:
     centers = next(_disjoint_picks(_xprime_options(tree)))
     cert = PackingCertificate(n=tree.n, kind="one_sphere", centers=sorted(centers),
                               r=r, t=r, numbering=RENUMBERED, base_subgraph=comps)
-    report = verify_on_subgraph(tree, cert, comps)
+    report = verify_packing(tree, cert)
     assert report.is_eset, f"the X'({r},{r}) pick is not a perfect code"
     return Construction(cert, report)
 
@@ -257,7 +256,9 @@ def nonuniform_extension(r: int, stage: str = "final") -> Construction:
     stage="intermediate" stops at half density in the non-X' components
     (the double-sphere selection stage); stage="final" displaces to the
     full 2/r proportion.  The intermediate stage is refused for r >= 4,
-    where its subset enumeration does not fit in memory.
+    where its subset enumeration does not fit in memory, and the final
+    stage for r >= 5, where its configurations alone take minutes and
+    gigabytes.
 
     A single iterative search: one ``_disjoint_picks`` over the type-0
     slots followed by one slot per eligible component, so its first pick
@@ -270,6 +271,11 @@ def nonuniform_extension(r: int, stage: str = "final") -> Construction:
         group = factorial(r - 1) ** 2
         raise ValueError(f"the intermediate stage needs r <= 3: at r={r} each group has "
                          f"C({group}, {group // 2}) center subsets")
+    if stage == "final" and r >= 5:
+        raise ValueError(f"the final stage needs r <= 4: at r={r} each of the "
+                         f"{table_row(r).P} eligible components has up to "
+                         f"{r * r * (2 * r - 1)} groups of {factorial(r - 1) ** 2} centers, "
+                         f"each with its sphere union")
     tree = build_tree(r, r, RENUMBERED)
     row = table_row(r)
     per_comp = factorial(r - 1) ** 2
@@ -290,8 +296,8 @@ def nonuniform_extension(r: int, stage: str = "final") -> Construction:
     cert = PackingCertificate(n=tree.n, kind="one_sphere", centers=best,
                               r=r, t=r, numbering=RENUMBERED)
     report = verify_packing(tree, cert)
-    if not report.valid:
-        raise ConstructionError(f"extension failed verification: {report.violations[:1]}")
+    # the picks' footprints are pairwise disjoint sphere unions
+    assert report.valid, f"the nonuniform pick at r={r} is not a packing"
     if stage == "intermediate":
         target = Fraction(xprime_size + len(comps) * per_comp * 2 * r, factorial(2 * r))
     else:

@@ -1,9 +1,11 @@
 """Certificate verifier: well-formedness, disjointness, alpha, uniformity,
 JSON round-trips."""
 
+import ast
 import hashlib
 import json
 import math
+import pathlib
 import random
 import tracemalloc
 from fractions import Fraction
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import permpack
 from conftest import load_fixture, placed_x3
 from permpack.cayley import (RENUMBERED, all_components, build_tree, closed_sphere,
                              component_of, edge_getters, enumerate_component, graph_distance,
@@ -128,6 +131,48 @@ def test_verify_on_subgraph_blames_the_overlapping_sphere():
     assert rep.violations[0] == "center 124356 lies outside the listed components"
     assert len(rep.violations) == 2
     assert rep.violations[1].startswith("sphere of 213456 overlaps an earlier sphere at ")
+
+
+def test_verify_packing_measures_the_declared_base_subgraph():
+    # the X' code declares its components, so the one verifier measures it
+    # in X'(3,3), where it is a perfect code
+    tree = build_tree(3, 3, RENUMBERED)
+    code = xprime_perfect_code(3).certificate
+    rep = verify_packing(tree, code)
+    assert rep.valid and rep.is_eset and rep.covered_count == 288
+    assert rep == verify_on_subgraph(tree, code, code.base_subgraph)
+
+
+def test_s_sphere_center_outside_the_base_is_a_violation():
+    # the rule of a one_sphere base: the center is named, not raised
+    tree = build_tree(3, 3, RENUMBERED)
+    cert = PackingCertificate(n=6, kind="s_sphere",
+                              centers=[(1, 2, 4, 3, 5, 6), (1, 2, 3, 4, 5, 6)], r=3, t=3,
+                              numbering=RENUMBERED, base_subgraph=xprime_components(3))
+    rep = verify_packing(tree, cert)
+    assert not rep.valid
+    assert rep.violations == ["center 124356 lies outside the listed components"]
+
+
+def test_a_base_subgraph_on_a_star_is_refused():
+    cert = PackingCertificate(n=4, kind="one_sphere", centers=[(1, 2, 3, 4)],
+                              base_subgraph=[frozenset({1, 2})])
+    with pytest.raises(ValueError, match="components defined only for diameter-3 trees"):
+        verify_packing(star_tree(4), cert)
+
+
+def test_only_certify_calls_verify_on_subgraph():
+    # one verifier body: the library verifies through verify_packing
+    src = pathlib.Path(permpack.__file__).parent
+    callers = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = (node.id if isinstance(node, ast.Name) else
+                    node.attr if isinstance(node, ast.Attribute) else
+                    node.name if isinstance(node, ast.alias) else None)
+            if name == "verify_on_subgraph":
+                callers.add(path.stem)
+    assert callers <= {"certify"}
 
 
 def test_uniformity_accepts_fixture_and_rejects_lopsided():
@@ -444,6 +489,17 @@ def test_cert_json_roundtrip(tmp_path):
     assert data["centers"] == sorted(data["centers"])
     with pytest.raises(CertificateError):
         cert_from_dict({"n": 4, "kind": "one_sphere"})
+
+
+def test_cert_json_roundtrip_of_double_sphere_and_base_subgraph():
+    t22, t33 = build_tree(2, 2), build_tree(3, 3, RENUMBERED)
+    double = PackingCertificate(n=4, kind="double_sphere", r=2, t=2, numbering=t22.numbering,
+                                centers=[((1, 2, 3, 4), (2, 1, 3, 4)),
+                                         ((3, 4, 1, 2), (4, 3, 1, 2))])
+    for tree, cert in ((t22, double), (t33, xprime_perfect_code(3).certificate)):
+        again = cert_from_dict(json.loads(json.dumps(cert_to_dict(cert))))
+        assert again == cert
+        assert verify_packing(tree, again) == verify_packing(tree, cert)
 
 
 def test_fixture_centers_parse():

@@ -12,7 +12,7 @@ import sys
 import pytest
 
 import permpack
-from conftest import FIXTURES, cut_nest_g35
+from conftest import FIXTURES, cut_nest_g35, nest_g46
 from permpack import certify, cli, constructions, johnson
 from permpack.cayley import build_tree
 from permpack.certify import verify_packing
@@ -215,6 +215,53 @@ def test_construct_verifies_each_certificate_once(monkeypatch, capsys):
     assert data["report"] == certify.report_to_dict(verify_packing(build_tree(3, 2), cert))
 
 
+def test_construct_uniform_exits_1_when_no_orientation_packs(tmp_path, capsys):
+    # a nest of J(6,4) whose two orientations both overlap in X3(4,2)
+    path = tmp_path / "g46.json"
+    path.write_text(json.dumps(johnson.subgraph_to_dict(nest_g46())))
+    assert run(["construct", "uniform", "--tree", "4,2", "--structure", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("construction failed: no orientation of the structure packs")
+
+
+def test_verify_reads_the_base_subgraph_of_the_xprime_code(tmp_path, capsys):
+    # one verifier: verify prints the report construct printed, a perfect
+    # code of the type-0 subgraph that the certificate declares
+    path = tmp_path / "xprime.json"
+    assert run(["construct", "xprime", "3", "-o", str(path)]) == 0
+    capsys.readouterr()
+    code, report = run_json(capsys, "verify", "--tree", "3,3", "--numbering", "renumbered",
+                            str(path))
+    assert code == 0 and report == json.loads(path.read_text())["report"]
+    assert report["is_eset"] and report["covered_count"] == 288 and report["alpha"] == "2/5"
+
+
+def test_verify_names_an_s_sphere_center_outside_its_base(tmp_path, capsys):
+    cert = certify.PackingCertificate(
+        n=6, kind="s_sphere", centers=[(1, 2, 4, 3, 5, 6)], r=3, t=3,
+        numbering="renumbered", base_subgraph=constructions.xprime_components(3))
+    path = tmp_path / "s_sphere.json"
+    path.write_text(json.dumps(certify.cert_to_dict(cert)))
+    code, report = run_json(capsys, "verify", "--tree", "3,3", "--numbering", "renumbered",
+                            str(path))
+    assert code == 1
+    assert report["violations"] == ["center 124356 lies outside the listed components"]
+
+
+def test_verify_uniform_names_inequivalent_components(tmp_path, capsys):
+    # the nonuniform packing is valid but not uniform: exit 1
+    path = tmp_path / "nonuniform.json"
+    assert run(["construct", "nonuniform", "3", "-o", str(path)]) == 0
+    capsys.readouterr()
+    code, report = run_json(capsys, "verify", "--tree", "3,3", "--numbering", "renumbered",
+                            "--uniform", str(path))
+    assert code == 1
+    assert report["valid"] and report["uniform"] is False
+    assert report["violations"] == [
+        "components (1, 2, 3) and (1, 2, 4) carry inequivalent center sets"]
+
+
 def test_construct_uniform_rejects_a_structure_that_is_not_a_nest(tmp_path, capsys):
     path = tmp_path / "cut.json"
     path.write_text(json.dumps(johnson.subgraph_to_dict(cut_nest_g35())))
@@ -312,6 +359,20 @@ def test_johnson_expand_cc(capsys):
     assert code == 0
     assert data["found"] and data["exact"]
     assert len(data["structure"]["vertices"]) == 5
+
+
+def test_johnson_expand_cop(capsys):
+    code, data = run_json(capsys, "johnson", "expand-cop", "1213", "7")
+    assert code == 0
+    assert data["cop"] == [1, 2, 1, 3] and data["n"] == 7
+    # {i, i+1, i+3, i+4} mod 7 for every start i
+    expected = sorted(sorted((i + d - 1) % 7 + 1 for d in (0, 1, 3, 4)) for i in range(1, 8))
+    assert data["subsets"] == expected and len(expected) == 7
+
+
+def test_johnson_expand_cop_of_another_sum_exits_2(capsys):
+    assert run(["johnson", "expand-cop", "1213", "6"]) == 2
+    assert "parts (1, 2, 1, 3) are not a composition of 6" in capsys.readouterr().err
 
 
 def test_johnson_exact_2factor_absent(capsys):

@@ -214,7 +214,7 @@ def test_nonuniform_rejects_bad_stage():
 
 
 def _no_configs(*args):
-    raise AssertionError("the r >= 4 gate must refuse before any subset is enumerated")
+    raise AssertionError("the r gate must refuse before any configuration is built")
 
 
 def test_nonuniform_intermediate_refuses_r4(monkeypatch):
@@ -228,6 +228,28 @@ def test_cli_nonuniform_intermediate_r4_exits_2(monkeypatch, capsys):
     monkeypatch.setattr(constructions, "_local_configs", _no_configs)
     assert run(["construct", "nonuniform", "4", "--stage", "intermediate"]) == 2
     capsys.readouterr()
+
+
+def test_nonuniform_final_refuses_r5(monkeypatch):
+    # unguarded, _local_configs would build up to 225 groups of 576
+    # centers in each of 220 components before the pick search starts
+    monkeypatch.setattr(constructions, "_local_configs", _no_configs)
+    with pytest.raises(ValueError, match="the final stage needs r <= 4"):
+        nonuniform_extension(5)
+
+
+def test_cli_nonuniform_final_r5_exits_2(monkeypatch, capsys):
+    monkeypatch.setattr(constructions, "_local_configs", _no_configs)
+    assert run(["construct", "nonuniform", "5"]) == 2
+    assert "220 eligible components" in capsys.readouterr().err
+
+
+def test_nonuniform_without_configurations_falls_back_to_the_xprime_code(monkeypatch):
+    monkeypatch.setattr(constructions, "_local_configs", lambda *args: [])
+    res = nonuniform_extension(3)
+    assert res.certificate.centers == xprime_perfect_code(3).certificate.centers
+    assert res.report.valid and res.report.alpha == Fraction(2, 5)
+    assert res.report.alpha < res.target_alpha == Fraction(4, 5)
 
 
 @pytest.mark.parametrize("make, digest", [
