@@ -268,22 +268,34 @@ def cert_to_dict(cert: PackingCertificate) -> dict:
     return out
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def cert_from_dict(data: dict) -> PackingCertificate:
     try:
         kind = data["kind"]
+        raw = data["centers"]
+        if not isinstance(raw, list):
+            raise TypeError(f"centers must be a list, got {type(raw).__name__}")
         if kind == "double_sphere":
-            centers = [(perm_from_str(a), perm_from_str(b)) for a, b in data["centers"]]
+            centers = [(perm_from_str(a), perm_from_str(b)) for a, b in raw]
         else:
-            centers = list(map(perm_from_str, data["centers"]))
+            centers = list(map(perm_from_str, raw))
         alpha = data.get("declared_alpha")
         if alpha is not None:
             alpha = Fraction(alpha)
         base = data.get("base_subgraph")
         if base is not None:
             base = [frozenset(c) for c in base]
+        n, r, t = data["n"], data.get("r"), data.get("t")
+        if not _is_int(n):
+            raise TypeError(f"n must be an integer, got {n!r}")
+        for name, value in (("r", r), ("t", t)):
+            if value is not None and not _is_int(value):
+                raise TypeError(f"{name} must be an integer or null, got {value!r}")
         return PackingCertificate(
-            n=data["n"], kind=kind, centers=centers, r=data.get("r"),
-            t=data.get("t"), numbering=data.get("numbering"),
+            n=n, kind=kind, centers=centers, r=r, t=t, numbering=data.get("numbering"),
             declared_alpha=alpha, base_subgraph=base)
     except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise CertificateError(f"malformed certificate: {exc}") from exc

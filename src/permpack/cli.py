@@ -253,6 +253,8 @@ def _cmd_johnson(args) -> int:
 
 
 def _cmd_tables(args) -> int:
+    if args.r_max < 2:
+        raise UsageError(f"tables needs r_max >= 2, got {args.r_max}")
     rows = [constructions.table_row(r) for r in range(2, args.r_max + 1)]
     if args.format == "json":
         _emit([{"r": row.r, "T": row.T, "S": [_frac(s) for s in row.S],

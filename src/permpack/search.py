@@ -31,13 +31,21 @@ disjointness is equivalent to pairwise distance >= 3, so this is a
 maximum independent set in the distance-<=2 conflict graph, bounded
 per component.  The bound is carried down the search tree: each node
 holds its per-component candidate counts, and a child updates only the
-components its branch vertex reaches.  A node's take child is expanded
-in place, so the stack holds only skip children, and the path to a
-node is a linked (vertex, parent path) pair, made a list only when the
-search returns.  Each conflict mask is the union of the sphere masks
-of the vertices in one sphere.  The per-component cap comes from the
-same search on one component with one vertex forced in, which
-vertex-transitivity of a component makes sound.
+components its branch vertex reaches.  The take step's masks are
+built once per search.  For each candidate v, the parts of its conflict
+set with two or more vertices keep one (component, mask) entry each;
+they are counted by ``bit_count`` and skipped when they hold no
+candidate.  ``ones[v]`` is the union of the single-vertex parts, and
+each candidate it hits lowers its own component's count by one.
+``keep[v] = ~conflict[v]`` is the take child's candidate mask.  On
+X3(3,3) and X3(4,2) a conflict set meets 6 components, n - 2 of them in
+one vertex.  A node's take child is expanded in place, so the stack
+holds only skip children, and the path to a node is a linked (vertex,
+parent path) pair, made a list only when the search returns.  Each
+conflict mask is the union of the sphere masks of the vertices in one
+sphere.  The per-component cap comes from the same search on one
+component with one vertex forced in, which vertex-transitivity of a
+component makes sound.
 """
 
 from __future__ import annotations
@@ -263,7 +271,15 @@ def _branch_and_bound(cand: int, conflict: list[int], comp_masks: list[int], cap
     counts and bound, derived from its parent's: skipping v lowers v's
     component count by 1, and taking v lowers the count of each
     component j that ``conflict[v]`` meets by the candidates in
-    ``conflict[v] & comp_masks[j]``.  The path to a node is a linked
+    ``conflict[v] & comp_masks[j]``.  Set-up splits those parts, cut to
+    the root candidates, once.  A part of two or more vertices keeps a
+    (j, part) entry in ``parts[v]``: its candidates are counted by
+    ``bit_count``, and a part that holds none costs one test and no
+    update.  The single-vertex parts form one mask ``ones[v]``, and each
+    vertex of ``cand & ones[v]`` lowers its ``home`` component's count
+    by 1, so a vertex that is no longer a candidate moves no count.  The
+    take child's candidates are ``cand & keep[v]``, with ``keep[v] =
+    ~conflict[v]`` built at set-up too.  The path to a node is a linked
     pair (last vertex taken, path to the parent), None at the root,
     which every node below shares; the best one becomes a list only on
     return.  Returns (best ranks in the order taken, nodes expanded,
@@ -273,9 +289,11 @@ def _branch_and_bound(cand: int, conflict: list[int], comp_masks: list[int], cap
     nodes 1, 1 + ``_CLOCK_EVERY``, 1 + 2 * ``_CLOCK_EVERY``, ..., so a
     deadline stops the search at a multiple of ``_CLOCK_EVERY`` nodes.
     """
-    # home[v]: v's component index; parts[v]: (j, conflict[v] & comp_masks[j])
-    # for each component j that conflict[v] meets, over the candidates v
+    # per candidate v: home[v], its component index, and keep[v], parts[v]
+    # and ones[v] as described above
     home: list[int] = [0] * len(conflict)
+    keep: list[int] = [0] * len(conflict)
+    ones: list[int] = [0] * len(conflict)
     parts: list[list[tuple[int, int]]] = [[]] * len(conflict)
     for j, mask in enumerate(comp_masks):
         rest = cand & mask
@@ -284,7 +302,18 @@ def _branch_and_bound(cand: int, conflict: list[int], comp_masks: list[int], cap
             rest ^= b
             v = b.bit_length() - 1
             home[v] = j
-            parts[v] = [(i, p) for i, m in enumerate(comp_masks) if (p := conflict[v] & m)]
+            keep[v] = ~conflict[v]
+            row = conflict[v] & cand
+            big = []
+            one = 0
+            for i, m in enumerate(comp_masks):
+                if p := row & m:
+                    if p & (p - 1):
+                        big.append((i, p))
+                    else:
+                        one |= p
+            parts[v] = big
+            ones[v] = one
     counts = [(cand & mask).bit_count() for mask in comp_masks]
     bound = sum(min(cap, c) for c in counts)
 
@@ -313,17 +342,26 @@ def _branch_and_bound(cand: int, conflict: list[int], comp_masks: list[int], cap
             taken = counts[:]
             take_bound = bound
             for j, part in parts[v]:
-                c = taken[j]
-                left = c - (cand & part).bit_count()
-                taken[j] = left
-                if left < cap:
-                    take_bound -= (c if c < cap else cap) - left
+                if hit := cand & part:
+                    c = taken[j]
+                    left = c - hit.bit_count()
+                    taken[j] = left
+                    if left < cap:
+                        take_bound -= (c if c < cap else cap) - left
+            hit = cand & ones[v]
+            while hit:
+                u = hit & -hit
+                hit ^= u
+                j = home[u.bit_length() - 1]
+                if taken[j] <= cap:
+                    take_bound -= 1
+                taken[j] -= 1
             j = home[v]
             if counts[j] <= cap:
                 bound -= 1
             counts[j] -= 1
             stack.append((cand ^ b, path, depth, counts, bound))
-            cand, path, depth, counts, bound = (cand & ~conflict[v], (v, path), depth + 1,
+            cand, path, depth, counts, bound = (cand & keep[v], (v, path), depth + 1,
                                                 taken, take_bound)
     return _unlink(best), nodes, True
 

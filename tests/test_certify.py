@@ -76,6 +76,33 @@ def test_malformed_certificates_rejected():
             n=4, kind="weird", centers=[(1, 2, 3, 4)]))
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("n", "5", "n must be an integer, got '5'"),
+    ("n", True, "n must be an integer, got True"),
+    ("n", 5.0, "n must be an integer, got 5.0"),
+    ("r", "3", "r must be an integer or null, got '3'"),
+    ("t", [2], "t must be an integer or null, got [2]"),
+    ("centers", "12534", "centers must be a list, got str"),
+    ("centers", {"12534": 1}, "centers must be a list, got dict"),
+])
+def test_cert_from_dict_checks_field_types(field, value, message):
+    # a wrong type would otherwise reach the verifier, which reads "5" as a
+    # degree that differs from 5 and a string of centers as its characters
+    data = load_fixture("x32_uniform_5_6.json")
+    data[field] = value
+    with pytest.raises(CertificateError) as err:
+        cert_from_dict(data)
+    assert str(err.value) == f"malformed certificate: {message}"
+
+
+def test_cert_from_dict_accepts_null_r_and_t():
+    data = load_fixture("x32_uniform_5_6.json")
+    data.update(r=None, t=None)
+    cert = cert_from_dict(data)
+    assert (cert.n, cert.r, cert.t) == (5, None, None)
+    assert verify_packing(build_tree(3, 2), cert).valid
+
+
 def test_double_sphere_requires_adjacent_centers():
     tree = build_tree(2, 2)
     good = PackingCertificate(n=4, kind="double_sphere",

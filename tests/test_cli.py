@@ -75,6 +75,23 @@ def test_verify_malformed_certificate_exits_2(tmp_path, capsys, field, value):
     assert "malformed certificate" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("n", "5", "n must be an integer, got '5'"),
+    ("r", "3", "r must be an integer or null, got '3'"),
+    ("centers", "12534", "centers must be a list, got str"),
+])
+def test_verify_wrongly_typed_field_exits_2(tmp_path, capsys, field, value, message):
+    with open(FIXTURES / "x32_uniform_5_6.json") as fh:
+        cert = json.load(fh)
+    cert[field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cert))
+    assert run(["verify", "--tree", "3,2", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: malformed certificate: {message}\n"
+
+
 def test_search_eset_none_exhaustive(capsys):
     code, data = run_json(capsys, "search", "eset", "--tree", "2,2")
     assert code == 0
@@ -440,6 +457,17 @@ def test_tables_json(capsys):
     code, data = run_json(capsys, "tables", "3", "--format", "json")
     assert code == 0
     assert data[1]["alpha"] == "4/5" and data[1]["T"] == [8, 12]
+
+
+@pytest.mark.parametrize("r_max", ["1", "0", "-1"])
+@pytest.mark.parametrize("fmt", ["tsv", "json"])
+def test_tables_below_r_2_is_a_usage_error(capsys, r_max, fmt):
+    # the census starts at r = 2, so a smaller bound would give an empty
+    # table: it is refused, in both formats
+    assert run(["tables", r_max, "--format", fmt]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: tables needs r_max >= 2, got {r_max}\n"
 
 
 def test_cli_import_loads_no_test_dependencies():

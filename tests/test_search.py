@@ -447,6 +447,36 @@ def test_incremental_bound_matches_recomputed(case):
     assert _branch_and_bound(cand, conflict, comp_masks, cap, budget, None) == expected
 
 
+@st.composite
+def _singleton_conflict_graphs(draw):
+    # 6 to 8 small components on at most 16 vertices: a vertex with a few
+    # conflicts meets most other components in one vertex, so the take
+    # step's single-vertex mask carries most of each update, and some of
+    # those vertices are not candidates, at the root or lower down
+    num = draw(st.integers(6, 16))
+    vertex = st.integers(0, num - 1)
+    conflict = [1 << v for v in range(num)]
+    for u, v in draw(st.lists(st.tuples(vertex, vertex), min_size=num, max_size=60)):
+        conflict[u] |= 1 << v
+        conflict[v] |= 1 << u
+    parts = draw(st.integers(6, 8))
+    home = draw(st.lists(st.integers(0, parts - 1), min_size=num, max_size=num))
+    comp_masks = [sum(1 << v for v in range(num) if home[v] == j) for j in range(parts)]
+    cand = (1 << num) - 1
+    for v in draw(st.lists(vertex, max_size=num // 3)):
+        cand &= ~(1 << v)
+    return cand, conflict, comp_masks, draw(st.integers(1, 2)), draw(st.integers(1, 300))
+
+
+@given(_singleton_conflict_graphs())
+def test_single_vertex_parts_match_recomputed(case):
+    # a singleton that is no longer a candidate must not move a count, and
+    # a candidate singleton must lower its component's count by one
+    cand, conflict, comp_masks, cap, budget = case
+    expected = _reference_branch_and_bound(cand, conflict, comp_masks, cap, budget)
+    assert _branch_and_bound(cand, conflict, comp_masks, cap, budget, None) == expected
+
+
 def test_deadline_stops_where_the_node_budget_does(monkeypatch):
     # the clock is read before nodes 1, 1 + E, 1 + 2E, ... (E =
     # _CLOCK_EVERY); a clock that ticks once per reading passes deadline
