@@ -11,9 +11,11 @@ single disjointness rule for packings, all come from these columns.
 For a diameter-3 tree with hub degrees r and t, deleting the hub-hub
 edge splits the graph into C(n, r) components, one per r-subset of
 values occupying the hub-r-side positions 1..r; ``TranspositionTree``
-checks that layout when built.  ``packing_profile`` applies
-``packing_union`` one component at a time, so checking a packing never
-holds more than one component's union.  One breadth-first search,
+checks that layout when built.  ``require_components`` is the one
+guard against stars, which have no components, and ``component_key``
+the one check that given values are a component.
+``packing_profile`` applies ``packing_union`` one component at a time,
+so checking a packing never holds more than one component's union.  One breadth-first search,
 ``_bfs``, serves the tree on 1..n and the Cayley graph
 (``graph_distance``).
 """
@@ -215,29 +217,46 @@ def graph_distance(tree: TranspositionTree, g: Perm, h: Perm) -> int:
     return next(d for v, d in _bfs(g, lambda u: [get(u) for get in getters]) if v == h)
 
 
+def require_components(tree: TranspositionTree) -> int:
+    """The hub degree r, after checking that the tree has components:
+    a star has none."""
+    if tree.r is None:
+        raise ValueError("components defined only for diameter-3 trees")
+    return tree.r
+
+
+def component_key(tree: TranspositionTree, values) -> frozenset[int]:
+    """``values`` as a component, keyed as by ``component_of``; ValueError
+    naming them unless they are r distinct integers of 1..n."""
+    r = require_components(tree)
+    key = frozenset(values)
+    if len(key) != r or not all(type(v) is int and 1 <= v <= tree.n for v in key):
+        # repr sorted by length first: integers in numeric order
+        shown = ", ".join(sorted(map(repr, key), key=lambda s: (len(s), s)))
+        raise ValueError(f"{{{shown}}} is not a component: it needs {r} distinct "
+                         f"values of 1..{tree.n}")
+    return key
+
+
 def component_of(tree: TranspositionTree, g: Perm) -> frozenset[int]:
     """Values occupying the hub-r-side positions of g, which are 1..r
     under both numberings."""
-    if tree.r is None:
-        raise ValueError("components defined only for diameter-3 trees")
-    return frozenset(g[:tree.r])
+    return frozenset(g[:require_components(tree)])
 
 
 def centers_by_component(tree: TranspositionTree, centers) -> dict[frozenset[int], list[Perm]]:
     """The centers of each component that has any, keyed as by
-    ``component_of``, in order of first appearance."""
-    if tree.r is None:
-        raise ValueError("components defined only for diameter-3 trees")
+    ``component_of``, in order of first appearance; for a lex-ordered
+    list of vertices that is ``all_components`` order."""
+    left = itemgetter(slice(require_components(tree)))
     groups: dict[frozenset[int], list[Perm]] = {}
-    for key, g in zip(map(frozenset, map(itemgetter(slice(tree.r)), centers)), centers):
+    for key, g in zip(map(frozenset, map(left, centers)), centers):
         groups.setdefault(key, []).append(g)
     return groups
 
 
 def all_components(tree: TranspositionTree) -> list[frozenset[int]]:
-    if tree.r is None:
-        raise ValueError("components defined only for diameter-3 trees")
-    return [frozenset(c) for c in combinations(range(1, tree.n + 1), tree.r)]
+    return [frozenset(c) for c in combinations(range(1, tree.n + 1), require_components(tree))]
 
 
 def component_type(tree: TranspositionTree, values) -> int:
@@ -250,9 +269,7 @@ def component_type(tree: TranspositionTree, values) -> int:
 
 def enumerate_component(tree: TranspositionTree, values):
     """All r!t! vertices whose left-side values equal the given r-subset."""
-    values = set(values)
-    if len(values) != tree.r or not values <= set(range(1, tree.n + 1)):
-        raise ValueError(f"not an r-subset of values: {values}")
+    values = component_key(tree, values)
     right = sorted(set(range(1, tree.n + 1)) - values)
     for left_word in permutations(sorted(values)):
         for right_word in permutations(right):

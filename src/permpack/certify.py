@@ -30,7 +30,8 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .cayley import (TranspositionTree, all_components, centers_by_component, closed_sphere,
-                     component_of, component_type, packing_profile, translate)
+                     component_key, component_of, component_type, packing_profile,
+                     require_components, translate)
 from .perms import Perm, compose, invert, perm_from_str, perm_to_str
 
 
@@ -97,9 +98,11 @@ def _base(tree: TranspositionTree, cert: PackingCertificate) -> set[frozenset[in
     none or the certificate is double_sphere, which ignores it."""
     if cert.kind == "double_sphere" or cert.base_subgraph is None:
         return None
-    if tree.r is None:
-        raise ValueError("components defined only for diameter-3 trees")
-    return set(map(frozenset, cert.base_subgraph))
+    require_components(tree)
+    try:
+        return {component_key(tree, c) for c in cert.base_subgraph}
+    except ValueError as exc:
+        raise CertificateError(f"malformed certificate: base_subgraph entry {exc}") from None
 
 
 def sphere_sets(tree: TranspositionTree, cert: PackingCertificate) -> list[frozenset[Perm]]:
@@ -188,8 +191,6 @@ def verify_eset(tree: TranspositionTree, cert: PackingCertificate) -> Verificati
 def verify_on_subgraph(tree: TranspositionTree, cert: PackingCertificate,
                        components) -> VerificationReport:
     """``verify_packing`` with the listed components as the base subgraph."""
-    if tree.r is None:
-        raise ValueError("components defined only for diameter-3 trees")
     if cert.kind != "one_sphere":
         raise CertificateError("subgraph verification applies to one_sphere certificates")
     return verify_packing(tree, replace(cert, base_subgraph=list(components)))
@@ -284,6 +285,10 @@ def cert_from_dict(data: dict) -> PackingCertificate:
             centers = list(map(perm_from_str, raw))
         alpha = data.get("declared_alpha")
         if alpha is not None:
+            # a JSON number would be read as its binary fraction
+            if not isinstance(alpha, str):
+                raise TypeError(f"declared_alpha must be a string such as \"5/6\", "
+                                f"got {alpha!r}")
             alpha = Fraction(alpha)
         base = data.get("base_subgraph")
         if base is not None:

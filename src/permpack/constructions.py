@@ -23,8 +23,8 @@ from math import comb, factorial
 
 from . import johnson
 from .cayley import (RENUMBERED, TranspositionTree, all_components, build_tree,
-                     closed_sphere, component_of, component_type,
-                     packing_union)
+                     closed_sphere, component_key, component_of, component_type,
+                     packing_union, require_components)
 from .certify import PackingCertificate, VerificationReport, verify_packing
 from .perms import Perm, relative_parity, swap_positions
 
@@ -73,12 +73,10 @@ def hub_slice(tree: TranspositionTree, values, i: int, j: int) -> list[Perm]:
     """The vertices of the component ``values`` with value i at the left
     hub and value j at the right hub, in lex order: a product of factor
     E-sets."""
-    values = frozenset(values)
+    values = component_key(tree, values)
     complement = frozenset(range(1, tree.n + 1)) - values
     if i not in values or j not in complement:
         raise ValueError(f"slice values {i},{j} unavailable in component {sorted(values)}")
-    if len(values) != tree.r or not values <= frozenset(range(1, tree.n + 1)):
-        raise ValueError(f"not an r-subset of values: {sorted(values)}")
     # lex-ordered sides in a left-major product: enumerate_component's order
     rights = _with_value(complement, tree.hub_right - 1 - tree.r, j)
     return [left + right for left in _with_value(values, tree.hub_left - 1, i) for right in rights]
@@ -111,12 +109,15 @@ def _disjoint_picks(options):
     """Backtrack over slots: pick one (centers, footprint) per slot of
     ``options``, the footprints pairwise disjoint (a None footprint never
     fits); yield each pick's centers as one flat list, in slot order.
-    Every caller passes at least one slot.
+    With no slots the one pick is empty.
 
     Iterative: ``frames`` holds one option iterator per open slot and
     ``picks`` the options taken so far, so the depth is not bounded by
     Python's recursion limit.
     """
+    if not options:
+        yield []
+        return
     covered: set[Perm] = set()
     picks: list = []
     frames = [iter(options[0])]
@@ -176,9 +177,7 @@ def uniform_from_exact(tree: TranspositionTree, structure: johnson.ExactSubgraph
     The structure must be a nest of J(n, r) that johnson.validate_nest
     accepts; any other structure raises ValueError with its verdict.
     """
-    if tree.r is None:
-        raise ValueError("uniform packings are defined only for diameter-3 trees")
-    ok, why = johnson.validate_nest(tree.n, tree.r, structure)
+    ok, why = johnson.validate_nest(tree.n, require_components(tree), structure)
     if not ok:
         raise ValueError(f"structure is not a nest of J({tree.n},{tree.r}): {why}")
     last_error = None
@@ -202,16 +201,8 @@ def uniform_from_exact(tree: TranspositionTree, structure: johnson.ExactSubgraph
 
 
 def _eligible_components(tree: TranspositionTree):
-    r = tree.r
-    out = []
-    for c in all_components(tree):
-        k = component_type(tree, c)
-        if k == 0:
-            continue
-        if r % 2 == 0 and k == r // 2:
-            continue
-        out.append(c)
-    return out
+    """The components of type k > 0, except k = r/2 when r is even."""
+    return [c for c in all_components(tree) if 0 < component_type(tree, c) != tree.r / 2]
 
 
 def _local_configs(tree: TranspositionTree, values: frozenset[int], size: int):
@@ -225,27 +216,19 @@ def _local_configs(tree: TranspositionTree, values: frozenset[int], size: int):
     density; the undisplaced products alone collide across the hub edge.
     """
     complement = sorted(set(range(1, tree.n + 1)) - values)
-    variants: list[tuple[Perm, ...]] = []
-    seen = set()
     hub_edges = [e for e in tree.edges if e != tree.epsilon]
-    for i in sorted(values):
-        for j in complement:
-            base = hub_slice(tree, values, i, j)
-            for disp in [None] + hub_edges:
-                group = tuple(sorted(
-                    base if disp is None else [swap_positions(g, *disp) for g in base]))
-                if group in seen or any(component_type(
-                        tree, component_of(tree, swap_positions(g, *tree.epsilon))) == 0
-                        for g in group):
-                    continue
-                seen.add(group)
-                variants.append(group)
-    # dedupe across variants, preserving first-seen order
+    # center sets in first-seen order, each once though groups may share it
     feet: dict[tuple[Perm, ...], set[Perm] | None] = {}
-    for group in variants:
-        for combo in combinations(group, size):
-            if combo not in feet:
-                feet[combo] = packing_union(tree, combo)
+    for i, j in product(sorted(values), complement):
+        base = hub_slice(tree, values, i, j)
+        for disp in [None] + hub_edges:
+            group = sorted(base if disp is None else [swap_positions(g, *disp) for g in base])
+            if any(component_type(tree, component_of(tree, swap_positions(g, *tree.epsilon))) == 0
+                   for g in group):
+                continue
+            for combo in combinations(group, size):
+                if combo not in feet:
+                    feet[combo] = packing_union(tree, combo)
     return [(combo, foot) for combo, foot in feet.items() if foot is not None]
 
 
@@ -260,10 +243,12 @@ def nonuniform_extension(r: int, stage: str = "final") -> Construction:
     stage for r >= 5, where its configurations alone take minutes and
     gigabytes.
 
-    A single iterative search: one ``_disjoint_picks`` over the type-0
-    slots followed by one slot per eligible component, so its first pick
-    extends the first X' code that admits an extension.  With no pick it
-    falls back to the X' code alone and reports the shortfall.
+    The X' code is ``xprime_perfect_code(r)``'s, and one ``_disjoint_picks``
+    over one slot per eligible component extends it.  The residual
+    configurations need no check against the X' code: their centers keep
+    every epsilon-neighbour off X', and the X' spheres stay inside X'.
+    With no residual pick the X' code alone is returned, and the
+    shortfall shows in its alpha.
     """
     if stage not in ("intermediate", "final"):
         raise ValueError(f"unknown stage {stage!r}")
@@ -276,32 +261,21 @@ def nonuniform_extension(r: int, stage: str = "final") -> Construction:
                          f"{table_row(r).P} eligible components has up to "
                          f"{r * r * (2 * r - 1)} groups of {factorial(r - 1) ** 2} centers, "
                          f"each with its sphere union")
+    code = xprime_perfect_code(r)
     tree = build_tree(r, r, RENUMBERED)
-    row = table_row(r)
-    per_comp = factorial(r - 1) ** 2
-    if stage == "intermediate":
-        per_comp //= 2
+    per_comp = factorial(r - 1) ** 2 // (2 if stage == "intermediate" else 1)
     comps = _eligible_components(tree)
-    xprime_size = 2 ** r * factorial(r) ** 2
-
-    type0 = _xprime_options(tree)
-    residual = [_local_configs(tree, c, per_comp) for c in comps]
-    pick = next(_disjoint_picks(type0 + residual), None)
-    if pick is None:
-        # fall back to the base code alone; honest shortfall report
-        pick = next(_disjoint_picks(type0))
-    # the X' code has one center per 2r-vertex sphere; the rest is residual
-    split = xprime_size // (2 * r)
-    best = sorted(pick[:split]) + sorted(pick[split:])
-    cert = PackingCertificate(n=tree.n, kind="one_sphere", centers=best,
+    residual = next(_disjoint_picks([_local_configs(tree, c, per_comp) for c in comps]), [])
+    cert = PackingCertificate(n=tree.n, kind="one_sphere",
+                              centers=code.certificate.centers + sorted(residual),
                               r=r, t=r, numbering=RENUMBERED)
     report = verify_packing(tree, cert)
     # the picks' footprints are pairwise disjoint sphere unions
     assert report.valid, f"the nonuniform pick at r={r} is not a packing"
     if stage == "intermediate":
-        target = Fraction(xprime_size + len(comps) * per_comp * 2 * r, factorial(2 * r))
+        target = code.report.alpha + Fraction(len(comps) * per_comp * 2 * r, factorial(2 * r))
     else:
-        target = row.alpha
+        target = table_row(r).alpha
     return Construction(cert, report, target)
 
 

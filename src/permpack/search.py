@@ -56,7 +56,7 @@ from dataclasses import dataclass
 from functools import cache, reduce
 from operator import or_
 
-from .cayley import TranspositionTree, all_components, edge_getters
+from .cayley import TranspositionTree, centers_by_component, edge_getters
 from .certify import PackingCertificate, verify_eset, verify_packing
 from .perms import Perm, all_perms
 
@@ -387,12 +387,10 @@ def _packing_graph(tree: TranspositionTree) -> tuple[list[int], list[int]]:
     conflict = [reduce(or_, map(masks.__getitem__, sph)) for sph in spheres]
     if tree.r is None:
         return conflict, [(1 << len(spheres)) - 1]
-    r = tree.r
-    comp_mask = dict.fromkeys(all_components(tree), 0)
-    for v, g in enumerate(_lex_table(tree.n)[0]):
-        # component_of(tree, g): the values at positions 1..r
-        comp_mask[frozenset(g[:r])] |= 1 << v
-    return conflict, list(comp_mask.values())
+    perms, rank = _lex_table(tree.n)
+    # first appearance in lex order is all_components order
+    return conflict, [reduce(or_, map((1).__lshift__, map(rank.__getitem__, members)))
+                      for members in centers_by_component(tree, perms).values()]
 
 
 def max_packing(tree: TranspositionTree, node_budget: int | None = 2_000_000,

@@ -12,10 +12,11 @@ from hypothesis import strategies as st
 import permpack
 from conftest import placed_x3
 from permpack.cayley import (ORIGINAL, RENUMBERED, TranspositionTree, all_components,
-                             build_tree, closed_sphere, component_of,
-                             component_type, enumerate_component,
+                             build_tree, centers_by_component, closed_sphere, component_key,
+                             component_of, component_type, enumerate_component,
                              graph_distance, neighbors, num_vertices,
-                             packing_union, star_tree, translate, tree_diameter)
+                             packing_union, require_components, star_tree, translate,
+                             tree_diameter)
 from permpack.perms import all_perms, perm_from_str
 
 
@@ -170,11 +171,41 @@ def test_all_components_in_subset_order(r, t, numbering):
     assert comps == sorted(comps, key=lambda c: tuple(sorted(c)))
 
 
+@pytest.mark.parametrize("r, t", [(2, 2), (3, 2), (4, 2), (3, 3), (4, 3), (5, 2), (2, 5)])
+def test_lex_order_groups_into_all_components_order(r, t):
+    # the max-packing component masks rely on this order
+    tree = build_tree(r, t)
+    assert list(centers_by_component(tree, all_perms(tree.n))) == all_components(tree)
+
+
 def test_enumerate_component():
     tree = build_tree(3, 2)
     got = sorted(enumerate_component(tree, {1, 2, 3}))
     assert len(got) == 12
     assert all(component_of(tree, g) == frozenset({1, 2, 3}) for g in got)
+
+
+@pytest.mark.parametrize("values, shown", [
+    ({1, 2}, "{1, 2}"), ([1, 2, 6], "{1, 2, 6}"), ("123", "{'1', '2', '3'}"),
+    ([1.0, 2, 3], "{2, 3, 1.0}"), ([True, 2, 3], "{2, 3, True}"), ([10, 2, 0], "{0, 2, 10}"),
+])
+def test_component_key_names_values_that_are_not_a_component(values, shown):
+    tree = build_tree(3, 2)
+    assert component_key(tree, [3, 1, 2]) == frozenset({1, 2, 3})
+    message = f"{shown} is not a component: it needs 3 distinct values of 1..5"
+    with pytest.raises(ValueError) as info:
+        component_key(tree, values)
+    assert str(info.value) == message
+    with pytest.raises(ValueError, match="is not a component"):
+        list(enumerate_component(tree, values))
+
+
+def test_a_star_has_no_components():
+    star = star_tree(4)
+    for call in (lambda: require_components(star), lambda: component_key(star, {1, 2}),
+                 lambda: all_components(star), lambda: centers_by_component(star, [])):
+        with pytest.raises(ValueError, match="components defined only for diameter-3 trees"):
+            call()
 
 
 def test_component_type():
@@ -256,3 +287,27 @@ def test_only_cayley_and_search_read_edge_getters():
             if name == "edge_getters":
                 readers.add(path.stem)
     assert readers == {"cayley", "search"}
+
+
+def _names_r(node) -> bool:
+    return (isinstance(node, ast.Name) and node.id == "r"
+            or isinstance(node, ast.Attribute) and node.attr == "r")
+
+
+def test_cayley_owns_the_component_rule():
+    # one star guard, in cayley, and search keys no vertex by a [:r]
+    # slice of its own: it groups vertices with centers_by_component
+    src = pathlib.Path(permpack.__file__).parent
+    guards = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and "components defined only" in node.value):
+                guards.append(path.stem)
+    assert guards == ["cayley"]
+    search = ast.parse((src / "search.py").read_text())
+    slices = [ast.unparse(node) for node in ast.walk(search)
+              if isinstance(node, ast.Slice) and node.lower is None and _names_r(node.upper)
+              or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "slice"]
+    assert slices == []

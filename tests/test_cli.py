@@ -79,6 +79,11 @@ def test_verify_malformed_certificate_exits_2(tmp_path, capsys, field, value):
     ("n", "5", "n must be an integer, got '5'"),
     ("r", "3", "r must be an integer or null, got '3'"),
     ("centers", "12534", "centers must be a list, got str"),
+    # only the "p/q" string that cert_to_dict writes is exact
+    ("declared_alpha", 0.8333333333333334,
+     'declared_alpha must be a string such as "5/6", got 0.8333333333333334'),
+    ("declared_alpha", True, 'declared_alpha must be a string such as "5/6", got True'),
+    ("declared_alpha", 1, 'declared_alpha must be a string such as "5/6", got 1'),
 ])
 def test_verify_wrongly_typed_field_exits_2(tmp_path, capsys, field, value, message):
     with open(FIXTURES / "x32_uniform_5_6.json") as fh:
@@ -252,6 +257,35 @@ def test_verify_reads_the_base_subgraph_of_the_xprime_code(tmp_path, capsys):
                             str(path))
     assert code == 0 and report == json.loads(path.read_text())["report"]
     assert report["is_eset"] and report["covered_count"] == 288 and report["alpha"] == "2/5"
+
+
+@pytest.mark.parametrize("entry, named", [
+    (lambda c: list(map(str, sorted(c))), "{'1', '2', '3'}"),
+    (lambda c: "".join(map(str, sorted(c))), "{'1', '2', '3'}"),
+    (lambda c: sorted(c)[:2], "{1, 2}"),
+    (lambda c: sorted(c)[:2] + [7], "{1, 2, 7}"),
+], ids=["strings", "string", "too-few", "out-of-range"])
+def test_verify_refuses_a_base_entry_that_is_not_a_component(tmp_path, capsys, entry, named):
+    path = tmp_path / "xprime.json"
+    assert run(["construct", "xprime", "3", "-o", str(path)]) == 0
+    capsys.readouterr()
+    data = json.loads(path.read_text())["certificate"]
+    data["base_subgraph"] = [entry(c) for c in data["base_subgraph"]]
+    path.write_text(json.dumps(data))
+    argv = ["verify", "--tree", "3,3", "--numbering", "renumbered", str(path)]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: malformed certificate: base_subgraph entry {named} "
+                            f"is not a component: it needs 3 distinct values of 1..6\n")
+    with pytest.raises(certify.CertificateError, match="base_subgraph entry"):
+        verify_packing(build_tree(3, 3, "renumbered"), certify.cert_from_dict(data))
+
+
+def test_johnson_alternate_without_an_exact_cycle_reports_not_found(capsys):
+    # equal, disjoint families: the backtracking runs to exhaustion
+    code, data = run_json(capsys, "johnson", "alternate", "114", "123", "6")
+    assert code == 0 and data == {"found": False}
 
 
 def test_verify_names_an_s_sphere_center_outside_its_base(tmp_path, capsys):

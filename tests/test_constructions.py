@@ -16,8 +16,9 @@ from permpack.cayley import (ORIGINAL, RENUMBERED, all_components, build_tree, c
 from permpack.certify import (PackingCertificate, cert_to_dict, uniformity_check,
                               verify_eset, verify_on_subgraph, verify_packing)
 from permpack.cli import run
-from permpack.constructions import (ConstructionError, _component_centers,
-                                    _disjoint_picks, _xprime_options, hub_slice, nonuniform_extension, partner,
+from permpack.constructions import (ConstructionError, _component_centers, _disjoint_picks,
+                                    _eligible_components, _local_configs, _xprime_options,
+                                    hub_slice, nonuniform_extension, partner,
                                     puncture_attempt, star_eset,
                                     table_T, table_row, uniform_from_exact,
                                     xprime_components, xprime_perfect_code)
@@ -118,6 +119,10 @@ def test_component_centers_match_reference(r):
                     == _reference_component_centers(tree, values, flag))
 
 
+def test_disjoint_picks_of_no_slots_is_one_empty_pick():
+    assert list(_disjoint_picks([])) == [[]]
+
+
 @pytest.mark.parametrize("r", [2, 3, 4])
 def test_every_xprime_pick_is_a_perfect_code(r):
     # xprime_perfect_code takes the first pick and does not retry
@@ -206,6 +211,22 @@ def test_nonuniform_r3_final():
     tree = build_tree(3, 3, RENUMBERED)
     rep = verify_packing(tree, res.certificate)
     assert rep.valid and rep.covered_count == 576
+
+
+@pytest.mark.parametrize("r, stage", [(2, "intermediate"), (2, "final"), (3, "intermediate"),
+                                      (3, "final"), (4, "final")])
+def test_nonuniform_extends_the_xprime_code_unchecked(r, stage):
+    # the residual pick is not checked against the X' code: every X'
+    # option and every residual configuration must have disjoint footprints
+    tree = build_tree(r, r, RENUMBERED)
+    per_comp = math.factorial(r - 1) ** 2 // (2 if stage == "intermediate" else 1)
+    xprime = set().union(*(foot for slot in _xprime_options(tree) for _, foot in slot))
+    assert len(xprime) == len(xprime_components(r)) * math.factorial(r) ** 2
+    for values in _eligible_components(tree):
+        for _, foot in _local_configs(tree, values, per_comp):
+            assert xprime.isdisjoint(foot)
+    code = xprime_perfect_code(r).certificate.centers
+    assert nonuniform_extension(r, stage).certificate.centers[:len(code)] == code
 
 
 def test_nonuniform_rejects_bad_stage():

@@ -74,6 +74,12 @@ def test_is_exact_rejects_short_union_path():
     assert not ok and witness is not None
 
 
+def test_is_exact_rejects_a_non_johnson_edge():
+    sub = make_subgraph([({1, 2, 3}, {1, 4, 5})])
+    assert is_exact(6, 3, sub) == (
+        False, "(1, 2, 3) and (1, 4, 5) are not adjacent in the Johnson graph")
+
+
 def test_is_exact_two_factor():
     assert is_exact(5, 3, two_factor_g35()) == (True, None)
 
@@ -197,6 +203,12 @@ def test_validate_nest_g46():
 def test_validate_nest_rejects_nonspanning():
     ok, why = validate_nest(5, 3, expand_cc((1, 2, 3, 4, 5), 3))
     assert not ok and "spanning" in why
+
+
+def test_validate_nest_rejects_a_repeated_edge():
+    nest = nest_g35()
+    doubled = make_subgraph(list(nest.edges) + [nest.edges[0]], kind="nest")
+    assert validate_nest(5, 3, doubled) == (False, "repeated edge")
 
 
 def test_validate_nest_rejects_high_degree():
