@@ -23,7 +23,7 @@ so checking a packing never holds more than one component's union.  One breadth-
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
 from itertools import combinations, permutations
 from operator import itemgetter
@@ -36,24 +36,22 @@ ORIGINAL = "original"
 RENUMBERED = "renumbered"
 
 
-@dataclass(frozen=True)
-class TranspositionTree:
+class TranspositionTree(namedtuple("TranspositionTree", "n edges epsilon r t numbering",
+                                   defaults=(None, None, None, None))):
     """A tree on vertices 1..n whose edges generate S_n as transpositions.
 
     epsilon is the hub-hub edge of a diameter-3 tree (None for stars),
     hub-r end first, and r, t are its hub degrees, given with it.  Checked
     here: r, t >= 2 with r + t = n, every edge touches a hub, and the
-    hub-r end and its other neighbours are positions 1..r.
+    hub-r end and its other neighbours are positions 1..r.  Immutable,
+    hashable and equal by value, so it keys the caches of its tables.
     """
 
-    n: int
-    edges: tuple[Edge, ...]
-    epsilon: Edge | None = None
-    r: int | None = None
-    t: int | None = None
-    numbering: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, n: int, edges: tuple[Edge, ...], epsilon: Edge | None = None,
+                r: int | None = None, t: int | None = None, numbering: str | None = None):
+        self = super().__new__(cls, n, edges, epsilon, r, t, numbering)
         layout = (self.epsilon, self.r, self.t)
         if None in layout and layout != (None, None, None):
             raise ValueError("epsilon, r and t are given together or not at all")
@@ -67,7 +65,7 @@ class TranspositionTree:
         if len(self.edges) != self.n - 1 or len(_distances(self.n, self.edges, 1)) != self.n:
             raise ValueError("edges do not form a spanning tree")
         if self.epsilon is None:
-            return
+            return self
         if self.epsilon not in self.edges:
             raise ValueError(f"epsilon {self.epsilon} is not a tree edge")
         a, b = self.epsilon
@@ -77,6 +75,12 @@ class TranspositionTree:
         left = {v for e in self.edges if a in e for v in e if v != b}
         if left != set(range(1, self.r + 1)):
             raise ValueError(f"the hub-r side {sorted(left)} is not positions 1..{self.r}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make: both check the layout too
+        return cls(*iterable)
 
     @property
     def hub_left(self) -> int:
@@ -199,13 +203,18 @@ def packing_profile(tree: TranspositionTree, centers) -> dict[frozenset[int], li
     if tree.r is None:
         return None if packing_union(tree, centers) is None else {}
     groups = centers_by_component(tree, centers)
-    across = edge_getters(tree)[tree.edges.index(tree.epsilon)]
-    incoming = centers_by_component(tree, list(map(across, centers)))
+    incoming = centers_by_component(tree, epsilon_neighbors(tree, centers))
     for comp, members in groups.items():
         covered = packing_union(tree, members)
         if covered is None or not covered.isdisjoint(incoming.get(comp, ())):
             return None
     return groups
+
+
+def epsilon_neighbors(tree: TranspositionTree, vertices) -> list[Perm]:
+    """The neighbour of each vertex across epsilon, the hub-hub edge, in
+    order; each lies in another component than its vertex."""
+    return list(map(edge_getters(tree)[tree.edges.index(tree.epsilon)], vertices))
 
 
 def graph_distance(tree: TranspositionTree, g: Perm, h: Perm) -> int:

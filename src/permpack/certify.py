@@ -12,49 +12,75 @@ subgraph its components induce: a center outside it is a violation,
 and an E-set covers all of its vertices, as the X'(r,r) perfect code
 does.  ``verify_on_subgraph`` passes the base as an argument.
 
-The verifier reads the graph only through ``cayley.closed_sphere`` and
-``cayley.packing_profile``, which applies the single disjointness rule,
-``cayley.packing_union``, one component at a time.  For one_sphere
-certificates with no base ``packing_profile`` gives the centers per
-component, or None when two closed spheres meet; no union larger than
-one component's is built.  Otherwise the verifier runs the ordered
-per-sphere loop, which names each sphere that meets an earlier one and
-a vertex they share.
+The verifier reads the graph only through ``cayley.closed_sphere``,
+``cayley.epsilon_neighbors`` and ``cayley.packing_profile``, which
+applies the single disjointness rule, ``cayley.packing_union``, one
+component at a time.  For one_sphere certificates ``packing_profile``
+gives the centers per component, or None when two closed spheres meet;
+no union larger than one component's is built.  A disjoint packing with
+no base, or with every center in its base, is accepted at once.
+Otherwise the verifier runs the ordered per-sphere loop, which names
+each sphere that meets an earlier one and a vertex they share.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass, field, replace
+from collections import Counter, namedtuple
 from fractions import Fraction
+from operator import attrgetter
 
 from .cayley import (TranspositionTree, all_components, centers_by_component, closed_sphere,
-                     component_key, component_of, component_type, packing_profile,
-                     require_components, translate)
+                     component_key, component_of, component_type, epsilon_neighbors,
+                     packing_profile, require_components, translate)
 from .perms import Perm, compose, invert, perm_from_str, perm_to_str
 
 
-@dataclass
 class PackingCertificate:
-    n: int
-    kind: str  # one_sphere | double_sphere | s_sphere
-    centers: list  # Perms; for double_sphere, pairs (Perm, Perm)
-    r: int | None = None
-    t: int | None = None
-    numbering: str | None = None
-    declared_alpha: Fraction | None = None
-    base_subgraph: list[frozenset[int]] | None = None
+    """Declared sphere centers of one kind, with the tree and density they
+    claim; mutable, equal by value and unhashable."""
+
+    __slots__ = ("n", "kind", "centers", "r", "t", "numbering", "declared_alpha",
+                 "base_subgraph")
+
+    def __init__(self, n: int, kind: str, centers: list, r: int | None = None,
+                 t: int | None = None, numbering: str | None = None,
+                 declared_alpha: Fraction | None = None,
+                 base_subgraph: list[frozenset[int]] | None = None):
+        self.n = n
+        self.kind = kind  # one_sphere | double_sphere | s_sphere
+        self.centers = centers  # Perms; for double_sphere, pairs (Perm, Perm)
+        self.r = r
+        self.t = t
+        self.numbering = numbering
+        self.declared_alpha = declared_alpha
+        self.base_subgraph = base_subgraph
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _cert_fields(self) == _cert_fields(other)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return "PackingCertificate(" + ", ".join(
+            f"{name}={value!r}" for name, value in zip(self.__slots__, _cert_fields(self))) + ")"
 
 
-@dataclass
-class VerificationReport:
-    valid: bool
-    covered_count: int
-    alpha: Fraction
-    is_eset: bool
-    per_component_profile: dict
-    violations: list[str] = field(default_factory=list)
+_cert_fields = attrgetter(*PackingCertificate.__slots__)
+
+
+class VerificationReport(namedtuple("VerificationReport", "valid covered_count alpha is_eset "
+                                    "per_component_profile violations")):
+    """The verifier's verdict; ``violations`` defaults to a new empty list."""
+
+    __slots__ = ()
+
+    def __new__(cls, valid: bool, covered_count: int, alpha: Fraction, is_eset: bool,
+                per_component_profile: dict, violations: list[str] | None = None):
+        return super().__new__(cls, valid, covered_count, alpha, is_eset, per_component_profile,
+                               [] if violations is None else violations)
 
 
 class CertificateError(ValueError):
@@ -163,15 +189,21 @@ def _report(cert: PackingCertificate, covered: int, violations: list[str], whole
 def verify_packing(tree: TranspositionTree, cert: PackingCertificate) -> VerificationReport:
     _check_wellformed(tree, cert)
     base = _base(tree, cert)
-    if base is None:
-        whole = math.factorial(cert.n)
-        if cert.kind == "one_sphere":
-            # disjoint closed spheres of n vertices each
-            groups = packing_profile(tree, cert.centers)
-            if groups is not None:
-                return _report(cert, tree.n * len(cert.centers), [], whole, groups)
-    else:
-        whole = len(base) * math.factorial(tree.r) * math.factorial(tree.t)
+    whole = (math.factorial(cert.n) if base is None
+             else len(base) * math.factorial(tree.r) * math.factorial(tree.t))
+    if cert.kind == "one_sphere":
+        groups = packing_profile(tree, cert.centers)
+        if groups is not None and (base is None or base.issuperset(groups)):
+            # disjoint closed spheres of n vertices each.  With every center
+            # in the base, a sphere leaves the base only at its center's
+            # epsilon-neighbour, which no other sphere holds: the cut
+            # spheres meet iff the whole ones do, and each loses that one
+            # vertex when it lies outside the base.
+            covered = tree.n * len(cert.centers)
+            if base is not None:
+                covered -= sum(len(qs) for c, qs in centers_by_component(
+                    tree, epsilon_neighbors(tree, cert.centers)).items() if c not in base)
+            return _report(cert, covered, [], whole, groups)
     outside = set() if base is None else {
         p for p in cert.centers if component_of(tree, p) not in base}
     violations = [f"center {perm_to_str(p)} lies outside the listed components"
@@ -193,7 +225,9 @@ def verify_on_subgraph(tree: TranspositionTree, cert: PackingCertificate,
     """``verify_packing`` with the listed components as the base subgraph."""
     if cert.kind != "one_sphere":
         raise CertificateError("subgraph verification applies to one_sphere certificates")
-    return verify_packing(tree, replace(cert, base_subgraph=list(components)))
+    return verify_packing(tree, PackingCertificate(
+        cert.n, cert.kind, cert.centers, cert.r, cert.t, cert.numbering, cert.declared_alpha,
+        list(components)))
 
 
 def uniformity_check(tree: TranspositionTree, cert: PackingCertificate) -> tuple[bool, str | None]:

@@ -16,7 +16,7 @@ caller never has to verify the certificate a second time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import comb, factorial
@@ -25,7 +25,7 @@ from . import johnson
 from .cayley import (RENUMBERED, TranspositionTree, all_components, build_tree,
                      closed_sphere, component_key, component_of, component_type,
                      packing_union, require_components)
-from .certify import PackingCertificate, VerificationReport, verify_packing
+from .certify import PackingCertificate, verify_packing
 from .perms import Perm, relative_parity, swap_positions
 
 
@@ -33,26 +33,18 @@ class ConstructionError(RuntimeError):
     """A construction search exhausted without a certificate."""
 
 
-@dataclass
-class TableRow:
-    r: int
-    T: list[int]
-    S: list[Fraction]
-    Sigma: int
-    SigmaPrime: Fraction
-    P: int
-    alpha: Fraction
+# largest r of the X' code: at r = 5 it takes seconds, at r = 6 it holds
+# 64 (6!)^2 = 33 177 600 vertices in sphere unions and exhausts memory
+_XPRIME_MAX_R = 5
 
 
-@dataclass
-class Construction:
-    """A certificate and the verifier's report that accepted it.
+TableRow = namedtuple("TableRow", "r T S Sigma SigmaPrime P alpha")
 
-    ``target_alpha`` is the density the construction aims at, when it has
-    one; it falls short when ``report.alpha < target_alpha``."""
-    certificate: PackingCertificate
-    report: VerificationReport
-    target_alpha: Fraction | None = None
+Construction = namedtuple("Construction", "certificate report target_alpha", defaults=(None,))
+Construction.__doc__ = """A certificate and the verifier's report that accepted it.
+
+``target_alpha`` is the density the construction aims at, when it has
+one; it falls short when ``report.alpha < target_alpha``."""
 
 
 def _with_value(values, k: int, i: int) -> list[Perm]:
@@ -148,9 +140,13 @@ def _xprime_options(tree: TranspositionTree):
 
 
 def xprime_perfect_code(r: int) -> Construction:
-    """A perfect 1-sphere packing of the subgraph X'(r,r) of X3(r,r)."""
+    """A perfect 1-sphere packing of the subgraph X'(r,r) of X3(r,r);
+    r > 5 is refused before any set-up."""
     if r < 2:
         raise ValueError("need r >= 2")
+    if r > _XPRIME_MAX_R:
+        raise ValueError(f"the X' code needs r <= {_XPRIME_MAX_R}: at r={r} the 2^r (r!)^2 "
+                         f"vertices of X'({r},{r}) and their sphere unions do not fit in memory")
     tree = build_tree(r, r, RENUMBERED)
     comps = xprime_components(r)
     # any disjoint pick is a perfect code: 2^r r!^2 / 2r spheres of 2r

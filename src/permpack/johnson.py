@@ -17,18 +17,18 @@ uniform construction built on it, take only structures it accepts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations, product
 from math import comb
 
 Subset = frozenset[int]
 
 
-@dataclass
-class ExactSubgraph:
-    vertices: frozenset[Subset]
-    edges: tuple[tuple[Subset, Subset], ...]
-    kind: str = "general"  # cycle | two_factor | nest | path | general
+class ExactSubgraph(namedtuple("ExactSubgraph", "vertices edges kind", defaults=("general",))):
+    """Vertices (frozenset of subsets), edges (tuple of subset pairs) and
+    kind: cycle | two_factor | nest | path | general."""
+
+    __slots__ = ()
 
     def adjacency(self) -> dict[Subset, list[Subset]]:
         adj: dict[Subset, list[Subset]] = {v: [] for v in self.vertices}

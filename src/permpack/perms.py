@@ -19,11 +19,18 @@ def identity(n: int) -> Perm:
     return tuple(range(1, n + 1))
 
 
+@cache
+def _values(n: int) -> frozenset[int]:
+    """{1, ..., n}: a word of n letters is a permutation iff these are
+    its letters."""
+    return frozenset(range(1, n + 1))
+
+
 def as_perm(word) -> Perm:
     """Validate a word as a permutation and return it as a tuple."""
     w = tuple(word)
     n = len(w)
-    if sorted(w) != list(range(1, n + 1)):
+    if _values(n) != set(w):
         raise ValueError(f"not a permutation of 1..{n}: {w}")
     return w
 
@@ -114,6 +121,21 @@ def perm_to_str(p: Perm) -> str:
     return _str_format(len(p)) % tuple(p)
 
 
+# byte -> its value for the digits b"0".."9"; every other byte, the
+# control bytes 1..9 among them, -> 0, which no permutation contains
+_DIGIT_VALUES = bytes(c - 48 if 48 <= c <= 57 else 0 for c in range(256))
+
+
 def perm_from_str(s: str) -> Perm:
+    """The inverse of ``perm_to_str``; surrounding whitespace is ignored.
+
+    A digit string of 1..n is read by one ``bytes.translate``; any other
+    text takes the general path, which raises the ValueError of ``int``
+    or of ``as_perm``.
+    """
     s = s.strip()
+    if s.isascii():
+        w = tuple(s.encode().translate(_DIGIT_VALUES))
+        if _values(len(w)) == frozenset(w):
+            return w
     return as_perm(map(int, s.split(",") if "," in s else s))

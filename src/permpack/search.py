@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache, reduce
 from operator import or_
 
@@ -80,15 +80,11 @@ _CLOCK_EVERY = 256
 _COVERED = 128
 
 
-@dataclass
-class SearchOutcome:
-    status: str
-    certificate: PackingCertificate | None
-    nodes_explored: int
-    wall_budget_exceeded: bool = False
-    covered_count: int = 0
-    # max_packing: the root bound, or the packing size once exhaustive; None for find_eset
-    upper_bound: int | None = None
+# upper_bound: max_packing's root bound, or the packing size once
+# exhaustive; None for find_eset
+SearchOutcome = namedtuple("SearchOutcome", "status certificate nodes_explored "
+                           "wall_budget_exceeded covered_count upper_bound",
+                           defaults=(False, 0, None))
 
 
 # (n, i, j) -> the swap column of positions i, j (see _swap_columns);

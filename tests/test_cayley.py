@@ -13,7 +13,7 @@ import permpack
 from conftest import placed_x3
 from permpack.cayley import (ORIGINAL, RENUMBERED, TranspositionTree, all_components,
                              build_tree, centers_by_component, closed_sphere, component_key,
-                             component_of, component_type, enumerate_component,
+                             component_of, component_type, edge_getters, enumerate_component,
                              graph_distance, neighbors, num_vertices,
                              packing_union, require_components, star_tree, translate,
                              tree_diameter)
@@ -43,6 +43,21 @@ def test_hubs_are_the_ends_of_epsilon():
     assert (tree.hub_left, tree.hub_right) == (2, 5)
     with pytest.raises(ValueError):
         star_tree(4).hub_left
+
+
+def test_tree_is_an_immutable_value_that_keys_the_caches():
+    # two trees built apart are one key of edge_getters' cache
+    a, b = build_tree(3, 3, RENUMBERED), build_tree(3, 3, RENUMBERED)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != build_tree(3, 3) and a != star_tree(6)
+    assert edge_getters(a) is edge_getters(b)
+    assert len({a, b, build_tree(3, 3)}) == 2
+    with pytest.raises(AttributeError):
+        a.n = 7
+    with pytest.raises(ValueError, match="hub degrees r=4, t=3 on n=6"):
+        a._replace(r=4)
+    assert repr(star_tree(3)) == ("TranspositionTree(n=3, edges=((1, 2), (1, 3)), "
+                                  "epsilon=None, r=None, t=None, numbering=None)")
 
 
 @pytest.mark.parametrize("n, edges", [

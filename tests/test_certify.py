@@ -3,6 +3,7 @@ JSON round-trips."""
 
 import ast
 import hashlib
+import inspect
 import json
 import math
 import pathlib
@@ -17,15 +18,19 @@ from hypothesis import strategies as st
 
 import permpack
 from conftest import load_fixture, placed_x3
-from permpack.cayley import (RENUMBERED, all_components, build_tree, closed_sphere,
-                             component_of, edge_getters, enumerate_component, graph_distance,
-                             neighbors, packing_profile, packing_union, star_tree, translate)
-from permpack.certify import (CertificateError, PackingCertificate, _equivalent,
-                              cert_from_dict, cert_to_dict, profile_by_type,
+from permpack.cayley import (RENUMBERED, TranspositionTree, all_components, build_tree,
+                             closed_sphere, component_of, edge_getters, enumerate_component,
+                             graph_distance, neighbors, packing_profile, packing_union,
+                             star_tree, translate)
+from permpack.certify import (CertificateError, PackingCertificate, VerificationReport,
+                              _equivalent, cert_from_dict, cert_to_dict, profile_by_type,
                               report_to_dict, sphere_sets, uniformity_check,
                               verify_eset, verify_on_subgraph, verify_packing)
-from permpack.constructions import xprime_components, xprime_perfect_code
+from permpack.constructions import (Construction, TableRow, xprime_components,
+                                    xprime_perfect_code)
+from permpack.johnson import ExactSubgraph
 from permpack.perms import all_perms, perm_from_str, perm_to_str
+from permpack.search import SearchOutcome
 
 
 def _cert(tree, centers, **kw):
@@ -140,6 +145,65 @@ def test_verify_on_subgraph_counts_against_component_sizes():
     code = xprime_perfect_code(3).certificate
     rep = verify_on_subgraph(tree, code, code.base_subgraph)
     assert rep.valid and rep.is_eset and rep.covered_count == 288
+
+
+def test_verify_on_subgraph_leaves_the_certificate_unchanged():
+    tree = build_tree(3, 3, RENUMBERED)
+    code = xprime_perfect_code(3).certificate
+    cert = _cert(tree, code.centers)
+    before = _cert(tree, code.centers)
+    assert verify_on_subgraph(tree, cert, code.base_subgraph).is_eset
+    assert cert == before and cert.base_subgraph is None
+    assert not verify_packing(tree, cert).is_eset
+
+
+def test_certificate_is_a_mutable_value():
+    cert = PackingCertificate(4, "one_sphere", [(1, 2, 3, 4)])
+    assert cert == PackingCertificate(n=4, kind="one_sphere", centers=[(1, 2, 3, 4)])
+    assert cert != PackingCertificate(4, "one_sphere", [(1, 2, 3, 4)], r=2)
+    assert cert != (4, "one_sphere", [(1, 2, 3, 4)])
+    assert repr(cert) == ("PackingCertificate(n=4, kind='one_sphere', centers=[(1, 2, 3, 4)], "
+                          "r=None, t=None, numbering=None, declared_alpha=None, "
+                          "base_subgraph=None)")
+    with pytest.raises(TypeError):
+        hash(cert)
+    cert.r = 2
+    assert cert == PackingCertificate(4, "one_sphere", [(1, 2, 3, 4)], 2)
+
+
+def _record_cases():
+    """(record, required arguments, {name: default}) of every record."""
+    tree = build_tree(2, 2)
+    cert = _cert(tree, [(1, 2, 3, 4)])
+    report = verify_packing(tree, cert)
+    cases = [
+        (TranspositionTree, (4, ((1, 2), (1, 3), (1, 4))),
+         {"epsilon": None, "r": None, "t": None, "numbering": None}),
+        (PackingCertificate, (4, "one_sphere", []),
+         {"r": None, "t": None, "numbering": None, "declared_alpha": None,
+          "base_subgraph": None}),
+        (VerificationReport, (True, 4, Fraction(1, 6), False, {}), {"violations": []}),
+        (SearchOutcome, ("found", cert, 7),
+         {"wall_budget_exceeded": False, "covered_count": 0, "upper_bound": None}),
+        (ExactSubgraph, (frozenset(), ()), {"kind": "general"}),
+        (TableRow, (2, [1, 4], [Fraction(4), Fraction(0)], 6, Fraction(4), 0, Fraction(2, 3)),
+         {}),
+        (Construction, (cert, report), {"target_alpha": None}),
+    ]
+    return [pytest.param(*case, id=case[0].__name__) for case in cases]
+
+
+@pytest.mark.parametrize("record, required, defaults", _record_cases())
+def test_records_take_positional_and_keyword_arguments(record, required, defaults):
+    names = list(inspect.signature(record).parameters)
+    assert names[len(required):] == list(defaults)
+    made = record(*required)
+    assert made == record(**dict(zip(names, required)))
+    assert [getattr(made, name) for name in names] == [*required, *defaults.values()]
+    # a mutable default is a new object per record
+    for name, value in defaults.items():
+        if isinstance(value, list):
+            assert getattr(made, name) is not getattr(record(*required), name)
 
 
 def test_verify_on_subgraph_needs_components():
@@ -290,15 +354,23 @@ def test_equivalent_matches_reference(data):
 def _reference_report(tree, cert):
     """``report_to_dict(verify_packing(...))`` of a one_sphere certificate
     by the per-sphere loop: each closed sphere a frozenset built through
-    ``neighbors``, united in certificate order."""
-    covered, violations = set(), []
-    for g in cert.centers:
+    ``neighbors``, cut to the base subgraph when there is one, united in
+    certificate order."""
+    base = cert.base_subgraph
+    inside = (lambda g: True) if base is None else (lambda g: component_of(tree, g) in base)
+    violations = [f"center {perm_to_str(g)} lies outside the listed components"
+                  for g in cert.centers if not inside(g)]
+    covered = set()
+    for g in filter(inside, cert.centers):
         sph = frozenset([g] + [h for _, h in neighbors(tree, g)])
+        if base is not None:
+            sph = frozenset(q for q in sph if inside(q))
         clash = covered & sph
         if clash:
             violations.append(f"sphere of {perm_to_str(g)} overlaps an earlier sphere at "
                               f"{perm_to_str(next(iter(clash)))}")
         covered |= sph
+    whole = sum(map(inside, all_perms(tree.n)))
     alpha = Fraction(len(covered), math.factorial(tree.n))
     profile = {}
     if tree.r is not None:
@@ -307,7 +379,7 @@ def _reference_report(tree, cert):
             profile[key] = profile.get(key, 0) + 1
     return {"valid": not violations, "covered_count": len(covered),
             "alpha": f"{alpha.numerator}/{alpha.denominator}",
-            "is_eset": not violations and len(covered) == math.factorial(tree.n),
+            "is_eset": not violations and len(covered) == whole,
             "per_component_profile": profile, "violations": violations}
 
 
@@ -337,6 +409,15 @@ def test_verify_packing_matches_reference(data):
         if h not in centers:
             centers.insert(data.draw(st.integers(0, len(centers))), h)
     cert = _cert(tree, centers)
+    if tree.r is not None and data.draw(st.booleans()):
+        # a base subgraph: the centers' components and drawn others, or
+        # drawn components alone, which may leave centers outside
+        comps = all_components(tree)
+        drawn = data.draw(st.lists(st.sampled_from(comps), unique=True))
+        if data.draw(st.booleans()):
+            drawn += [c for c in dict.fromkeys(component_of(tree, g) for g in centers)
+                      if c not in drawn]
+        cert.base_subgraph = drawn
     assert report_to_dict(verify_packing(tree, cert)) == _reference_report(tree, cert)
 
 

@@ -514,3 +514,22 @@ def test_cli_import_loads_no_test_dependencies():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(src)), check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_dataclasses():
+    # each CLI process would pay for dataclasses and its inspect, ast and
+    # dis imports; -S keeps site hooks of the host out of sys.modules
+    src = pathlib.Path(permpack.__file__).resolve().parent.parent
+    code = (f"import sys; sys.path.insert(0, {str(src)!r}); import permpack.cli; "
+            "print('dataclasses' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout.strip() == "False"
+
+
+def test_no_permpack_module_imports_dataclasses():
+    for path in sorted(pathlib.Path(permpack.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import) else
+                     [node.module] if isinstance(node, ast.ImportFrom) else [])
+            assert "dataclasses" not in names, f"{path.name} imports dataclasses"

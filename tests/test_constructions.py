@@ -265,6 +265,23 @@ def test_cli_nonuniform_final_r5_exits_2(monkeypatch, capsys):
     assert "220 eligible components" in capsys.readouterr().err
 
 
+def _no_setup(*args):
+    raise AssertionError("the r gate must refuse before any set-up")
+
+
+@pytest.mark.parametrize("r", [6, 9])
+def test_xprime_refuses_r_above_5(monkeypatch, capsys, r):
+    # unguarded, r = 6 ends in a MemoryError and r = 9 is killed for memory
+    monkeypatch.setattr(constructions, "build_tree", _no_setup)
+    monkeypatch.setattr(constructions, "_xprime_options", _no_setup)
+    with pytest.raises(ValueError, match="the X' code needs r <= 5"):
+        xprime_perfect_code(r)
+    assert run(["construct", "xprime", str(r)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: the X' code needs r <= 5: at r={r} ")
+
+
 def test_nonuniform_without_configurations_falls_back_to_the_xprime_code(monkeypatch):
     monkeypatch.setattr(constructions, "_local_configs", lambda *args: [])
     res = nonuniform_extension(3)

@@ -4,6 +4,8 @@ import math
 from itertools import permutations
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from permpack.perms import (all_perms, as_perm, compose, identity, invert,
                             is_even, lex_rank, lex_unrank, parity,
@@ -103,6 +105,50 @@ def test_perm_from_str_error_text(text, message):
     with pytest.raises(ValueError) as err:
         perm_from_str(text)
     assert str(err.value) == message
+
+
+def _reference_perm_from_str(s):
+    """The general reading: int of each letter, or of each comma field,
+    and the sorted-word check."""
+    s = s.strip()
+    w = tuple(map(int, s.split(",") if "," in s else s))
+    if sorted(w) != list(range(1, len(w) + 1)):
+        raise ValueError(f"not a permutation of 1..{len(w)}: {w}")
+    return w
+
+
+# digits, commas, ASCII and other whitespace, the control characters
+# 1..9 (bytes a digit table could mistake for values) and non-ASCII
+# digits, which int reads
+_TEXT_CHARS = ("0123456789, \t\n\r\x0b\x0c\x1c\x85\xa0" + "".join(map(chr, range(1, 10)))
+               + "\u0661\u0662\u0663\u06f4\u0967")
+
+
+@st.composite
+def _edited_words(draw):
+    """The text of a permutation of degree 1..12, perhaps with one letter
+    replaced or inserted."""
+    n = draw(st.integers(1, 12))
+    text = perm_to_str(tuple(draw(st.permutations(range(1, n + 1)))))
+    k = draw(st.integers(0, len(text)))
+    edit = draw(st.sampled_from(["", "replace", "insert"]))
+    if edit:
+        text = text[:k] + draw(st.sampled_from(_TEXT_CHARS)) + text[k + (edit == "replace"):]
+    return text
+
+
+@given(st.one_of(st.text(st.sampled_from(_TEXT_CHARS), max_size=12), _edited_words()))
+@example("\x01\x02\x03").via("control bytes 1..3 are no digits")
+@example("").via("the empty word")
+def test_perm_from_str_matches_the_general_reading(text):
+    try:
+        expected = _reference_perm_from_str(text)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as err:
+            perm_from_str(text)
+        assert str(err.value) == str(exc)
+    else:
+        assert perm_from_str(text) == expected
 
 
 def test_as_perm_validation():
