@@ -5,9 +5,10 @@ tree edge (i, j) swaps the contents of positions i and j.  Bulk sphere
 work reads one column per tree edge: ``edge_getters`` gives, per edge,
 an ``operator.itemgetter`` over the position word with i and j
 exchanged, so mapping it over many vertices yields their neighbors
-across that edge in one C loop.  Neighbors, closed spheres, the
-search's sphere table and the sphere unions of ``packing_union``, the
-single disjointness rule for packings, all come from these columns.
+across that edge in one C loop (``neighbors_across``).  Neighbors,
+closed spheres, the search's sphere table and the sphere unions of
+``packing_union``, the single disjointness rule for packings, all come
+from these columns.
 For a diameter-3 tree with hub degrees r and t, deleting the hub-hub
 edge splits the graph into C(n, r) components, one per r-subset of
 values occupying the hub-r-side positions 1..r; ``TranspositionTree``
@@ -203,7 +204,7 @@ def packing_profile(tree: TranspositionTree, centers) -> dict[frozenset[int], li
     if tree.r is None:
         return None if packing_union(tree, centers) is None else {}
     groups = centers_by_component(tree, centers)
-    incoming = centers_by_component(tree, epsilon_neighbors(tree, centers))
+    incoming = centers_by_component(tree, neighbors_across(tree, tree.epsilon, centers))
     for comp, members in groups.items():
         covered = packing_union(tree, members)
         if covered is None or not covered.isdisjoint(incoming.get(comp, ())):
@@ -211,10 +212,11 @@ def packing_profile(tree: TranspositionTree, centers) -> dict[frozenset[int], li
     return groups
 
 
-def epsilon_neighbors(tree: TranspositionTree, vertices) -> list[Perm]:
-    """The neighbour of each vertex across epsilon, the hub-hub edge, in
-    order; each lies in another component than its vertex."""
-    return list(map(edge_getters(tree)[tree.edges.index(tree.epsilon)], vertices))
+def neighbors_across(tree: TranspositionTree, edge: Edge, vertices) -> list[Perm]:
+    """The neighbour of each vertex across the tree edge ``edge``, in
+    order; across epsilon, the hub-hub edge, each lies in another
+    component than its vertex."""
+    return list(map(edge_getters(tree)[tree.edges.index(edge)], vertices))
 
 
 def graph_distance(tree: TranspositionTree, g: Perm, h: Perm) -> int:

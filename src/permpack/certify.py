@@ -13,7 +13,7 @@ and an E-set covers all of its vertices, as the X'(r,r) perfect code
 does.  ``verify_on_subgraph`` passes the base as an argument.
 
 The verifier reads the graph only through ``cayley.closed_sphere``,
-``cayley.epsilon_neighbors`` and ``cayley.packing_profile``, which
+``cayley.neighbors_across`` and ``cayley.packing_profile``, which
 applies the single disjointness rule, ``cayley.packing_union``, one
 component at a time.  For one_sphere certificates ``packing_profile``
 gives the centers per component, or None when two closed spheres meet;
@@ -31,7 +31,7 @@ from fractions import Fraction
 from operator import attrgetter
 
 from .cayley import (TranspositionTree, all_components, centers_by_component, closed_sphere,
-                     component_key, component_of, component_type, epsilon_neighbors,
+                     component_key, component_of, component_type, neighbors_across,
                      packing_profile, require_components, translate)
 from .perms import Perm, compose, invert, perm_from_str, perm_to_str
 
@@ -201,8 +201,9 @@ def verify_packing(tree: TranspositionTree, cert: PackingCertificate) -> Verific
             # vertex when it lies outside the base.
             covered = tree.n * len(cert.centers)
             if base is not None:
-                covered -= sum(len(qs) for c, qs in centers_by_component(
-                    tree, epsilon_neighbors(tree, cert.centers)).items() if c not in base)
+                away = neighbors_across(tree, tree.epsilon, cert.centers)
+                covered -= sum(len(qs) for c, qs in centers_by_component(tree, away).items()
+                               if c not in base)
             return _report(cert, covered, [], whole, groups)
     outside = set() if base is None else {
         p for p in cert.centers if component_of(tree, p) not in base}
@@ -228,6 +229,17 @@ def verify_on_subgraph(tree: TranspositionTree, cert: PackingCertificate,
     return verify_packing(tree, PackingCertificate(
         cert.n, cert.kind, cert.centers, cert.r, cert.t, cert.numbering, cert.declared_alpha,
         list(components)))
+
+
+def certified(tree: TranspositionTree, centers: list[Perm],
+              base_subgraph: list[frozenset[int]] | None = None,
+              ) -> tuple[PackingCertificate, VerificationReport]:
+    """The tree's one_sphere certificate of ``centers``, in the order
+    given, with ``verify_packing``'s report on it; the caller decides
+    what the report must say."""
+    cert = PackingCertificate(tree.n, "one_sphere", centers, tree.r, tree.t, tree.numbering,
+                              base_subgraph=base_subgraph)
+    return cert, verify_packing(tree, cert)
 
 
 def uniformity_check(tree: TranspositionTree, cert: PackingCertificate) -> tuple[bool, str | None]:
@@ -289,6 +301,11 @@ def profile_by_type(tree: TranspositionTree, cert: PackingCertificate) -> dict[i
 # JSON interchange
 
 
+def frac_to_str(x: Fraction) -> str:
+    """"a/b" in lowest terms; unlike ``str``, 1 is written "1/1"."""
+    return f"{x.numerator}/{x.denominator}"
+
+
 def cert_to_dict(cert: PackingCertificate) -> dict:
     out = {"n": cert.n, "r": cert.r, "t": cert.t, "numbering": cert.numbering,
            "kind": cert.kind}
@@ -297,7 +314,7 @@ def cert_to_dict(cert: PackingCertificate) -> dict:
     else:
         out["centers"] = list(map(perm_to_str, cert.centers))
     if cert.declared_alpha is not None:
-        out["declared_alpha"] = f"{cert.declared_alpha.numerator}/{cert.declared_alpha.denominator}"
+        out["declared_alpha"] = frac_to_str(cert.declared_alpha)
     if cert.base_subgraph is not None:
         out["base_subgraph"] = [sorted(c) for c in cert.base_subgraph]
     return out
@@ -344,7 +361,7 @@ def report_to_dict(report: VerificationReport) -> dict:
     return {
         "valid": report.valid,
         "covered_count": report.covered_count,
-        "alpha": f"{report.alpha.numerator}/{report.alpha.denominator}",
+        "alpha": frac_to_str(report.alpha),
         "is_eset": report.is_eset,
         "per_component_profile": {"".join(map(str, k)): v
                                   for k, v in sorted(report.per_component_profile.items())},

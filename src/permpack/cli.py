@@ -15,18 +15,14 @@ import math
 import os
 import sys
 import time
-from fractions import Fraction
 
 from . import cayley, certify, constructions, johnson, search
 from .cayley import ORIGINAL, RENUMBERED, build_tree
+from .certify import frac_to_str
 
 
 class UsageError(Exception):
     pass
-
-
-def _frac(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
 
 
 def _parse_tree(spec: str, numbering: str) -> cayley.TranspositionTree:
@@ -165,8 +161,8 @@ def _cmd_construct(args) -> int:
     # the construction's own report: the certificate is not verified again
     out = {"certificate": certify.cert_to_dict(made.certificate)}
     if made.target_alpha is not None:
-        out.update(achieved_alpha=_frac(made.report.alpha),
-                   target_alpha=_frac(made.target_alpha),
+        out.update(achieved_alpha=frac_to_str(made.report.alpha),
+                   target_alpha=frac_to_str(made.target_alpha),
                    shortfall=made.report.alpha < made.target_alpha)
     out["report"] = certify.report_to_dict(made.report)
     _emit(out, args.output)
@@ -257,17 +253,17 @@ def _cmd_tables(args) -> int:
         raise UsageError(f"tables needs r_max >= 2, got {args.r_max}")
     rows = [constructions.table_row(r) for r in range(2, args.r_max + 1)]
     if args.format == "json":
-        _emit([{"r": row.r, "T": row.T, "S": [_frac(s) for s in row.S],
-                "Sigma": row.Sigma, "SigmaPrime": _frac(row.SigmaPrime),
-                "P": row.P, "alpha": _frac(row.alpha)} for row in rows], None)
+        _emit([{"r": row.r, "T": row.T, "S": [frac_to_str(s) for s in row.S],
+                "Sigma": row.Sigma, "SigmaPrime": frac_to_str(row.SigmaPrime),
+                "P": row.P, "alpha": frac_to_str(row.alpha)} for row in rows], None)
         return 0
     print("r\tSigma\tSigmaPrime\tP\talpha\tT\tS")
     for row in rows:
         print("\t".join([
-            str(row.r), str(row.Sigma), _frac(row.SigmaPrime), str(row.P),
-            _frac(row.alpha),
+            str(row.r), str(row.Sigma), frac_to_str(row.SigmaPrime), str(row.P),
+            frac_to_str(row.alpha),
             ",".join(str(x) for x in row.T),
-            ",".join(_frac(s) for s in row.S),
+            ",".join(frac_to_str(s) for s in row.S),
         ]))
     return 0
 

@@ -10,8 +10,9 @@ any other structure, with the validator's verdict.
 
 The constructive searches are deterministic (fixed orderings, no
 randomness).  Each construction returns a ``Construction``: its
-certificate together with the verifier's report that accepted it, so a
-caller never has to verify the certificate a second time.
+certificate together with the verifier's report that accepted it, both
+from ``certify.certified``, so a caller never has to verify the
+certificate a second time.
 """
 
 from __future__ import annotations
@@ -23,10 +24,10 @@ from math import comb, factorial
 
 from . import johnson
 from .cayley import (RENUMBERED, TranspositionTree, all_components, build_tree,
-                     closed_sphere, component_key, component_of, component_type,
-                     packing_union, require_components)
-from .certify import PackingCertificate, verify_packing
-from .perms import Perm, relative_parity, swap_positions
+                     centers_by_component, closed_sphere, component_key, component_type,
+                     neighbors_across, packing_union, require_components)
+from .certify import certified
+from .perms import Perm, parity
 
 
 class ConstructionError(RuntimeError):
@@ -36,6 +37,10 @@ class ConstructionError(RuntimeError):
 # largest r of the X' code: at r = 5 it takes seconds, at r = 6 it holds
 # 64 (6!)^2 = 33 177 600 vertices in sphere unions and exhausts memory
 _XPRIME_MAX_R = 5
+
+# largest degree of the puncture packing, as of the X' code (2 * 5): it
+# holds all n! vertices, and n = 10 took 29 s and 410 MiB on a 2-core host
+_PUNCTURE_MAX_N = 10
 
 
 TableRow = namedtuple("TableRow", "r T S Sigma SigmaPrime P alpha")
@@ -94,7 +99,7 @@ def _component_centers(tree: TranspositionTree, values: frozenset[int], flag: st
     """
     r = tree.r
     return [g for i in sorted(values) for g in hub_slice(tree, values, i, partner(r, i))
-            if relative_parity(g[r:]) == flag]
+            if parity(g[r:]) == flag]
 
 
 def _disjoint_picks(options):
@@ -152,9 +157,7 @@ def xprime_perfect_code(r: int) -> Construction:
     # any disjoint pick is a perfect code: 2^r r!^2 / 2r spheres of 2r
     # vertices each, all inside X', which has 2^r r!^2 vertices
     centers = next(_disjoint_picks(_xprime_options(tree)))
-    cert = PackingCertificate(n=tree.n, kind="one_sphere", centers=sorted(centers),
-                              r=r, t=r, numbering=RENUMBERED, base_subgraph=comps)
-    report = verify_packing(tree, cert)
+    cert, report = certified(tree, sorted(centers), comps)
     assert report.is_eset, f"the X'({r},{r}) pick is not a perfect code"
     return Construction(cert, report)
 
@@ -183,9 +186,7 @@ def uniform_from_exact(tree: TranspositionTree, structure: johnson.ExactSubgraph
             # a nest has Johnson edges only: one value lost, one gained
             (lost,), (gained,) = c - s, s - c
             centers.extend(hub_slice(tree, c, lost, gained))
-        cert = PackingCertificate(n=tree.n, kind="one_sphere", centers=sorted(centers),
-                                  r=tree.r, t=tree.t, numbering=tree.numbering)
-        report = verify_packing(tree, cert)
+        cert, report = certified(tree, sorted(centers))
         if report.valid:
             return Construction(cert, report)
         last_error = report.violations[0] if report.violations else "invalid"
@@ -218,9 +219,9 @@ def _local_configs(tree: TranspositionTree, values: frozenset[int], size: int):
     for i, j in product(sorted(values), complement):
         base = hub_slice(tree, values, i, j)
         for disp in [None] + hub_edges:
-            group = sorted(base if disp is None else [swap_positions(g, *disp) for g in base])
-            if any(component_type(tree, component_of(tree, swap_positions(g, *tree.epsilon))) == 0
-                   for g in group):
+            group = sorted(base if disp is None else neighbors_across(tree, disp, base))
+            across = centers_by_component(tree, neighbors_across(tree, tree.epsilon, group))
+            if any(component_type(tree, c) == 0 for c in across):
                 continue
             for combo in combinations(group, size):
                 if combo not in feet:
@@ -262,10 +263,7 @@ def nonuniform_extension(r: int, stage: str = "final") -> Construction:
     per_comp = factorial(r - 1) ** 2 // (2 if stage == "intermediate" else 1)
     comps = _eligible_components(tree)
     residual = next(_disjoint_picks([_local_configs(tree, c, per_comp) for c in comps]), [])
-    cert = PackingCertificate(n=tree.n, kind="one_sphere",
-                              centers=code.certificate.centers + sorted(residual),
-                              r=r, t=r, numbering=RENUMBERED)
-    report = verify_packing(tree, cert)
+    cert, report = certified(tree, code.certificate.centers + sorted(residual))
     # the picks' footprints are pairwise disjoint sphere unions
     assert report.valid, f"the nonuniform pick at r={r} is not a packing"
     if stage == "intermediate":
@@ -279,9 +277,13 @@ def puncture_attempt(r: int, t: int) -> Construction:
     """Best-effort nonuniform packing of X3(r,t) for r > t: greedy
     maximal packing seeded component by component with hub-slice
     products, measured by the verifier; no claim of maximality and no
-    target density."""
+    target density.  r + t > 10 is refused before any set-up."""
     if not r > t > 1:
         raise ValueError("puncturing applies to r > t > 1")
+    if r + t > _PUNCTURE_MAX_N:
+        raise ValueError(f"puncturing needs r + t <= {_PUNCTURE_MAX_N}: it enumerates all "
+                         f"{factorial(r + t)} vertices of X3({r},{t}), and n = 10 alone "
+                         f"took 29 s and 410 MiB")
     tree = build_tree(r, t, RENUMBERED)
     seeds = (g for values in all_components(tree) for i in sorted(values)
              for j in sorted(set(range(1, tree.n + 1)) - values)
@@ -295,10 +297,7 @@ def puncture_attempt(r: int, t: int) -> Construction:
         if covered.isdisjoint(sph):
             covered |= sph
             centers.append(g)
-
-    cert = PackingCertificate(n=tree.n, kind="one_sphere", centers=sorted(centers),
-                              r=r, t=t, numbering=RENUMBERED)
-    report = verify_packing(tree, cert)
+    cert, report = certified(tree, sorted(centers))
     assert report.valid
     return Construction(cert, report)
 

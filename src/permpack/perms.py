@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from functools import cache
-from itertools import permutations as _lex_words
+from itertools import combinations, permutations as _lex_words
 
 Perm = tuple[int, ...]
 
@@ -49,31 +49,17 @@ def invert(p: Perm) -> Perm:
     return tuple(inv)
 
 
-def is_even(p: Perm) -> bool:
-    """True iff p is a product of an even number of transpositions."""
-    seen = [False] * len(p)
-    transpositions = 0
-    for start in range(len(p)):
-        if seen[start]:
-            continue
-        length = 0
-        k = start
-        while not seen[k]:
-            seen[k] = True
-            k = p[k] - 1
-            length += 1
-        transpositions += length - 1
-    return transpositions % 2 == 0
+def is_even(word) -> bool:
+    """True iff the word of distinct values has an even number of
+    inversions; for a permutation, iff it is a product of an even number
+    of transpositions."""
+    return sum(a > b for a, b in combinations(word, 2)) % 2 == 0
 
 
-def parity(p: Perm) -> str:
-    return "even" if is_even(p) else "odd"
-
-
-def relative_parity(word) -> str:
-    """Parity of an arrangement of distinct values relative to sorted order."""
-    order = sorted(word)
-    return parity(tuple(order.index(v) + 1 for v in word))
+def parity(word) -> str:
+    """"even" or "odd": the parity of a word of distinct values, relative
+    to its sorted order (``is_even``)."""
+    return "even" if is_even(word) else "odd"
 
 
 def lex_rank(p: Perm) -> int:

@@ -57,7 +57,7 @@ from functools import cache, reduce
 from operator import or_
 
 from .cayley import TranspositionTree, centers_by_component, edge_getters
-from .certify import PackingCertificate, verify_eset, verify_packing
+from .certify import certified
 from .perms import Perm, all_perms
 
 FOUND = "found"
@@ -215,12 +215,11 @@ class _ExactCover:
             uncovered -= len(spheres[row])
 
 
-def _cert_from_ranks(tree: TranspositionTree, ranks) -> PackingCertificate:
-    # lex order is rank order, so sorted ranks index sorted centers
-    perms = _lex_table(tree.n)[0]
-    centers = [perms[v] for v in sorted(ranks)]
-    return PackingCertificate(n=tree.n, kind="one_sphere", centers=centers,
-                              r=tree.r, t=tree.t, numbering=tree.numbering)
+def _centers_from_ranks(n: int, ranks) -> list[Perm]:
+    """The degree-n permutations of these lex ranks, sorted: lex order is
+    rank order, so sorted ranks index sorted centers."""
+    perms = _lex_table(n)[0]
+    return [perms[v] for v in sorted(ranks)]
 
 
 def find_eset(tree: TranspositionTree, symmetry: bool = True) -> SearchOutcome:
@@ -233,8 +232,7 @@ def find_eset(tree: TranspositionTree, symmetry: bool = True) -> SearchOutcome:
     for v in forced:
         cover.select_row(v)
     for rows in cover.solve():
-        cert = _cert_from_ranks(tree, forced + rows)
-        report = verify_eset(tree, cert)
+        cert, report = certified(tree, _centers_from_ranks(tree.n, forced + rows))
         assert report.is_eset, "search returned an unsound certificate"
         return SearchOutcome(status=FOUND, certificate=cert, nodes_explored=cover.nodes,
                              covered_count=report.covered_count)
@@ -461,8 +459,7 @@ def max_packing(tree: TranspositionTree, node_budget: int | None = 2_000_000,
     else:
         best, nodes, exhaustive = _branch_and_bound((1 << len(conflict)) - 1, conflict,
                                                     comp_masks, cap, node_budget, deadline)
-    cert = _cert_from_ranks(tree, best)
-    report = verify_packing(tree, cert)
+    cert, report = certified(tree, _centers_from_ranks(tree.n, best))
     assert report.valid, "search returned an unsound certificate"
     bound = len(best) if exhaustive else min(cap * len(comp_masks), len(conflict) // tree.n)
     return SearchOutcome(status=FOUND if len(best) == bound else BEST_EFFORT, certificate=cert,

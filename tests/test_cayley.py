@@ -41,8 +41,9 @@ def test_hubs_are_the_ends_of_epsilon():
     edges = ((1, 2), (2, 3), (2, 5), (4, 5), (5, 6))
     tree = TranspositionTree(n=6, edges=edges, epsilon=(2, 5), r=3, t=3)
     assert (tree.hub_left, tree.hub_right) == (2, 5)
-    with pytest.raises(ValueError):
-        star_tree(4).hub_left
+    for hub in ("hub_left", "hub_right"):
+        with pytest.raises(ValueError, match="hubs defined only for diameter-3 trees"):
+            getattr(star_tree(4), hub)
 
 
 def test_tree_is_an_immutable_value_that_keys_the_caches():
@@ -80,6 +81,10 @@ def test_tree_rejects_edge_sets_that_are_not_trees(n, edges):
     (4, ((1, 2), (2, 3), (3, 4)), dict(epsilon=(2, 3), r=2), "together"),
     # diameter 4: the edge (4, 5) touches no hub
     (5, ((1, 2), (2, 3), (3, 4), (4, 5)), dict(epsilon=(2, 3), r=2, t=3), "touches no hub"),
+    # ε is not one of the edges
+    (5, ((1, 3), (2, 3), (3, 4), (4, 5)), dict(epsilon=(3, 5), r=3, t=2), "not a tree edge"),
+    # an edge leaves the vertices 1..n
+    (3, ((1, 2), (2, 4)), {}, "bad edge"),
 ])
 def test_tree_rejects_a_wrong_hub_layout(n, edges, layout, why):
     with pytest.raises(ValueError, match=why):
@@ -124,6 +129,8 @@ def test_build_tree_rejects_degenerate_hubs():
         build_tree(1, 3)
     with pytest.raises(ValueError):
         build_tree(2, 1)
+    with pytest.raises(ValueError, match="unknown numbering 'other'"):
+        build_tree(2, 2, "other")
 
 
 def test_star_tree():
@@ -131,6 +138,8 @@ def test_star_tree():
     assert set(star.edges) == {(1, 2), (1, 3), (1, 4)}
     assert star.epsilon is None
     assert tree_diameter(4, star.edges) == 2
+    with pytest.raises(ValueError, match="star tree needs n >= 2"):
+        star_tree(1)
 
 
 def test_neighbors_match_worked_positions():
@@ -140,6 +149,9 @@ def test_neighbors_match_worked_positions():
     nbrs = {h for _, h in neighbors(tree, g)}
     assert nbrs == {perm_from_str(s) for s in ("12345", "31245", "32415", "32154")}
     assert len(closed_sphere(tree, g)) == tree.n
+    for wrong in ((1, 2, 3, 4), (1, 2, 3, 4, 5, 6)):
+        with pytest.raises(ValueError, match="degree mismatch"):
+            neighbors(tree, wrong)
 
 
 def test_degree_and_regularity():

@@ -79,6 +79,8 @@ def test_malformed_certificates_rejected():
     with pytest.raises(CertificateError):
         verify_packing(tree, _cert(tree, [(1, 2, 3, 4)]).__class__(
             n=4, kind="weird", centers=[(1, 2, 3, 4)]))
+    with pytest.raises(CertificateError, match="s_sphere certificate needs a base_subgraph"):
+        verify_packing(tree, PackingCertificate(n=4, kind="s_sphere", centers=[(1, 2, 3, 4)]))
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -138,6 +140,11 @@ def test_verify_eset_requires_one_sphere():
                               centers=[((1, 2, 3, 4), (2, 1, 3, 4))])
     with pytest.raises(CertificateError):
         verify_eset(tree, cert)
+    # so do the subgraph verifier and the uniformity check
+    with pytest.raises(CertificateError, match="subgraph verification applies"):
+        verify_on_subgraph(tree, cert, [frozenset({1, 2})])
+    with pytest.raises(CertificateError, match="uniformity applies"):
+        uniformity_check(tree, cert)
 
 
 def test_verify_on_subgraph_counts_against_component_sizes():
@@ -252,18 +259,43 @@ def test_a_base_subgraph_on_a_star_is_refused():
         verify_packing(star_tree(4), cert)
 
 
+def _identifier(node):
+    return (node.id if isinstance(node, ast.Name) else
+            node.attr if isinstance(node, ast.Attribute) else
+            node.name if isinstance(node, ast.alias) else None)
+
+
 def test_only_certify_calls_verify_on_subgraph():
     # one verifier body: the library verifies through verify_packing
     src = pathlib.Path(permpack.__file__).parent
     callers = set()
     for path in sorted(src.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
-            name = (node.id if isinstance(node, ast.Name) else
-                    node.attr if isinstance(node, ast.Attribute) else
-                    node.name if isinstance(node, ast.alias) else None)
-            if name == "verify_on_subgraph":
+            if _identifier(node) == "verify_on_subgraph":
                 callers.add(path.stem)
     assert callers <= {"certify"}
+
+
+def test_one_certificate_builder_one_edge_move_one_parity_rule():
+    # certify alone builds certificates: search and constructions take
+    # theirs, with the verifier's report, from certify.certified; moves
+    # across a tree edge are cayley's, and perms has one parity rule
+    src = pathlib.Path(permpack.__file__).parent
+    builders, defined, used = set(), set(), {}
+    for path in sorted(src.glob("*.py")):
+        used[path.stem] = names = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            names.add(_identifier(node))
+            if isinstance(node, ast.Call) and _identifier(node.func) == "PackingCertificate":
+                builders.add(path.stem)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+    assert builders == {"certify"}
+    verifiers = {"PackingCertificate", "verify_packing", "verify_eset", "verify_on_subgraph"}
+    assert used["search"] & verifiers == set()
+    assert used["constructions"] & verifiers == set()
+    assert [mod for mod, names in used.items() if "swap_positions" in names] == []
+    assert defined & {"relative_parity", "epsilon_neighbors", "_cert_from_ranks"} == set()
 
 
 def test_uniformity_accepts_fixture_and_rejects_lopsided():
@@ -579,6 +611,8 @@ def test_profile_by_type():
             counts[sum(1 for i in (1, 2) if {i, i + 2} <= set(g[:2]))] += 1
     assert sum(counts.values()) == verify_packing(tree, cert).covered_count == 12
     assert profile_by_type(tree, cert) == {k: Fraction(v, 4) for k, v in counts.items()}
+    with pytest.raises(ValueError, match="only for r = t"):
+        profile_by_type(build_tree(3, 2), _cert(build_tree(3, 2), []))
 
 
 def test_sphere_sets_sizes():

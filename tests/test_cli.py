@@ -228,7 +228,6 @@ def test_construct_verifies_each_certificate_once(monkeypatch, capsys):
         return verify_packing(tree, cert)
 
     monkeypatch.setattr(certify, "verify_packing", counting)
-    monkeypatch.setattr(constructions, "verify_packing", counting)
     code, data = run_json(capsys, "construct", "uniform", "--tree", "3,2",
                           "--structure", str(FIXTURES / "nest_g35.json"))
     assert code == 0
@@ -467,6 +466,13 @@ def test_johnson_validate_nest_rejects_values_outside_the_host(tmp_path, capsys)
     code, data = run_json(capsys, "johnson", "validate-nest", "5", "3", str(path))
     assert code == 1 and not data["valid"]
     assert "not between r-subsets of 1..5" in data["detail"]
+
+
+def test_johnson_validate_nest_malformed_subgraph_exits_2(tmp_path, capsys):
+    path = tmp_path / "five.json"
+    path.write_text(json.dumps({"edges": 5}))
+    assert run(["johnson", "validate-nest", "5", "3", str(path)]) == 2
+    assert "malformed subgraph" in capsys.readouterr().err
 
 
 def test_johnson_validate_nest_rejects_r_outside_1_to_n(tmp_path, capsys):

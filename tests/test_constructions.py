@@ -23,7 +23,7 @@ from permpack.constructions import (ConstructionError, _component_centers, _disj
                                     table_T, table_row, uniform_from_exact,
                                     xprime_components, xprime_perfect_code)
 from permpack.johnson import alternate_cops
-from permpack.perms import all_perms, relative_parity
+from permpack.perms import all_perms, parity
 
 
 def test_star_eset_slices_partition():
@@ -105,7 +105,7 @@ def _reference_component_centers(tree, values, flag):
         lefts = [(i,) + rest for rest in permutations(sorted(values - {i}))]
         rights = [(lead,) + rest
                   for rest in permutations([v for v in right_values if v != lead])
-                  if relative_parity((lead,) + rest) == flag]
+                  if parity((lead,) + rest) == flag]
         centers.extend(left + right for left in lefts for right in rights)
     return centers
 
@@ -280,6 +280,26 @@ def test_xprime_refuses_r_above_5(monkeypatch, capsys, r):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: the X' code needs r <= 5: at r={r} ")
+
+
+@pytest.mark.parametrize("r, t", [(6, 5), (9, 2)])
+def test_puncture_refuses_degree_above_10(monkeypatch, capsys, r, t):
+    # unguarded, it enumerates all (r + t)! vertices: n = 10 took 29 s and
+    # 410 MiB, and n = 11 holds 11 times as many
+    monkeypatch.setattr(constructions, "build_tree", _no_setup)
+    monkeypatch.setattr(constructions, "hub_slice", _no_setup)
+    with pytest.raises(ValueError, match=r"puncturing needs r \+ t <= 10"):
+        puncture_attempt(r, t)
+    assert run(["construct", "puncture", str(r), str(t)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: puncturing needs r + t <= 10: it enumerates all ")
+
+
+@pytest.mark.parametrize("make", [xprime_perfect_code, table_row])
+def test_constructions_need_r_at_least_2(make):
+    with pytest.raises(ValueError, match="need r >= 2"):
+        make(1)
 
 
 def test_nonuniform_without_configurations_falls_back_to_the_xprime_code(monkeypatch):

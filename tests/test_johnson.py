@@ -38,6 +38,9 @@ def test_johnson_neighbors_requires_proper_r():
         johnson_neighbors(5, 2, {1, 2})
     with pytest.raises(ValueError):
         johnson_neighbors(5, 4, {1, 2, 3, 4})
+    for u in ({1, 2}, {1, 2, 6}):
+        with pytest.raises(ValueError, match="not an r-subset of 1..5"):
+            johnson_neighbors(5, 3, u)
 
 
 def test_expand_cc_psi5():

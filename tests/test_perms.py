@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from permpack.perms import (all_perms, as_perm, compose, identity, invert,
                             is_even, lex_rank, lex_unrank, parity,
-                            perm_from_str, perm_to_str, relative_parity,
-                            swap_positions)
+                            perm_from_str, perm_to_str, swap_positions)
 
 
 def test_identity_and_compose():
@@ -22,6 +21,10 @@ def test_identity_and_compose():
     assert compose(p, q) == (1, 2, 3)
     assert compose(q, p) == (1, 2, 3)
     assert compose(p, e[:3]) == p
+    with pytest.raises(ValueError, match="degree mismatch: 3 vs 4"):
+        compose(p, e)
+    with pytest.raises(ValueError, match="degree must be positive, got 0"):
+        identity(0)
 
 
 def test_compose_associativity():
@@ -50,11 +53,43 @@ def test_parity():
         assert is_even(p) != is_even(swap_positions(p, 1, 2))
 
 
-def test_relative_parity_of_words():
+def test_parity_of_words():
     # parity of the arrangement relative to its sorted order
-    assert relative_parity((4, 5, 6)) == "even"
-    assert relative_parity((4, 6, 5)) == "odd"
-    assert relative_parity((5, 6, 4)) == "even"
+    assert parity((4, 5, 6)) == "even"
+    assert parity((4, 6, 5)) == "odd"
+    assert parity((5, 6, 4)) == "even"
+
+
+def _cycle_walk_is_even(word):
+    """Reference parity: the word's arrangement relative to its sorted
+    order as a permutation, whose cycles of length L are each L - 1
+    transpositions."""
+    order = sorted(word)
+    p = [order.index(v) for v in word]
+    seen = [False] * len(p)
+    transpositions = 0
+    for start in range(len(p)):
+        if seen[start]:
+            continue
+        length = 0
+        k = start
+        while not seen[k]:
+            seen[k] = True
+            k = p[k]
+            length += 1
+        transpositions += length - 1
+    return transpositions % 2 == 0
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_inversion_parity_matches_cycle_walk(n):
+    for p in all_perms(n):
+        assert is_even(p) == _cycle_walk_is_even(p), p
+
+
+@given(st.lists(st.integers(-50, 50), unique=True, max_size=9))
+def test_inversion_parity_of_words_matches_cycle_walk(word):
+    assert is_even(word) == _cycle_walk_is_even(word)
 
 
 def test_lex_rank_unrank_roundtrip():
@@ -65,6 +100,9 @@ def test_lex_rank_unrank_roundtrip():
         for i, p in enumerate(all_perms(n)):
             assert lex_rank(p) == i
             assert lex_unrank(i, n) == p
+    for k in (-1, 24):
+        with pytest.raises(ValueError, match=f"rank {k} out of range for degree 4"):
+            lex_unrank(k, 4)
 
 
 def test_all_perms_lex_order_and_count():

@@ -25,7 +25,7 @@ from permpack.constructions import (_disjoint_picks, nonuniform_extension,
 from permpack.johnson import alternate_cops, parse_cop, search_exact_2factor
 from permpack.perms import all_perms, lex_rank, lex_unrank, perm_to_str, swap_positions
 from permpack.search import (BEST_EFFORT, FOUND, NONE_EXHAUSTIVE, _branch_and_bound,
-                             _cert_from_ranks, _ExactCover, _packing_graph, _sphere_ranks,
+                             _centers_from_ranks, _ExactCover, _packing_graph, _sphere_ranks,
                              _swap_columns, count_esets, find_eset, max_packing)
 
 
@@ -76,12 +76,12 @@ def test_swap_columns_match_lex_rank():
             assert column == tuple(lex_rank(swap_positions(g, i, j)) for g in perms), (tree, i, j)
 
 
-def test_cert_from_ranks_matches_unranking():
+def test_centers_from_ranks_matches_unranking():
     for tree in (build_tree(3, 2), star_tree(7, 3)):
         size = math.factorial(tree.n)
         ranks = [v * 7919 % size for v in range(0, size, 11)]
-        cert = _cert_from_ranks(tree, ranks)
-        assert cert.centers == sorted(lex_unrank(v, tree.n) for v in ranks)
+        centers = _centers_from_ranks(tree.n, ranks)
+        assert centers == sorted(lex_unrank(v, tree.n) for v in ranks)
 
 
 def test_find_eset_leaves_the_tables_unchanged():
