@@ -15,8 +15,8 @@ values occupying the hub-r-side positions 1..r; ``TranspositionTree``
 checks that layout when built.  ``require_components`` is the one
 guard against stars, which have no components, and ``component_key``
 the one check that given values are a component.
-``packing_profile`` applies ``packing_union`` one component at a time,
-so checking a packing never holds more than one component's union.  One breadth-first search,
+``packing_profile`` checks a packing one component at a time, by its
+``packing_union`` and a count of epsilon-neighbours.  One breadth-first search,
 ``_bfs``, serves the tree on 1..n and the Cayley graph
 (``graph_distance``).
 """
@@ -29,7 +29,7 @@ from functools import cache
 from itertools import combinations, permutations
 from operator import itemgetter
 
-from .perms import Perm
+from .perms import Perm, is_perm
 
 Edge = tuple[int, int]
 
@@ -194,20 +194,20 @@ def packing_profile(tree: TranspositionTree, centers) -> dict[frozenset[int], li
     None when two of their closed spheres meet; {} for a star, which has
     no components and is checked by ``packing_union`` on the whole graph.
 
-    Each component's centers get their own ``packing_union``, and the
-    epsilon-neighbours of the centers elsewhere that land in the
-    component must miss it.  That is the whole check: a closed sphere
-    leaves its center's component only across epsilon, the hub-hub
-    edge, and two distinct centers never share an epsilon-neighbour.  So
-    no union larger than one component's is ever built.
+    Each component's centers get their own ``packing_union``, which must
+    hold exactly as many of all the centers' epsilon-neighbours as the
+    component has centers: a closed sphere leaves its center's component
+    only across epsilon, the hub-hub edge, so the union holds its own
+    centers' epsilon-neighbours, and one more is a sphere from elsewhere
+    that meets it.  No union larger than one component's is ever built.
     """
     if tree.r is None:
         return None if packing_union(tree, centers) is None else {}
     groups = centers_by_component(tree, centers)
-    incoming = centers_by_component(tree, neighbors_across(tree, tree.epsilon, centers))
-    for comp, members in groups.items():
+    across = set(neighbors_across(tree, tree.epsilon, centers))
+    for members in groups.values():
         covered = packing_union(tree, members)
-        if covered is None or not covered.isdisjoint(incoming.get(comp, ())):
+        if covered is None or len(covered & across) != len(members):
             return None
     return groups
 
@@ -221,8 +221,7 @@ def neighbors_across(tree: TranspositionTree, edge: Edge, vertices) -> list[Perm
 
 def graph_distance(tree: TranspositionTree, g: Perm, h: Perm) -> int:
     """Length of a shortest path; the search stops when it discovers h."""
-    vertices = list(range(1, tree.n + 1))
-    if sorted(g) != vertices or sorted(h) != vertices:
+    if not (is_perm(g, tree.n) and is_perm(h, tree.n)):
         raise ValueError(f"{g} and {h} are not both vertices of X with n={tree.n}")
     getters = edge_getters(tree)
     return next(d for v, d in _bfs(g, lambda u: [get(u) for get in getters]) if v == h)
@@ -285,11 +284,6 @@ def enumerate_component(tree: TranspositionTree, values):
     for left_word in permutations(sorted(values)):
         for right_word in permutations(right):
             yield left_word + right_word
-
-
-def translate(x: Perm, g: Perm) -> Perm:
-    """The color-preserving automorphism g -> x o g (value relabeling by x)."""
-    return tuple(x[v - 1] for v in g)
 
 
 def num_vertices(tree: TranspositionTree) -> int:

@@ -14,13 +14,13 @@ does.  ``verify_on_subgraph`` passes the base as an argument.
 
 The verifier reads the graph only through ``cayley.closed_sphere``,
 ``cayley.neighbors_across`` and ``cayley.packing_profile``, which
-applies the single disjointness rule, ``cayley.packing_union``, one
-component at a time.  For one_sphere certificates ``packing_profile``
-gives the centers per component, or None when two closed spheres meet;
-no union larger than one component's is built.  A disjoint packing with
-no base, or with every center in its base, is accepted at once.
-Otherwise the verifier runs the ordered per-sphere loop, which names
-each sphere that meets an earlier one and a vertex they share.
+applies the single disjointness rule, ``cayley.packing_union``, and an
+epsilon-neighbour count one component at a time.  For one_sphere
+certificates it gives the centers per component, or None when two
+closed spheres meet.  A disjoint packing with no base, or with every
+center in its base, is accepted at once.  Otherwise the verifier runs
+the ordered per-sphere loop, which names each sphere that meets an
+earlier one and a vertex they share.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ from operator import attrgetter
 
 from .cayley import (TranspositionTree, all_components, centers_by_component, closed_sphere,
                      component_key, component_of, component_type, neighbors_across,
-                     packing_profile, require_components, translate)
-from .perms import Perm, compose, invert, perm_from_str, perm_to_str
+                     packing_profile, require_components)
+from .perms import Perm, compose, invert, is_perm, perm_from_str, perm_to_str
 
 
 class PackingCertificate:
@@ -103,9 +103,8 @@ def _check_wellformed(tree: TranspositionTree, cert: PackingCertificate) -> None
         if declared is not None and declared != actual:
             raise CertificateError(f"certificate {name} {declared!r} != tree {name} {actual!r}")
     flat = _flat_centers(cert)
-    values = list(range(1, cert.n + 1))
     for p in flat:
-        if len(p) != cert.n or sorted(p) != values:
+        if not is_perm(p, cert.n):
             raise CertificateError(f"center {p} is not a permutation of 1..{cert.n}")
     if len(set(flat)) != len(flat):
         raise CertificateError("centers are not distinct")
@@ -243,30 +242,32 @@ def certified(tree: TranspositionTree, centers: list[Perm],
 
 
 def uniformity_check(tree: TranspositionTree, cert: PackingCertificate) -> tuple[bool, str | None]:
-    """Is the packing equivalent in all components?
+    """Is the packing equivalent in all components, or in all those of its
+    declared base subgraph, to the first of them in ``all_components`` order?
 
     Equivalence of components c1, c2: some color-preserving translation
-    g -> x o g that maps c1 onto c2 (x restricted to a bijection c1 -> c2
-    on the left values and complement -> complement on the right) carries
-    the centers in c1 exactly onto the centers in c2.
+    g -> compose(x, g) that maps c1 onto c2 (x restricted to a bijection
+    c1 -> c2 on the left values and complement -> complement on the right)
+    carries the centers in c1 exactly onto the centers in c2.
     """
     if cert.kind != "one_sphere":
         raise CertificateError("uniformity applies to one_sphere certificates")
     _check_wellformed(tree, cert)
     if not cert.centers:
         return True, None
+    base = _base(tree, cert)
     groups = centers_by_component(tree, cert.centers)
-    by_comp = {c: set(groups.get(c, ())) for c in all_components(tree)}
-    base, *rest = by_comp  # all_components order: lexicographic
-    for c in rest:
-        if not _equivalent(by_comp[base], by_comp[c]):
-            return False, (f"components {tuple(sorted(base))} and {tuple(sorted(c))} "
+    compared = [c for c in all_components(tree) if base is None or c in base]
+    by_comp = {c: set(groups.get(c, ())) for c in compared}
+    for c in compared[1:]:
+        if not _equivalent(by_comp[compared[0]], by_comp[c]):
+            return False, (f"components {tuple(sorted(compared[0]))} and {tuple(sorted(c))} "
                            f"carry inequivalent center sets")
     return True, None
 
 
 def _equivalent(centers1: set[Perm], centers2: set[Perm]) -> bool:
-    """Does some translation g -> x o g carry centers1 onto centers2?
+    """Does some translation g -> compose(x, g) carry centers1 onto centers2?
 
     Any such x sends g = min(centers1) to some h in centers2, so x is one
     of the candidates h o g^-1.  Each candidate maps g's left values (its
@@ -280,7 +281,7 @@ def _equivalent(centers1: set[Perm], centers2: set[Perm]) -> bool:
     g_inv = invert(min(centers1))
     for h in centers2:
         x = compose(h, g_inv)
-        if all(translate(x, p) in centers2 for p in centers1):
+        if all(compose(x, p) in centers2 for p in centers1):
             return True
     return False
 

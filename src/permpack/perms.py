@@ -26,12 +26,16 @@ def _values(n: int) -> frozenset[int]:
     return frozenset(range(1, n + 1))
 
 
+def is_perm(word, n: int) -> bool:
+    """Is the word a permutation of 1..n: n letters, each of 1..n once?"""
+    return len(word) == n and _values(n) == set(word)
+
+
 def as_perm(word) -> Perm:
     """Validate a word as a permutation and return it as a tuple."""
     w = tuple(word)
-    n = len(w)
-    if _values(n) != set(w):
-        raise ValueError(f"not a permutation of 1..{n}: {w}")
+    if not is_perm(w, len(w)):
+        raise ValueError(f"not a permutation of 1..{len(w)}: {w}")
     return w
 
 
@@ -122,6 +126,6 @@ def perm_from_str(s: str) -> Perm:
     s = s.strip()
     if s.isascii():
         w = tuple(s.encode().translate(_DIGIT_VALUES))
-        if _values(len(w)) == frozenset(w):
+        if is_perm(w, len(w)):
             return w
     return as_perm(map(int, s.split(",") if "," in s else s))

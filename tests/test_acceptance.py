@@ -9,7 +9,7 @@ from fractions import Fraction
 from conftest import load_fixture, nest_g35, nest_g46, two_factor_g35
 from permpack.cayley import (RENUMBERED, all_components, build_tree,
                              closed_sphere, component_of, component_type,
-                             graph_distance, neighbors, star_tree, translate)
+                             graph_distance, neighbors, star_tree)
 from permpack.certify import (PackingCertificate, cert_from_dict,
                               uniformity_check, verify_eset,
                               verify_on_subgraph, verify_packing)
@@ -18,7 +18,7 @@ from permpack.constructions import (nonuniform_extension, star_eset, table_T,
                                     xprime_perfect_code)
 from permpack.johnson import (alternate_cops, expand_cc, is_exact, parse_cop,
                               search_exact_2factor, validate_nest)
-from permpack.perms import all_perms
+from permpack.perms import all_perms, compose
 from permpack.search import FOUND, NONE_EXHAUSTIVE, find_eset, max_packing
 
 
@@ -172,7 +172,7 @@ def test_criterion_9_property_suites():
     cert = cert_from_dict(load_fixture("x32_uniform_5_6.json"))
     x = (4, 1, 5, 2, 3)
     moved = PackingCertificate(n=5, kind="one_sphere",
-                               centers=sorted(translate(x, g) for g in cert.centers),
+                               centers=sorted(compose(x, g) for g in cert.centers),
                                r=3, t=2, numbering=tree.numbering)
     assert verify_packing(tree, moved).alpha == verify_packing(tree, cert).alpha
     # (iii) uniform certificates never exceed alpha = n/(rt)

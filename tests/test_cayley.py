@@ -15,9 +15,9 @@ from permpack.cayley import (ORIGINAL, RENUMBERED, TranspositionTree, all_compon
                              build_tree, centers_by_component, closed_sphere, component_key,
                              component_of, component_type, edge_getters, enumerate_component,
                              graph_distance, neighbors, num_vertices,
-                             packing_union, require_components, star_tree, translate,
+                             packing_union, require_components, star_tree,
                              tree_diameter)
-from permpack.perms import all_perms, perm_from_str
+from permpack.perms import all_perms, compose, perm_from_str
 
 
 def test_build_tree_original_numbering():
@@ -250,9 +250,9 @@ def test_translate_is_color_preserving():
     x = (3, 1, 4, 5, 2)
     for g in list(all_perms(5))[::17]:
         base = dict(neighbors(tree, g))
-        image = dict(neighbors(tree, translate(x, g)))
+        image = dict(neighbors(tree, compose(x, g)))
         for e in tree.edges:
-            assert translate(x, base[e]) == image[e]
+            assert compose(x, base[e]) == image[e]
 
 
 def test_num_vertices():

@@ -21,7 +21,7 @@ from conftest import load_fixture, placed_x3
 from permpack.cayley import (RENUMBERED, TranspositionTree, all_components, build_tree,
                              closed_sphere, component_of, edge_getters, enumerate_component,
                              graph_distance, neighbors, packing_profile, packing_union,
-                             star_tree, translate)
+                             star_tree)
 from permpack.certify import (CertificateError, PackingCertificate, VerificationReport,
                               _equivalent, cert_from_dict, cert_to_dict, profile_by_type,
                               report_to_dict, sphere_sets, uniformity_check,
@@ -29,7 +29,7 @@ from permpack.certify import (CertificateError, PackingCertificate, Verification
 from permpack.constructions import (Construction, TableRow, xprime_components,
                                     xprime_perfect_code)
 from permpack.johnson import ExactSubgraph
-from permpack.perms import all_perms, perm_from_str, perm_to_str
+from permpack.perms import all_perms, compose, perm_from_str, perm_to_str
 from permpack.search import SearchOutcome
 
 
@@ -298,6 +298,67 @@ def test_one_certificate_builder_one_edge_move_one_parity_rule():
     assert defined & {"relative_parity", "epsilon_neighbors", "_cert_from_ranks"} == set()
 
 
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_uniformity_check_compares_only_the_base_components(r):
+    # the X' code is uniform over its base, the 2^r type-0 components,
+    # while the components outside it carry no centers
+    tree = build_tree(r, r, RENUMBERED)
+    code = xprime_perfect_code(r).certificate
+    assert uniformity_check(tree, code) == (True, None)
+    # without the base, the empty components outside it are compared too
+    assert not uniformity_check(tree, _cert(tree, code.centers))[0]
+    # one center fewer in the last base component: it differs from the
+    # first base component in all_components order, the reference
+    base = [c for c in all_components(tree) if c in set(code.base_subgraph)]
+    dropped = next(g for g in code.centers if component_of(tree, g) == base[-1])
+    lopsided = _cert(tree, [g for g in code.centers if g != dropped],
+                     base_subgraph=code.base_subgraph)
+    assert uniformity_check(tree, lopsided) == (
+        False, f"components {tuple(sorted(base[0]))} and {tuple(sorted(base[-1]))} "
+               f"carry inequivalent center sets")
+    # one base component has nothing to be compared with
+    single = _cert(tree, [g for g in code.centers if component_of(tree, g) == base[0]],
+                   base_subgraph=base[:1])
+    assert uniformity_check(tree, single) == (True, None)
+
+
+def _sorted_compared_with_values(tree: ast.Module) -> list[str]:
+    """Comparisons of a sorted(...) call with a range(1, ...) list, given
+    inline or through a name assigned from one."""
+    ranges = {target.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+              and "range(1," in ast.unparse(node.value)
+              for target in node.targets if isinstance(target, ast.Name)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if (any(isinstance(o, ast.Call) and _identifier(o.func) == "sorted" for o in operands)
+                    and any("range(1," in ast.unparse(o)
+                            or isinstance(o, ast.Name) and o.id in ranges for o in operands)):
+                found.append(ast.unparse(node))
+    return found
+
+
+def test_one_epsilon_check_one_product_one_permutation_test():
+    # perms.compose is the one product and perms.is_perm the one
+    # permutation test; packing_profile groups the centers once
+    src = pathlib.Path(permpack.__file__).parent
+    modules = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    functions = {stem: {node.name: node for node in ast.walk(tree)
+                        if isinstance(node, ast.FunctionDef)} for stem, tree in modules.items()}
+    assert "translate" not in functions["cayley"]
+    groupings = [node for node in ast.walk(functions["cayley"]["packing_profile"])
+                 if isinstance(node, ast.Call) and _identifier(node.func) == "centers_by_component"]
+    assert len(groupings) == 1
+    reads = [stem for stem, tree in modules.items() for node in ast.walk(tree)
+             if _identifier(node) == "_values"]
+    in_is_perm = [node for node in ast.walk(functions["perms"]["is_perm"])
+                  if _identifier(node) == "_values"]
+    assert in_is_perm and reads == ["perms"] * len(in_is_perm)
+    assert {stem: _sorted_compared_with_values(tree) for stem, tree in modules.items()
+            if stem != "perms" and _sorted_compared_with_values(tree)} == {}
+
+
 def test_uniformity_accepts_fixture_and_rejects_lopsided():
     tree = build_tree(3, 2)
     cert = cert_from_dict(load_fixture("x32_uniform_5_6.json"))
@@ -348,7 +409,7 @@ def _reference_equivalent(tree, centers1, c1, centers2, c2):
             word = [0] * tree.n
             for a, b in zip(left1 + right1, lperm + rperm):
                 word[a - 1] = b
-            if {translate(tuple(word), g) for g in centers1} == centers2:
+            if {compose(tuple(word), g) for g in centers1} == centers2:
                 return True
     return False
 
@@ -371,7 +432,7 @@ def test_equivalent_matches_reference(data):
         word = [0] * tree.n
         for a, b in zip(sorted(c1) + sorted(universe - c1), image):
             word[a - 1] = b
-        centers2 = {translate(tuple(word), g) for g in centers1}
+        centers2 = {compose(tuple(word), g) for g in centers1}
         if centers2 and data.draw(st.booleans()):
             centers2.discard(data.draw(st.sampled_from(sorted(centers2))))
             centers2.add(data.draw(st.sampled_from([g for g in verts2 if g not in centers2])))
@@ -586,7 +647,7 @@ def test_translation_invariance_randomized():
     perms = list(all_perms(5))
     for _ in range(5):
         x = perms[rng.randrange(len(perms))]
-        moved = _cert(tree, sorted(translate(x, g) for g in cert.centers))
+        moved = _cert(tree, sorted(compose(x, g) for g in cert.centers))
         rep = verify_packing(tree, moved)
         assert rep.valid == base.valid
         assert rep.alpha == base.alpha

@@ -6,6 +6,7 @@ import hashlib
 import json
 import os
 import pathlib
+import shlex
 import subprocess
 import sys
 
@@ -312,6 +313,19 @@ def test_verify_uniform_names_inequivalent_components(tmp_path, capsys):
         "components (1, 2, 3) and (1, 2, 4) carry inequivalent center sets"]
 
 
+def test_verify_uniform_compares_the_base_of_an_xprime_code(tmp_path, capsys):
+    # the X' code is uniform over its base, the type-0 components; the
+    # components outside it carry no centers and are not compared
+    path = tmp_path / "xprime.json"
+    assert run(["construct", "xprime", "3", "-o", str(path)]) == 0
+    capsys.readouterr()
+    code, report = run_json(capsys, "verify", "--tree", "3,3", "--numbering", "renumbered",
+                            "--uniform", str(path))
+    assert code == 0
+    assert report["valid"] and report["is_eset"] and report["uniform"] is True
+    assert report["violations"] == []
+
+
 def test_construct_uniform_rejects_a_structure_that_is_not_a_nest(tmp_path, capsys):
     path = tmp_path / "cut.json"
     path.write_text(json.dumps(johnson.subgraph_to_dict(cut_nest_g35())))
@@ -539,3 +553,67 @@ def test_no_permpack_module_imports_dataclasses():
             names = ([a.name for a in node.names] if isinstance(node, ast.Import) else
                      [node.module] if isinstance(node, ast.ImportFrom) else [])
             assert "dataclasses" not in names, f"{path.name} imports dataclasses"
+
+
+REPO = pathlib.Path(__file__).resolve().parents[1]
+
+
+def _readme_cli_commands() -> list[tuple[list[str], str]]:
+    """(argv, comment) for each line of the README's CLI code block."""
+    text = (REPO / "README.md").read_text()
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        prog, *argv = shlex.split(command)
+        assert prog == "permpack"
+        commands.append((argv, comment.strip()))
+    return commands
+
+
+def _is_one_cycle(structure: dict) -> bool:
+    adj = {tuple(v): [] for v in structure["vertices"]}
+    for u, v in structure["edges"]:
+        adj[tuple(u)].append(tuple(v))
+        adj[tuple(v)].append(tuple(u))
+    seen, todo = set(), [next(iter(adj))]
+    while todo:
+        u = todo.pop()
+        if u not in seen:
+            seen.add(u)
+            todo += adj[u]
+    return seen == set(adj) and all(len(vs) == 2 for vs in adj.values())
+
+
+def _exact_14_cycle(out: str) -> bool:
+    data = json.loads(out)
+    return (data["found"] and data["exact"] and len(data["structure"]["vertices"]) == 14
+            and _is_one_cycle(data["structure"]))
+
+
+# what each commented README command must print
+README_EXPECTATIONS = {
+    "status: none_exhaustive": lambda out: json.loads(out)["status"] == "none_exhaustive",
+    '{"found": false}': lambda out: json.loads(out) == {"found": False},
+    "the exact 14-cycle": _exact_14_cycle,
+    "census rows as TSV": lambda out: out.splitlines()[0] == "r\tSigma\tSigmaPrime\tP\talpha\tT\tS",
+}
+
+
+def test_readme_cli_block_has_ten_commands_with_known_comments():
+    commands = _readme_cli_commands()
+    assert len(commands) == 10
+    assert {comment for _, comment in commands} - {""} == README_EXPECTATIONS.keys()
+
+
+@pytest.mark.parametrize("argv,comment", _readme_cli_commands(),
+                         ids=[" ".join(argv) for argv, _ in _readme_cli_commands()])
+def test_readme_cli_command(argv, comment, monkeypatch, capsys):
+    # from the repo root, where the README's fixture paths resolve
+    monkeypatch.chdir(REPO)
+    assert run(argv) == 0
+    out = capsys.readouterr().out
+    if comment:
+        assert README_EXPECTATIONS[comment](out), out
+    else:
+        json.loads(out)

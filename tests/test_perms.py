@@ -8,7 +8,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from permpack.perms import (all_perms, as_perm, compose, identity, invert,
-                            is_even, lex_rank, lex_unrank, parity,
+                            is_even, is_perm, lex_rank, lex_unrank, parity,
                             perm_from_str, perm_to_str, swap_positions)
 
 
@@ -195,3 +195,12 @@ def test_as_perm_validation():
         as_perm((1, 1, 2))
     with pytest.raises(ValueError):
         as_perm((0, 1, 2))
+
+
+@given(st.lists(st.integers(-1, 6), max_size=7), st.integers(0, 7))
+@example([2, 1, 3], 3)
+@example([1, 1, 2], 3)
+@example([1, 2], 3)
+def test_is_perm_matches_sorted_reference(word, n):
+    assert is_perm(word, n) == (sorted(word) == list(range(1, n + 1)))
+    assert is_perm(tuple(word), n) == is_perm(word, n)
