@@ -29,7 +29,7 @@ from functools import cache
 from itertools import combinations, permutations
 from operator import itemgetter
 
-from .perms import Perm, is_perm
+from .perms import Perm, is_perm, is_r_subset
 
 Edge = tuple[int, int]
 
@@ -240,7 +240,7 @@ def component_key(tree: TranspositionTree, values) -> frozenset[int]:
     naming them unless they are r distinct integers of 1..n."""
     r = require_components(tree)
     key = frozenset(values)
-    if len(key) != r or not all(type(v) is int and 1 <= v <= tree.n for v in key):
+    if not is_r_subset(key, tree.n, r):
         # repr sorted by length first: integers in numeric order
         shown = ", ".join(sorted(map(repr, key), key=lambda s: (len(s), s)))
         raise ValueError(f"{{{shown}}} is not a component: it needs {r} distinct "

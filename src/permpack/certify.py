@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from collections import Counter, namedtuple
 from fractions import Fraction
-from operator import attrgetter
+from types import SimpleNamespace
 
 from .cayley import (TranspositionTree, all_components, centers_by_component, closed_sphere,
                      component_key, component_of, component_type, neighbors_across,
@@ -36,39 +36,20 @@ from .cayley import (TranspositionTree, all_components, centers_by_component, cl
 from .perms import Perm, compose, invert, is_perm, perm_from_str, perm_to_str
 
 
-class PackingCertificate:
-    """Declared sphere centers of one kind, with the tree and density they
-    claim; mutable, equal by value and unhashable."""
-
-    __slots__ = ("n", "kind", "centers", "r", "t", "numbering", "declared_alpha",
-                 "base_subgraph")
+class PackingCertificate(SimpleNamespace):
+    """Declared sphere centers of one kind (one_sphere, double_sphere with
+    pairs of centers, or s_sphere), with the tree and density they claim;
+    mutable, equal by value and unhashable."""
 
     def __init__(self, n: int, kind: str, centers: list, r: int | None = None,
                  t: int | None = None, numbering: str | None = None,
                  declared_alpha: Fraction | None = None,
                  base_subgraph: list[frozenset[int]] | None = None):
-        self.n = n
-        self.kind = kind  # one_sphere | double_sphere | s_sphere
-        self.centers = centers  # Perms; for double_sphere, pairs (Perm, Perm)
-        self.r = r
-        self.t = t
-        self.numbering = numbering
-        self.declared_alpha = declared_alpha
-        self.base_subgraph = base_subgraph
+        super().__init__(n=n, kind=kind, centers=centers, r=r, t=t, numbering=numbering,
+                         declared_alpha=declared_alpha, base_subgraph=base_subgraph)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return _cert_fields(self) == _cert_fields(other)
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return "PackingCertificate(" + ", ".join(
-            f"{name}={value!r}" for name, value in zip(self.__slots__, _cert_fields(self))) + ")"
-
-
-_cert_fields = attrgetter(*PackingCertificate.__slots__)
+    # for copy and pickle: SimpleNamespace's calls the class with no arguments
+    __reduce__ = object.__reduce__
 
 
 class VerificationReport(namedtuple("VerificationReport", "valid covered_count alpha is_eset "
@@ -142,9 +123,10 @@ def sphere_sets(tree: TranspositionTree, cert: PackingCertificate) -> list[froze
              for p in cert.centers]
     if cert.kind == "one_sphere":
         return inner
-    # s_sphere: the sphere inside the base plus its outside neighbors
-    return [s | {w for q in s for w in closed_sphere(tree, q) if component_of(tree, w) not in base}
-            for s in inner]
+    # s_sphere: the sphere inside the base plus its neighbors outside it,
+    # which lie across epsilon
+    return [s | {w for w in neighbors_across(tree, tree.epsilon, s)
+                 if component_of(tree, w) not in base} for s in inner]
 
 
 def _ordered_union(cert: PackingCertificate, spheres, violations: list[str]) -> set[Perm]:

@@ -13,6 +13,9 @@ callers pass the count.
 
 validate_nest is the one nest check: successor_orientations, and the
 uniform construction built on it, take only structures it accepts.
+perms.is_r_subset decides what an r-subset of 1..n is, so bool and float
+elements are refused as they are for components, and make_subgraph is
+the one builder of an ExactSubgraph.
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import combinations, product
 from math import comb
+
+from .perms import is_r_subset
 
 Subset = frozenset[int]
 
@@ -75,7 +80,7 @@ def johnson_neighbors(n: int, r: int, u) -> list[tuple[Subset, Subset]]:
     if not 2 < r < n - 1:
         raise ValueError(f"need 2 < r < n-1, got r={r}, n={n}")
     u = frozenset(u)
-    if len(u) != r or not u <= set(range(1, n + 1)):
+    if not is_r_subset(u, n, r):
         raise ValueError(f"not an r-subset of 1..{n}: {set(u)}")
     out = []
     for x in sorted(u):
@@ -107,9 +112,8 @@ def _path_violation(u: Subset, v: Subset, w: Subset, need: int) -> str | None:
 def _structure_violation(n: int, r: int, sub: ExactSubgraph, need: int) -> str | None:
     """First edge that is not a Johnson edge between r-subsets of 1..n,
     else the first 2-path that _path_violation rejects, else None."""
-    universe = set(range(1, n + 1))
     for u, v in sub.edges:
-        if len(u) != r or len(v) != r or not (u | v) <= universe:
+        if not (is_r_subset(u, n, r) and is_r_subset(v, n, r)):
             return f"edge {subset_key(u)}-{subset_key(v)} is not between r-subsets of 1..{n}"
         if not is_johnson_edge(u, v):
             return f"{subset_key(u)} and {subset_key(v)} are not adjacent in the Johnson graph"
@@ -136,8 +140,7 @@ def expand_cc(cc, r: int) -> ExactSubgraph:
     if len(set(elems)) != m:
         raise ValueError(f"condensed cycle has repeated elements: {elems}")
     windows = [frozenset(elems[(i + k) % m] for k in range(r)) for i in range(m)]
-    edges = tuple((windows[i], windows[(i + 1) % m]) for i in range(m))
-    return ExactSubgraph(vertices=frozenset(windows), edges=edges, kind="cycle")
+    return make_subgraph(zip(windows, windows[1:] + windows[:1]), kind="cycle")
 
 
 def expand_cop(cop, n: int) -> set[Subset]:
@@ -198,8 +201,7 @@ def alternate_cops(cop_a, cop_b, n: int) -> ExactSubgraph | None:
         elif (is_johnson_edge(path[-1], path[0])
               and _path_violation(path[-2], path[-1], path[0], need) is None
               and _path_violation(path[-1], path[0], path[1], need) is None):
-            edges = tuple((path[i], path[(i + 1) % (2 * m)]) for i in range(2 * m))
-            return ExactSubgraph(vertices=frozenset(path), edges=edges, kind="cycle")
+            return make_subgraph(zip(path, path[1:] + path[:1]), kind="cycle")
         else:
             used.discard(path.pop())
     return None
@@ -284,8 +286,7 @@ def search_exact_2factor(n: int, r: int, max_vertices: int = 40) -> ExactSubgrap
             open_ ^= low
         pivot = (open_ & -open_).bit_length() - 1
         untried = allow[pivot] & open_
-    edges = tuple((verts[p], verts[w]) for p, _, w, *_ in stack)
-    return ExactSubgraph(vertices=frozenset(verts), edges=edges, kind="two_factor")
+    return make_subgraph(((verts[p], verts[w]) for p, _, w, *_ in stack), kind="two_factor")
 
 
 def validate_nest(n: int, r: int, sub: ExactSubgraph) -> tuple[bool, str]:

@@ -2,6 +2,9 @@
 
 A permutation is a tuple of ints (w_1, ..., w_n) with w_k = image of k,
 every value of 1..n appearing exactly once.  All public I/O is 1-based.
+``is_perm`` is the one test that a word is a permutation, and
+``is_r_subset`` the one test that values are r distinct integers of 1..n,
+which is what a component and a Johnson-graph vertex are.
 """
 
 from __future__ import annotations
@@ -29,6 +32,12 @@ def _values(n: int) -> frozenset[int]:
 def is_perm(word, n: int) -> bool:
     """Is the word a permutation of 1..n: n letters, each of 1..n once?"""
     return len(word) == n and _values(n) == set(word)
+
+
+def is_r_subset(values, n: int, r: int) -> bool:
+    """Are the distinct values r integers of 1..n?  ``bool`` and ``float``
+    values are refused even where they compare equal to an integer."""
+    return len(values) == r and all(type(v) is int and 1 <= v <= n for v in values)
 
 
 def as_perm(word) -> Perm:

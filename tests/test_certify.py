@@ -2,12 +2,15 @@
 JSON round-trips."""
 
 import ast
+import copy
 import hashlib
 import inspect
 import json
 import math
 import pathlib
+import pickle
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 from itertools import permutations
@@ -176,6 +179,16 @@ def test_certificate_is_a_mutable_value():
         hash(cert)
     cert.r = 2
     assert cert == PackingCertificate(4, "one_sphere", [(1, 2, 3, 4)], 2)
+
+
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                   lambda cert: pickle.loads(pickle.dumps(cert))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_certificate_copies_and_pickles(clone):
+    cert = PackingCertificate(6, "one_sphere", [(1, 2, 3, 4, 5, 6)], 3, 3, RENUMBERED,
+                              Fraction(1, 120), [frozenset({1, 2, 3})])
+    made = clone(cert)
+    assert type(made) is PackingCertificate and made == cert and made is not cert
 
 
 def _record_cases():
@@ -357,6 +370,44 @@ def test_one_epsilon_check_one_product_one_permutation_test():
     assert in_is_perm and reads == ["perms"] * len(in_is_perm)
     assert {stem: _sorted_compared_with_values(tree) for stem, tree in modules.items()
             if stem != "perms" and _sorted_compared_with_values(tree)} == {}
+
+
+_ONE_TO_N = re.compile(r"(frozen)?set\(range\(1, (\w+\.)?n \+ 1\)\)")
+
+
+def _compared_with_one_to_n(tree: ast.Module) -> list[str]:
+    """Comparisons with the set of 1..n, given inline or through a name
+    assigned from one."""
+    names = {target.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+             and _ONE_TO_N.fullmatch(ast.unparse(node.value))
+             for target in node.targets if isinstance(target, ast.Name)}
+    return [ast.unparse(node) for node in ast.walk(tree) if isinstance(node, ast.Compare)
+            and any(_ONE_TO_N.fullmatch(ast.unparse(o))
+                    or isinstance(o, ast.Name) and o.id in names
+                    for o in [node.left, *node.comparators])]
+
+
+def test_one_r_subset_rule_one_subgraph_builder_a_stdlib_certificate_record():
+    # perms.is_r_subset is the one test of an r-subset of 1..n,
+    # johnson.make_subgraph the one builder of an ExactSubgraph, and the
+    # certificate takes equality and repr from types.SimpleNamespace
+    src = pathlib.Path(permpack.__file__).parent
+    modules = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    builders = {(stem, function.name) for stem, tree in modules.items()
+                for function in ast.walk(tree) if isinstance(function, ast.FunctionDef)
+                for node in ast.walk(function)
+                if isinstance(node, ast.Call) and _identifier(node.func) == "ExactSubgraph"}
+    calls = [node for tree in modules.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and _identifier(node.func) == "ExactSubgraph"]
+    assert builders == {("johnson", "make_subgraph")} and len(calls) == 1
+    record = next(node for node in ast.walk(modules["certify"])
+                  if isinstance(node, ast.ClassDef) and node.name == "PackingCertificate")
+    defined = {node.name for node in record.body if isinstance(node, ast.FunctionDef)} | {
+        target.id for node in record.body if isinstance(node, ast.Assign)
+        for target in node.targets if isinstance(target, ast.Name)}
+    assert defined & {"__eq__", "__repr__", "__hash__", "__slots__"} == set()
+    assert {stem: _compared_with_one_to_n(modules[stem]) for stem in ("cayley", "johnson")} == {
+        "cayley": [], "johnson": []}
 
 
 def test_uniformity_accepts_fixture_and_rejects_lopsided():

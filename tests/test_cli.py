@@ -377,6 +377,49 @@ def test_construct_output_golden(capsys, argv, digest):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+_XPRIME3 = "<construct xprime 3 -o>"
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["verify", "--tree", "2,2", str(FIXTURES / "x22_eset_2_3.json")],
+     "46b2aa4f55052d255cfb055912aba1a183fd9db91c9433a795b9568529ef9587"),
+    (["verify", "--tree", "2,2", str(FIXTURES / "x22_eset_5_6.json")],
+     "e194372f8ffc1c9fa9c9e786a7be05659be68c0ff5b659b054eda599734cdd13"),
+    (["verify", "--tree", "3,2", str(FIXTURES / "x32_uniform_5_6.json")],
+     "2b08b74a63dd26605d39fab42a383a9c5772779d8a89eca6467eee063dd02cba"),
+    (["verify", "--tree", "3,3", "--numbering", "renumbered", _XPRIME3],
+     "a66587bdea05ebf491991608599cf77a4a773874f0cea7fe6edc75d1ef32ee36"),
+    (["verify", "--tree", "3,3", "--numbering", "renumbered", "--uniform", _XPRIME3],
+     "8bf22695eb6bb9423a28d071bee874362866e98795c1bc35f4980ca8cb53ce0d"),
+    (["johnson", "alternate", "1123", "2113", "7"],
+     "8e24c98a30b9edf51848d566d08e545b6af15a1e84f5f2801e1e5345dcd528f0"),
+    (["johnson", "alternate", "1113", "1122", "6"],
+     "e1eb61424fbddfe5dee1fc811dc278e0c5d51768b1e7495137725d21d8faf7aa"),
+    (["johnson", "exact-2factor", "7", "3"],
+     "ab65106f0aa2ffec5895047596411d0dff448e7f9f3230e2ae7dc3ab78d0bb68"),
+    (["johnson", "expand-cc", "1,2,3,4,5", "3"],
+     "f91c36ccad15470aaca0aac07cedb1a66deb21e7e4bc830128854262076e7dbb"),
+    (["johnson", "validate-nest", "5", "3", str(FIXTURES / "nest_g35.json")],
+     "c9e3d6a003cf0e0209e532d2a4a04d5e1d17c8efd7c7c879e75867643f36284e"),
+    (["tables", "7"], "835365e230e24ae8e8ec2badc7c212681dc9c628929b814c83c3ca51ec3245a8"),
+    (["tables", "5", "--format", "json"],
+     "550482085d6676f138d6548659df1e8bf38cd4fb93d4c77a3c04a8c4513e31e2"),
+], ids=["verify-x22-2_3", "verify-x22-5_6", "verify-x32-5_6", "verify-xprime3",
+        "verify-xprime3-uniform", "alternate-1123-2113-7", "alternate-1113-1122-6",
+        "exact-2factor-7-3", "expand-cc-12345-3", "validate-nest-g35", "tables-7",
+        "tables-5-json"])
+def test_verify_johnson_tables_output_golden(tmp_path, capsys, argv, digest):
+    # the whole stdout and the exit code of commands whose reports the
+    # other tests read only in part
+    if _XPRIME3 in argv:
+        path = tmp_path / "xprime3.json"
+        assert run(["construct", "xprime", "3", "-o", str(path)]) == 0
+        capsys.readouterr()
+        argv = [str(path) if arg == _XPRIME3 else arg for arg in argv]
+    assert run(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_construct_puncture_reports_no_target(capsys):
     # puncturing has no proven density to aim at, so it prints none
     code, data = run_json(capsys, "construct", "puncture", "3", "2")
@@ -480,6 +523,37 @@ def test_johnson_validate_nest_rejects_values_outside_the_host(tmp_path, capsys)
     code, data = run_json(capsys, "johnson", "validate-nest", "5", "3", str(path))
     assert code == 1 and not data["valid"]
     assert "not between r-subsets of 1..5" in data["detail"]
+
+
+@pytest.fixture(params=[True, 1.0], ids=["true", "1.0"])
+def nest_g35_with_one_as(request, tmp_path):
+    """nest_g35.json with each 1 written as JSON true or as 1.0, both of
+    which Python reads as values equal to 1; (path, repr of the value)."""
+    nest = json.loads((FIXTURES / "nest_g35.json").read_text())
+    for key in ("vertices", "edges"):
+        nest[key] = json.loads(json.dumps(nest[key]), parse_int=lambda s: (
+            request.param if s == "1" else int(s)))
+    path = tmp_path / "nest_g35_one.json"
+    path.write_text(json.dumps(nest))
+    return path, repr(request.param)
+
+
+def test_johnson_validate_nest_refuses_values_that_are_not_integers(nest_g35_with_one_as,
+                                                                    capsys):
+    # the rule of components: True and 1.0 are not among the values 1..n
+    path, one = nest_g35_with_one_as
+    code, data = run_json(capsys, "johnson", "validate-nest", "5", "3", str(path))
+    assert code == 1 and not data["valid"]
+    assert data["detail"] == f"edge ({one}, 2, 3)-({one}, 2, 5) is not between r-subsets of 1..5"
+
+
+def test_construct_uniform_refuses_a_nest_of_values_that_are_not_integers(
+        nest_g35_with_one_as, capsys):
+    path, one = nest_g35_with_one_as
+    assert run(["construct", "uniform", "--tree", "3,2", "--structure", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: structure is not a nest of J(5,3): edge ({one}, 2, 3)-({one}, 2, 5) "
+        f"is not between r-subsets of 1..5\n")
 
 
 def test_johnson_validate_nest_malformed_subgraph_exits_2(tmp_path, capsys):

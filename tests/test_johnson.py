@@ -38,7 +38,7 @@ def test_johnson_neighbors_requires_proper_r():
         johnson_neighbors(5, 2, {1, 2})
     with pytest.raises(ValueError):
         johnson_neighbors(5, 4, {1, 2, 3, 4})
-    for u in ({1, 2}, {1, 2, 6}):
+    for u in ({1, 2}, {1, 2, 6}, {True, 2, 3}, {1.0, 2, 3}):
         with pytest.raises(ValueError, match="not an r-subset of 1..5"):
             johnson_neighbors(5, 3, u)
 
@@ -81,6 +81,14 @@ def test_is_exact_rejects_a_non_johnson_edge():
     sub = make_subgraph([({1, 2, 3}, {1, 4, 5})])
     assert is_exact(6, 3, sub) == (
         False, "(1, 2, 3) and (1, 4, 5) are not adjacent in the Johnson graph")
+
+
+@pytest.mark.parametrize("one", [True, 1.0], ids=["true", "1.0"])
+def test_is_exact_takes_only_integer_elements(one):
+    # equal to 1, but not an element of 1..n: the rule of components
+    sub = make_subgraph([({one, 2, 3}, {one, 2, 4})])
+    assert is_exact(5, 3, sub) == (
+        False, f"edge ({one!r}, 2, 3)-({one!r}, 2, 4) is not between r-subsets of 1..5")
 
 
 def test_is_exact_two_factor():
@@ -236,7 +244,9 @@ def _relabel(sub, old, new):
     (5, 3, lambda: _relabel(nest_g35(), 5, 6)),
     (5, 2, nest_g35),
     (6, 2, nest_g46),
-], ids=["g35-value-6", "g35-as-r2", "g46-as-r2"])
+    (5, 3, lambda: _relabel(nest_g35(), 1, True)),
+    (5, 3, lambda: _relabel(nest_g35(), 1, 1.0)),
+], ids=["g35-value-6", "g35-as-r2", "g46-as-r2", "g35-value-true", "g35-value-1.0"])
 def test_validate_nest_rejects_vertices_outside_the_host(n, r, make):
     # each has as many vertices as C(n, r) and a nest's shape and 2-paths
     ok, why = validate_nest(n, r, make())
