@@ -8,7 +8,7 @@ from .certify import (CertificateError, PackingCertificate,
 from .constructions import (ConstructionError, nonuniform_extension,
                             table_row, uniform_from_exact,
                             xprime_perfect_code)
-from .search import SearchOutcome, count_esets, find_eset, max_packing
+from .search import SearchOutcome, find_eset, max_packing
 
 __version__ = "0.1.0"
 
@@ -18,6 +18,6 @@ __all__ = [
     "verify_eset", "verify_packing",
     "ConstructionError", "nonuniform_extension", "table_row",
     "uniform_from_exact", "xprime_perfect_code",
-    "SearchOutcome", "count_esets", "find_eset", "max_packing",
+    "SearchOutcome", "find_eset", "max_packing",
     "__version__",
 ]

@@ -16,20 +16,17 @@ checks that layout when built.  ``require_components`` is the one
 guard against stars, which have no components, and ``component_key``
 the one check that given values are a component.
 ``packing_profile`` checks a packing one component at a time, by its
-``packing_union`` and a count of epsilon-neighbours.  One breadth-first search,
-``_bfs``, serves the tree on 1..n and the Cayley graph
-(``graph_distance``).
+``packing_union`` and a count of epsilon-neighbours.
 """
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from functools import cache
 from itertools import combinations, permutations
 from operator import itemgetter
 
-from .perms import Perm, is_perm, is_r_subset
+from .perms import Perm, is_r_subset
 
 Edge = tuple[int, int]
 
@@ -63,7 +60,7 @@ class TranspositionTree(namedtuple("TranspositionTree", "n edges epsilon r t num
             if not (1 <= i <= self.n and 1 <= j <= self.n and i != j):
                 raise ValueError(f"bad edge {(i, j)} for n={self.n}")
         # n - 1 edges connecting 1..n form a tree
-        if len(self.edges) != self.n - 1 or len(_distances(self.n, self.edges, 1)) != self.n:
+        if len(self.edges) != self.n - 1 or not _spans(self.n, self.edges):
             raise ValueError("edges do not form a spanning tree")
         if self.epsilon is None:
             return self
@@ -100,34 +97,17 @@ def _edge(i: int, j: int) -> Edge:
     return (i, j) if i < j else (j, i)
 
 
-def _bfs(src, step):
-    """Yield (vertex, distance) for src and every vertex reachable from
-    it, in the order breadth-first search discovers them; ``step(u)``
-    lists the neighbours of u."""
-    dist = {src: 0}
-    queue = [src]
-    yield src, 0
-    for u in queue:
-        for v in step(u):
-            if v not in dist:
-                dist[v] = d = dist[u] + 1
-                queue.append(v)
-                yield v, d
-
-
-def _distances(n: int, edges, src: int) -> dict[int, int]:
-    """BFS distances from src over the graph on 1..n with these edges;
-    unreachable vertices are absent."""
-    adj = {v: [] for v in range(1, n + 1)}
-    for i, j in edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    return dict(_bfs(src, adj.__getitem__))
-
-
-def tree_diameter(n: int, edges) -> int:
-    dist = _distances(n, edges, 1)
-    return max(_distances(n, edges, max(dist, key=dist.get)).values())
+def _spans(n: int, edges) -> bool:
+    """Whether every vertex of 1..n is reached from vertex 1 over these edges."""
+    reached = {1}
+    grew = True
+    while grew:
+        grew = False
+        for i, j in edges:
+            if (i in reached) != (j in reached):
+                reached.update((i, j))
+                grew = True
+    return len(reached) == n
 
 
 def build_tree(r: int, t: int, numbering: str = ORIGINAL) -> TranspositionTree:
@@ -219,14 +199,6 @@ def neighbors_across(tree: TranspositionTree, edge: Edge, vertices) -> list[Perm
     return list(map(edge_getters(tree)[tree.edges.index(edge)], vertices))
 
 
-def graph_distance(tree: TranspositionTree, g: Perm, h: Perm) -> int:
-    """Length of a shortest path; the search stops when it discovers h."""
-    if not (is_perm(g, tree.n) and is_perm(h, tree.n)):
-        raise ValueError(f"{g} and {h} are not both vertices of X with n={tree.n}")
-    getters = edge_getters(tree)
-    return next(d for v, d in _bfs(g, lambda u: [get(u) for get in getters]) if v == h)
-
-
 def require_components(tree: TranspositionTree) -> int:
     """The hub degree r, after checking that the tree has components:
     a star has none."""
@@ -284,7 +256,3 @@ def enumerate_component(tree: TranspositionTree, values):
     for left_word in permutations(sorted(values)):
         for right_word in permutations(right):
             yield left_word + right_word
-
-
-def num_vertices(tree: TranspositionTree) -> int:
-    return math.factorial(tree.n)

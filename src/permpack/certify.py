@@ -25,13 +25,14 @@ earlier one and a vertex they share.
 
 from __future__ import annotations
 
+import copyreg
 import math
-from collections import Counter, namedtuple
+from collections import namedtuple
 from fractions import Fraction
 from types import SimpleNamespace
 
 from .cayley import (TranspositionTree, all_components, centers_by_component, closed_sphere,
-                     component_key, component_of, component_type, neighbors_across,
+                     component_key, component_of, neighbors_across,
                      packing_profile, require_components)
 from .perms import Perm, compose, invert, is_perm, perm_from_str, perm_to_str
 
@@ -48,8 +49,10 @@ class PackingCertificate(SimpleNamespace):
         super().__init__(n=n, kind=kind, centers=centers, r=r, t=t, numbering=numbering,
                          declared_alpha=declared_alpha, base_subgraph=base_subgraph)
 
-    # for copy and pickle: SimpleNamespace's calls the class with no arguments
-    __reduce__ = object.__reduce__
+    # for copy and pickle at every protocol: SimpleNamespace's reduce calls
+    # the class with no arguments, so make the instance bare and set its state
+    def __reduce__(self):
+        return copyreg.__newobj__, (type(self),), vars(self)
 
 
 class VerificationReport(namedtuple("VerificationReport", "valid covered_count alpha is_eset "
@@ -268,18 +271,6 @@ def _equivalent(centers1: set[Perm], centers2: set[Perm]) -> bool:
     return False
 
 
-def profile_by_type(tree: TranspositionTree, cert: PackingCertificate) -> dict[int, Fraction]:
-    """Covered vertices per component type, divided by (r!)^2; exact rationals."""
-    if tree.r != tree.t:
-        raise ValueError("type profile is defined only for r = t")
-    covered = set().union(*sphere_sets(tree, cert))
-    per_type: dict[int, int] = {k: 0 for k in range(tree.r // 2 + 1)}
-    for values, count in Counter(component_of(tree, q) for q in covered).items():
-        per_type[component_type(tree, values)] += count
-    denom = math.factorial(tree.r) ** 2
-    return {k: Fraction(v, denom) for k, v in per_type.items()}
-
-
 # ---------------------------------------------------------------------------
 # JSON interchange
 
@@ -303,10 +294,6 @@ def cert_to_dict(cert: PackingCertificate) -> dict:
     return out
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def cert_from_dict(data: dict) -> PackingCertificate:
     try:
         kind = data["kind"]
@@ -328,10 +315,10 @@ def cert_from_dict(data: dict) -> PackingCertificate:
         if base is not None:
             base = [frozenset(c) for c in base]
         n, r, t = data["n"], data.get("r"), data.get("t")
-        if not _is_int(n):
+        if type(n) is not int:
             raise TypeError(f"n must be an integer, got {n!r}")
         for name, value in (("r", r), ("t", t)):
-            if value is not None and not _is_int(value):
+            if value is not None and type(value) is not int:
                 raise TypeError(f"{name} must be an integer or null, got {value!r}")
         return PackingCertificate(
             n=n, kind=kind, centers=centers, r=r, t=t, numbering=data.get("numbering"),

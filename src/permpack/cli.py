@@ -143,7 +143,7 @@ def _cmd_build_tree(args) -> int:
     tree = _parse_tree(args.tree, args.numbering)
     _emit({"n": tree.n, "r": tree.r, "t": tree.t, "numbering": tree.numbering,
            "edges": [list(e) for e in tree.edges], "epsilon": list(tree.epsilon),
-           "num_vertices": cayley.num_vertices(tree)}, None)
+           "num_vertices": math.factorial(tree.n)}, None)
     return 0
 
 

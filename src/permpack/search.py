@@ -64,11 +64,10 @@ FOUND = "found"
 NONE_EXHAUSTIVE = "none_exhaustive"
 BEST_EFFORT = "best_effort"
 
-# largest degrees the searches accept: 7! = 5040 vertices to decide
+# largest degree the searches accept: 7! = 5040 vertices to decide
 # an E-set or to pack (at n = 8 the packing set-up alone would hold 8!
-# conflict masks of up to 8! bits), 5! = 120 to enumerate
+# conflict masks of up to 8! bits)
 _MAX_N = 7
-_COUNT_MAX_N = 5
 
 # with a deadline, the branch and bound reads the clock once per this
 # many nodes
@@ -237,13 +236,6 @@ def find_eset(tree: TranspositionTree, symmetry: bool = True) -> SearchOutcome:
         return SearchOutcome(status=FOUND, certificate=cert, nodes_explored=cover.nodes,
                              covered_count=report.covered_count)
     return SearchOutcome(status=NONE_EXHAUSTIVE, certificate=None, nodes_explored=cover.nodes)
-
-
-def count_esets(tree: TranspositionTree) -> int:
-    """Number of distinct E-sets, by exhaustive exact-cover enumeration."""
-    if tree.n > _COUNT_MAX_N:
-        raise ValueError(f"n={tree.n} too large for exhaustive enumeration")
-    return sum(1 for _ in _ExactCover(_sphere_ranks(tree)).solve())
 
 
 def _branch_and_bound(cand: int, conflict: list[int], comp_masks: list[int], cap: int,

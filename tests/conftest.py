@@ -12,6 +12,7 @@ from hypothesis import settings
 from permpack.cayley import TranspositionTree, build_tree
 from permpack.constructions import uniform_from_exact
 from permpack.johnson import ExactSubgraph, expand_cc, make_subgraph, search_exact_2factor
+from permpack.perms import swap_positions
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -76,6 +77,46 @@ def placed_x3(r, t, hub_left, hub_right) -> TranspositionTree:
     edges += [tuple(sorted((v, hub_right))) for v in range(r + 1, n + 1) if v != hub_right]
     return TranspositionTree(n=n, edges=tuple(sorted(edges)), epsilon=(hub_left, hub_right),
                              r=r, t=t)
+
+
+def graph_distance(tree: TranspositionTree, g, h) -> int:
+    """Length of a shortest path from g to h in the Cayley graph, by a
+    breadth-first search that swaps positions with ``perms.swap_positions``
+    along each tree edge.  It shares no code with ``cayley.edge_getters``,
+    the columns that spheres are built from, so it can check them."""
+    dist = {g: 0}
+    queue = [g]
+    for u in queue:
+        if u == h:
+            return dist[u]
+        for i, j in tree.edges:
+            v = swap_positions(u, i, j)
+            if v not in dist:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    raise ValueError(f"{h} is not reachable from {g}")
+
+
+def tree_diameter(n: int, edges) -> int:
+    """The diameter of the tree on 1..n with these edges: the eccentricity
+    of a vertex farthest from vertex 1, by two breadth-first searches."""
+    adj = {v: [] for v in range(1, n + 1)}
+    for i, j in edges:
+        adj[i].append(j)
+        adj[j].append(i)
+
+    def distances(src):
+        dist = {src: 0}
+        queue = [src]
+        for u in queue:
+            for v in adj[u]:
+                if v not in dist:
+                    dist[v] = dist[u] + 1
+                    queue.append(v)
+        return dist
+
+    dist = distances(1)
+    return max(distances(max(dist, key=dist.get)).values())
 
 
 @contextlib.contextmanager

@@ -6,10 +6,10 @@ import math
 import time
 from fractions import Fraction
 
-from conftest import load_fixture, nest_g35, nest_g46, two_factor_g35
+from conftest import graph_distance, load_fixture, nest_g35, nest_g46, two_factor_g35
 from permpack.cayley import (RENUMBERED, all_components, build_tree,
                              closed_sphere, component_of, component_type,
-                             graph_distance, neighbors, star_tree)
+                             neighbors, star_tree)
 from permpack.certify import (PackingCertificate, cert_from_dict,
                               uniformity_check, verify_eset,
                               verify_on_subgraph, verify_packing)

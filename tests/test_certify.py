@@ -23,10 +23,9 @@ import permpack
 from conftest import load_fixture, placed_x3
 from permpack.cayley import (RENUMBERED, TranspositionTree, all_components, build_tree,
                              closed_sphere, component_of, edge_getters, enumerate_component,
-                             graph_distance, neighbors, packing_profile, packing_union,
-                             star_tree)
+                             neighbors, packing_profile, packing_union, star_tree)
 from permpack.certify import (CertificateError, PackingCertificate, VerificationReport,
-                              _equivalent, cert_from_dict, cert_to_dict, profile_by_type,
+                              _equivalent, cert_from_dict, cert_to_dict,
                               report_to_dict, sphere_sets, uniformity_check,
                               verify_eset, verify_on_subgraph, verify_packing)
 from permpack.constructions import (Construction, TableRow, xprime_components,
@@ -181,9 +180,12 @@ def test_certificate_is_a_mutable_value():
     assert cert == PackingCertificate(4, "one_sphere", [(1, 2, 3, 4)], 2)
 
 
-@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
-                                   lambda cert: pickle.loads(pickle.dumps(cert))],
-                         ids=["copy", "deepcopy", "pickle"])
+@pytest.mark.parametrize(
+    "clone", [copy.copy, copy.deepcopy, lambda cert: pickle.loads(pickle.dumps(cert))]
+    + [lambda cert, p=p: pickle.loads(pickle.dumps(cert, p))
+       for p in range(pickle.HIGHEST_PROTOCOL + 1)],
+    ids=["copy", "deepcopy", "pickle"]
+    + [f"pickle{p}" for p in range(pickle.HIGHEST_PROTOCOL + 1)])
 def test_certificate_copies_and_pickles(clone):
     cert = PackingCertificate(6, "one_sphere", [(1, 2, 3, 4, 5, 6)], 3, 3, RENUMBERED,
                               Fraction(1, 120), [frozenset({1, 2, 3})])
@@ -703,28 +705,6 @@ def test_translation_invariance_randomized():
         assert rep.valid == base.valid
         assert rep.alpha == base.alpha
         assert rep.covered_count == base.covered_count
-
-
-def test_profile_by_type():
-    tree = build_tree(3, 3, RENUMBERED)
-    code = xprime_perfect_code(3).certificate
-    prof = profile_by_type(tree, code)
-    # the type-0 code covers its 8 components fully and nothing else
-    assert prof[0] == Fraction(8)
-    assert prof[1] == 0
-    # double spheres, counted by brute force: the vertices within distance
-    # 1 of either center, typed by the pairs {i, 2+i} among the left values
-    tree = build_tree(2, 2)
-    pairs = [((1, 2, 3, 4), (2, 1, 3, 4)), ((3, 1, 4, 2), (3, 4, 1, 2))]
-    cert = PackingCertificate(n=4, kind="double_sphere", centers=pairs)
-    counts = {0: 0, 1: 0}
-    for g in all_perms(4):
-        if any(graph_distance(tree, c, g) <= 1 for pair in pairs for c in pair):
-            counts[sum(1 for i in (1, 2) if {i, i + 2} <= set(g[:2]))] += 1
-    assert sum(counts.values()) == verify_packing(tree, cert).covered_count == 12
-    assert profile_by_type(tree, cert) == {k: Fraction(v, 4) for k, v in counts.items()}
-    with pytest.raises(ValueError, match="only for r = t"):
-        profile_by_type(build_tree(3, 2), _cert(build_tree(3, 2), []))
 
 
 def test_sphere_sets_sizes():

@@ -26,7 +26,7 @@ from permpack.johnson import alternate_cops, parse_cop, search_exact_2factor
 from permpack.perms import all_perms, lex_rank, lex_unrank, perm_to_str, swap_positions
 from permpack.search import (BEST_EFFORT, FOUND, NONE_EXHAUSTIVE, _branch_and_bound,
                              _centers_from_ranks, _ExactCover, _packing_graph, _sphere_ranks,
-                             _swap_columns, count_esets, find_eset, max_packing)
+                             _swap_columns, find_eset, max_packing)
 
 
 def test_find_eset_star_n3_found():
@@ -98,8 +98,6 @@ def test_no_tables_beyond_degree_7(monkeypatch):
     monkeypatch.setattr(search, "_lex_table", _no_setup)
     with pytest.raises(ValueError):
         find_eset(star_tree(8))
-    with pytest.raises(ValueError):
-        count_esets(build_tree(4, 4))
     with pytest.raises(ValueError):
         max_packing(build_tree(5, 3), node_budget=1)
     monkeypatch.undo()
@@ -291,21 +289,6 @@ def test_cli_maxpack_size_gate_exits_2(monkeypatch, capsys):
     monkeypatch.setattr(search, "_packing_graph", _no_setup)
     assert run(["search", "maxpack", "--tree", "6,3"]) == 2
     capsys.readouterr()
-
-
-def test_count_esets():
-    assert count_esets(star_tree(3)) == 3
-    assert count_esets(build_tree(2, 2)) == 0
-    assert count_esets(build_tree(3, 2)) == 0
-    with pytest.raises(ValueError):
-        count_esets(build_tree(3, 3))
-
-
-def test_count_agrees_with_decision():
-    for n in (3, 4):
-        star = star_tree(n)
-        found = find_eset(star).status == FOUND
-        assert (count_esets(star) > 0) == found
 
 
 def test_max_packing_2_2_optimal():
