@@ -237,6 +237,12 @@ def _pair_table(n: int, r: int) -> tuple[list[Subset], list[int], list[dict[int,
     return verts, full, ok
 
 
+# the most exhausted states search_exact_2factor remembers: J(7,4) leaves
+# 57 762, while a search that runs for minutes, such as J(8,6), would
+# otherwise grow the set by tens of MiB a second
+_MAX_DEAD = 1 << 18
+
+
 def search_exact_2factor(n: int, r: int, max_vertices: int = 40) -> ExactSubgraph | None:
     """Exhaustive search for an exact spanning 2-regular subgraph of J(n, r, r-1).
 
@@ -249,6 +255,19 @@ def search_exact_2factor(n: int, r: int, max_vertices: int = 40) -> ExactSubgrap
     b != b'.  The rule is tabulated once per call (_pair_table).  The
     search is iterative, with an explicit stack, and returns None only
     after complete enumeration.
+
+    States that ran out of candidates are remembered (nogood recording).
+    A state's key is one int with a field per vertex: 0 at degree 2,
+    1 at degree 0, and 2 + the index of its one neighbor at degree 1.
+    The key fixes the subtree below the state: the pivot is the lowest
+    vertex of degree < 2, its candidates are the allowed vertices of
+    degree < 2, and a vertex's allowed neighbors depend only on its
+    degree and, at degree 1, its neighbor.  So a state whose key is
+    already remembered has no completion and is left at once; only
+    subtrees without a solution are skipped, and the first 2-factor
+    found is the one the plain search finds, edge for edge.  At most
+    _MAX_DEAD keys are kept; a state not kept is searched again when
+    reached again.
     """
     if not 2 < r < n - 1:
         raise ValueError(f"need 2 < r < n-1, got r={r}, n={n}")
@@ -260,8 +279,12 @@ def search_exact_2factor(n: int, r: int, max_vertices: int = 40) -> ExactSubgrap
     # so allow[v] == full[v] exactly when v has degree 0.
     allow = list(full)
     open_ = (1 << len(verts)) - 1  # vertices of degree < 2
-    # frames: (pivot, untried candidates, w, saved allow[pivot], saved allow[w], saved open_)
-    stack: list[tuple[int, int, int, int, int, int]] = []
+    width = (len(verts) + 1).bit_length()  # bits of one key field
+    last = len(verts) - 1  # vertex v's field sits at bit (last - v) * width
+    key = sum(1 << v * width for v in range(len(verts)))
+    dead: set[int] = set()  # keys of states with no completion
+    # frames: (pivot, untried candidates, w, saved allow[pivot], saved allow[w], saved open_, saved key)
+    stack: list[tuple[int, int, int, int, int, int, int]] = []
     pivot, untried = 0, full[0]
     while open_:
         while untried:
@@ -271,21 +294,22 @@ def search_exact_2factor(n: int, r: int, max_vertices: int = 40) -> ExactSubgrap
             if allow[w] >> pivot & 1:
                 break
         else:
+            if len(dead) < _MAX_DEAD:
+                dead.add(key)
             if not stack:
                 return None
-            pivot, untried, w, allow[pivot], allow[w], open_ = stack.pop()
+            pivot, untried, w, allow[pivot], allow[w], open_, key = stack.pop()
             continue
-        stack.append((pivot, untried, w, allow[pivot], allow[w], open_))
-        if allow[pivot] == full[pivot]:
-            allow[pivot] = ok[pivot][w]
-        else:
-            open_ ^= 1 << pivot
-        if allow[w] == full[w]:
-            allow[w] = ok[w][pivot]
-        else:
-            open_ ^= low
+        stack.append((pivot, untried, w, allow[pivot], allow[w], open_, key))
+        for v, x in ((pivot, w), (w, pivot)):
+            if allow[v] == full[v]:
+                allow[v] = ok[v][x]
+                key += 1 + x << (last - v) * width
+            else:
+                open_ ^= 1 << v
+                key &= ~((1 << width) - 1 << (last - v) * width)
         pivot = (open_ & -open_).bit_length() - 1
-        untried = allow[pivot] & open_
+        untried = allow[pivot] & open_ if key not in dead else 0
     return make_subgraph(((verts[p], verts[w]) for p, _, w, *_ in stack), kind="two_factor")
 
 

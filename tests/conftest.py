@@ -11,7 +11,8 @@ from hypothesis import settings
 
 from permpack.cayley import TranspositionTree, build_tree
 from permpack.constructions import uniform_from_exact
-from permpack.johnson import ExactSubgraph, expand_cc, make_subgraph, search_exact_2factor
+from permpack.johnson import (ExactSubgraph, _pair_table, expand_cc, make_subgraph,
+                              search_exact_2factor)
 from permpack.perms import swap_positions
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -117,6 +118,41 @@ def tree_diameter(n: int, edges) -> int:
 
     dist = distances(1)
     return max(distances(max(dist, key=dist.get)).values())
+
+
+def exact_2factor_reference(n: int, r: int) -> ExactSubgraph | None:
+    """``search_exact_2factor`` without its memo of exhausted states: the
+    same pivot and candidate order over the same ``_pair_table``, so the
+    two must return the same edges in the same order."""
+    verts, full, ok = _pair_table(n, r)
+    allow = list(full)
+    open_ = (1 << len(verts)) - 1
+    stack = []
+    pivot, untried = 0, full[0]
+    while open_:
+        while untried:
+            low = untried & -untried
+            untried ^= low
+            w = low.bit_length() - 1
+            if allow[w] >> pivot & 1:
+                break
+        else:
+            if not stack:
+                return None
+            pivot, untried, w, allow[pivot], allow[w], open_ = stack.pop()
+            continue
+        stack.append((pivot, untried, w, allow[pivot], allow[w], open_))
+        if allow[pivot] == full[pivot]:
+            allow[pivot] = ok[pivot][w]
+        else:
+            open_ ^= 1 << pivot
+        if allow[w] == full[w]:
+            allow[w] = ok[w][pivot]
+        else:
+            open_ ^= low
+        pivot = (open_ & -open_).bit_length() - 1
+        untried = allow[pivot] & open_
+    return make_subgraph(((verts[p], verts[w]) for p, _, w, *_ in stack), kind="two_factor")
 
 
 @contextlib.contextmanager

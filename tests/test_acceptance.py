@@ -7,7 +7,7 @@ import time
 from fractions import Fraction
 
 from conftest import graph_distance, load_fixture, nest_g35, nest_g46, two_factor_g35
-from permpack.cayley import (RENUMBERED, all_components, build_tree,
+from permpack.cayley import (RENUMBERED, build_tree,
                              closed_sphere, component_of, component_type,
                              neighbors, star_tree)
 from permpack.certify import (PackingCertificate, cert_from_dict,

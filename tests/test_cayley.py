@@ -3,7 +3,6 @@
 import ast
 import math
 import pathlib
-from itertools import combinations
 
 import pytest
 from hypothesis import given

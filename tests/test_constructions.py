@@ -16,7 +16,7 @@ from permpack.cayley import (ORIGINAL, RENUMBERED, all_components, build_tree, c
 from permpack.certify import (PackingCertificate, cert_to_dict, uniformity_check,
                               verify_eset, verify_on_subgraph, verify_packing)
 from permpack.cli import run
-from permpack.constructions import (ConstructionError, _component_centers, _disjoint_picks,
+from permpack.constructions import (_component_centers, _disjoint_picks,
                                     _eligible_components, _local_configs, _xprime_options,
                                     hub_slice, nonuniform_extension, partner,
                                     puncture_attempt, star_eset,

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import nest_g35, nest_g46, two_factor_g35
+from conftest import exact_2factor_reference, nest_g35, nest_g46, two_factor_g35
 from permpack import johnson
 from permpack.johnson import (_pair_table, _path_violation, alternate_cops, expand_cc,
                               expand_cop, is_exact, is_johnson_edge,
@@ -152,12 +152,28 @@ def test_search_exact_2factor_absent_6_4():
     (8, 5, "8a61c8ad979fa2e3"),
     (8, 4, "824362a9ce8cadff"),
     (9, 6, "d2620d84157ecad3"),
+    (7, 3, "20b58150596804b9"),
+    (7, 4, "1ed9de55c9c75fd7"),
 ])
 def test_search_exact_2factor_golden_certificates(n, r, digest):
     # the edge lists in search order pin the preorder of the search
     sub = search_exact_2factor(n, r, max_vertices=90)
     edges = json.dumps([[sorted(u), sorted(v)] for u, v in sub.edges])
     assert hashlib.sha256(edges.encode()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("n, r", [(5, 3), (6, 4), (7, 3), (8, 5), (9, 6), (8, 4)])
+def test_search_exact_2factor_matches_unmemoised_reference(n, r):
+    # the memo of exhausted states skips only subtrees without a solution
+    assert search_exact_2factor(n, r, max_vertices=90) == exact_2factor_reference(n, r)
+
+
+@pytest.mark.parametrize("n, r", [(6, 4), (8, 4)])
+def test_search_exact_2factor_full_memo_changes_nothing(n, r):
+    # J(6,4) and J(8,4) leave 2172 and 10 271 exhausted states; with room
+    # for 64 the memo fills and the rest of the search runs without adding
+    with mock.patch.object(johnson, "_MAX_DEAD", 64):
+        assert search_exact_2factor(n, r, max_vertices=90) == exact_2factor_reference(n, r)
 
 
 @pytest.mark.parametrize("n, r", [(5, 3), (6, 4), (7, 4), (8, 5)])
