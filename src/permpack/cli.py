@@ -62,8 +62,11 @@ def _load_json(path: str) -> dict:
 def _emit(obj, out_path: str | None) -> None:
     text = json.dumps(obj, indent=1)
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise UsageError(f"cannot write {out_path}: {exc.strerror}")
     print(text)
 
 

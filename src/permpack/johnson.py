@@ -135,8 +135,8 @@ def expand_cc(cc, r: int) -> ExactSubgraph:
     """Cycle on the width-r cyclic windows of the element sequence cc."""
     elems = tuple(cc)
     m = len(elems)
-    if m < r + 2:
-        raise ValueError(f"condensed cycle needs at least r+2 = {r + 2} elements, got {m}")
+    if not 1 <= r <= m - 2:
+        raise ValueError(f"condensed cycle of {m} elements needs 1 <= r <= {m - 2}, got r={r}")
     if len(set(elems)) != m:
         raise ValueError(f"condensed cycle has repeated elements: {elems}")
     windows = [frozenset(elems[(i + k) % m] for k in range(r)) for i in range(m)]
@@ -237,13 +237,13 @@ def _pair_table(n: int, r: int) -> tuple[list[Subset], list[int], list[dict[int,
     return verts, full, ok
 
 
-# the most exhausted states search_exact_2factor remembers: J(7,4) leaves
-# 57 762, while a search that runs for minutes, such as J(8,6), would
-# otherwise grow the set by tens of MiB a second
+# the most exhausted states search_exact_2factor remembers before it stops
+# undecided: J(7,4) leaves 57 762 and J(10,7) 211 700, while J(8,6) fills
+# the memo in about a second and would otherwise search for minutes
 _MAX_DEAD = 1 << 18
 
 
-def search_exact_2factor(n: int, r: int, max_vertices: int = 40) -> ExactSubgraph | None:
+def search_exact_2factor(n: int, r: int, max_vertices: int = 90) -> ExactSubgraph | None:
     """Exhaustive search for an exact spanning 2-regular subgraph of J(n, r, r-1).
 
     Deterministic: the pivot is the lexicographically first vertex of
@@ -265,9 +265,10 @@ def search_exact_2factor(n: int, r: int, max_vertices: int = 40) -> ExactSubgrap
     degree and, at degree 1, its neighbor.  So a state whose key is
     already remembered has no completion and is left at once; only
     subtrees without a solution are skipped, and the first 2-factor
-    found is the one the plain search finds, edge for edge.  At most
-    _MAX_DEAD keys are kept; a state not kept is searched again when
-    reached again.
+    found is the one the plain search finds, edge for edge.  Past
+    _MAX_DEAD keys the search raises ValueError, J(n, r) undecided: each
+    key is added once, so it searches about _MAX_DEAD states, each with
+    at most r(n-r) children.  max_vertices bounds the pair table's memory.
     """
     if not 2 < r < n - 1:
         raise ValueError(f"need 2 < r < n-1, got r={r}, n={n}")
@@ -294,8 +295,9 @@ def search_exact_2factor(n: int, r: int, max_vertices: int = 40) -> ExactSubgrap
             if allow[w] >> pivot & 1:
                 break
         else:
-            if len(dead) < _MAX_DEAD:
-                dead.add(key)
+            dead.add(key)
+            if len(dead) > _MAX_DEAD:
+                raise ValueError(f"J({n},{r}) undecided: over {_MAX_DEAD} exhausted states")
             if not stack:
                 return None
             pivot, untried, w, allow[pivot], allow[w], open_, key = stack.pop()

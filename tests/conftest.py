@@ -178,5 +178,5 @@ def x53_from_j85():
     J(8,5) that ``search_exact_2factor`` finds first, and the uniform
     packing built from it (2688 centers), built once per session."""
     tree = build_tree(5, 3)
-    structure = search_exact_2factor(8, 5, max_vertices=90)
+    structure = search_exact_2factor(8, 5)
     return tree, structure, uniform_from_exact(tree, structure)

@@ -54,6 +54,14 @@ def test_verify_failure_exits_1(tmp_path, capsys):
     assert not out["valid"]
 
 
+@pytest.mark.parametrize("target", ["", "missing/x.json"])
+def test_construct_unwritable_output_exits_2(tmp_path, capsys, target):
+    # a directory, and a file in a directory that does not exist
+    path = tmp_path / target
+    assert run(["construct", "xprime", "2", "-o", str(path)]) == 2
+    assert f"cannot write {path}" in capsys.readouterr().err
+
+
 def test_usage_errors_exit_2(capsys, tmp_path):
     assert run(["verify", "--tree", "nonsense", "x.json"]) == 2
     assert run(["verify", "--tree", "2,2", str(tmp_path / "missing.json")]) == 2
@@ -468,6 +476,12 @@ def test_johnson_expand_cc(capsys):
     assert len(data["structure"]["vertices"]) == 5
 
 
+@pytest.mark.parametrize("r", ["0", "-2"])
+def test_johnson_expand_cc_r_below_1_exits_2(capsys, r):
+    assert run(["johnson", "expand-cc", "1,2,3,4,5", r]) == 2
+    assert "needs 1 <= r <= 3" in capsys.readouterr().err
+
+
 def test_johnson_expand_cop(capsys):
     code, data = run_json(capsys, "johnson", "expand-cop", "1213", "7")
     assert code == 0
@@ -486,6 +500,18 @@ def test_johnson_exact_2factor_absent(capsys):
     code, data = run_json(capsys, "johnson", "exact-2factor", "6", "4")
     assert code == 0
     assert data == {"found": False}
+
+
+def test_johnson_exact_2factor_8_5(capsys):
+    # 56 vertices, a few milliseconds
+    code, data = run_json(capsys, "johnson", "exact-2factor", "8", "5")
+    assert code == 0
+    assert data["found"] and data["exact"] is True
+
+
+def test_johnson_exact_2factor_undecided_exits_2(capsys):
+    assert run(["johnson", "exact-2factor", "8", "6"]) == 2
+    assert "J(8,6) undecided" in capsys.readouterr().err
 
 
 def test_johnson_exact_2factor_bad_degree_exits_2(capsys):

@@ -71,6 +71,12 @@ def test_expand_cc_rejects_repeats():
         expand_cc((1, 2, 3, 4), 3)  # too short for r+2 windows
 
 
+@pytest.mark.parametrize("r", [0, -2])
+def test_expand_cc_rejects_r_below_1(r):
+    with pytest.raises(ValueError, match="needs 1 <= r <= 3"):
+        expand_cc((1, 2, 3, 4, 5), r)
+
+
 def test_is_exact_rejects_short_union_path():
     path = make_subgraph([({1, 2, 3}, {2, 3, 4}), ({2, 3, 4}, {1, 3, 4})], kind="path")
     ok, witness = is_exact(5, 3, path)
@@ -157,7 +163,7 @@ def test_search_exact_2factor_absent_6_4():
 ])
 def test_search_exact_2factor_golden_certificates(n, r, digest):
     # the edge lists in search order pin the preorder of the search
-    sub = search_exact_2factor(n, r, max_vertices=90)
+    sub = search_exact_2factor(n, r)
     edges = json.dumps([[sorted(u), sorted(v)] for u, v in sub.edges])
     assert hashlib.sha256(edges.encode()).hexdigest()[:16] == digest
 
@@ -165,15 +171,33 @@ def test_search_exact_2factor_golden_certificates(n, r, digest):
 @pytest.mark.parametrize("n, r", [(5, 3), (6, 4), (7, 3), (8, 5), (9, 6), (8, 4)])
 def test_search_exact_2factor_matches_unmemoised_reference(n, r):
     # the memo of exhausted states skips only subtrees without a solution
-    assert search_exact_2factor(n, r, max_vertices=90) == exact_2factor_reference(n, r)
+    assert search_exact_2factor(n, r) == exact_2factor_reference(n, r)
 
 
-@pytest.mark.parametrize("n, r", [(6, 4), (8, 4)])
-def test_search_exact_2factor_full_memo_changes_nothing(n, r):
-    # J(6,4) and J(8,4) leave 2172 and 10 271 exhausted states; with room
-    # for 64 the memo fills and the rest of the search runs without adding
-    with mock.patch.object(johnson, "_MAX_DEAD", 64):
-        assert search_exact_2factor(n, r, max_vertices=90) == exact_2factor_reference(n, r)
+def test_search_exact_2factor_memo_limit_is_the_stop_rule():
+    # the exhaustive search of J(6,4) remembers exactly 2172 states
+    with mock.patch.object(johnson, "_MAX_DEAD", 2172):
+        assert search_exact_2factor(6, 4) is None
+    with mock.patch.object(johnson, "_MAX_DEAD", 2171):
+        with pytest.raises(ValueError, match=r"J\(6,4\) undecided"):
+            search_exact_2factor(6, 4)
+
+
+def test_search_exact_2factor_stops_undecided_on_j86():
+    # 28 vertices, yet the search would run for minutes: the memo fills first
+    with pytest.raises(ValueError, match=r"J\(8,6\) undecided"):
+        search_exact_2factor(8, 6)
+
+
+@pytest.mark.parametrize("n, r", [(7, 3), (8, 3), (8, 5), (9, 6)])
+def test_complement_of_exact_2factor_is_exact(n, r):
+    # v -> {1..n} - v maps J(n, r) onto J(n, n-r) and keeps exactness, so
+    # is_exact must accept the image of each 2-factor the search finds
+    sub = search_exact_2factor(n, r)
+    every = frozenset(range(1, n + 1))
+    comp = make_subgraph(((every - u, every - v) for u, v in sub.edges), kind="two_factor")
+    assert is_exact(n, n - r, comp) == (True, None)
+    assert validate_nest(n, n - r, comp)[0]
 
 
 @pytest.mark.parametrize("n, r", [(5, 3), (6, 4), (7, 4), (8, 5)])
