@@ -34,7 +34,7 @@ from types import SimpleNamespace
 from .cayley import (TranspositionTree, all_components, centers_by_component, closed_sphere,
                      component_key, component_of, neighbors_across,
                      packing_profile, require_components)
-from .perms import Perm, compose, invert, is_perm, perm_from_str, perm_to_str
+from .perms import Perm, compose, invert, is_perm, perm_to_str, word_from_str
 
 
 class PackingCertificate(SimpleNamespace):
@@ -301,9 +301,9 @@ def cert_from_dict(data: dict) -> PackingCertificate:
         if not isinstance(raw, list):
             raise TypeError(f"centers must be a list, got {type(raw).__name__}")
         if kind == "double_sphere":
-            centers = [(perm_from_str(a), perm_from_str(b)) for a, b in raw]
+            centers = [(word_from_str(a), word_from_str(b)) for a, b in raw]
         else:
-            centers = list(map(perm_from_str, raw))
+            centers = list(map(word_from_str, raw))
         alpha = data.get("declared_alpha")
         if alpha is not None:
             # a JSON number would be read as its binary fraction

@@ -139,6 +139,8 @@ def expand_cc(cc, r: int) -> ExactSubgraph:
         raise ValueError(f"condensed cycle of {m} elements needs 1 <= r <= {m - 2}, got r={r}")
     if len(set(elems)) != m:
         raise ValueError(f"condensed cycle has repeated elements: {elems}")
+    if not is_r_subset(elems, max(elems), m):
+        raise ValueError(f"condensed cycle elements must be integers of 1..{max(elems)}: {elems}")
     windows = [frozenset(elems[(i + k) % m] for k in range(r)) for i in range(m)]
     return make_subgraph(zip(windows, windows[1:] + windows[:1]), kind="cycle")
 

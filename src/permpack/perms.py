@@ -120,21 +120,20 @@ def perm_to_str(p: Perm) -> str:
     return _str_format(len(p)) % tuple(p)
 
 
-# byte -> its value for the digits b"0".."9"; every other byte, the
-# control bytes 1..9 among them, -> 0, which no permutation contains
-_DIGIT_VALUES = bytes(c - 48 if 48 <= c <= 57 else 0 for c in range(256))
+# the digits b"0".."9" -> their values
+_DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
+
+
+def word_from_str(s: str) -> tuple[int, ...]:
+    """The letters of ``perm_to_str`` text, unchecked, ignoring surrounding
+    whitespace: ASCII digits by one ``bytes.translate``, other text by
+    ``int``, whose ValueError it raises."""
+    s = s.strip()
+    if s.isascii() and s.isdigit():
+        return tuple(s.encode().translate(_DIGIT_VALUES))
+    return tuple(map(int, s.split(",") if "," in s else s))
 
 
 def perm_from_str(s: str) -> Perm:
-    """The inverse of ``perm_to_str``; surrounding whitespace is ignored.
-
-    A digit string of 1..n is read by one ``bytes.translate``; any other
-    text takes the general path, which raises the ValueError of ``int``
-    or of ``as_perm``.
-    """
-    s = s.strip()
-    if s.isascii():
-        w = tuple(s.encode().translate(_DIGIT_VALUES))
-        if is_perm(w, len(w)):
-            return w
-    return as_perm(map(int, s.split(",") if "," in s else s))
+    """The inverse of ``perm_to_str``: ``word_from_str``, checked by ``as_perm``."""
+    return as_perm(word_from_str(s))

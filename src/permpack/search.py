@@ -28,24 +28,14 @@ permutations and at most C(7, 2) = 21 columns.
 
 Maximum 1-sphere packing is branch and bound over center sets; sphere
 disjointness is equivalent to pairwise distance >= 3, so this is a
-maximum independent set in the distance-<=2 conflict graph, bounded
-per component.  The bound is carried down the search tree: each node
-holds its per-component candidate counts, and a child updates only the
-components its branch vertex reaches.  The take step's masks are
-built once per search.  For each candidate v, the parts of its conflict
-set with two or more vertices keep one (component, mask) entry each;
-they are counted by ``bit_count`` and skipped when they hold no
-candidate.  ``ones[v]`` is the union of the single-vertex parts, and
-each candidate it hits lowers its own component's count by one.
-``keep[v] = ~conflict[v]`` is the take child's candidate mask.  On
-X3(3,3) and X3(4,2) a conflict set meets 6 components, n - 2 of them in
-one vertex.  A node's take child is expanded in place, so the stack
-holds only skip children, and the path to a node is a linked (vertex,
-parent path) pair, made a list only when the search returns.  Each
-conflict mask is the union of the sphere masks of the vertices in one
-sphere.  The per-component cap comes from the same search on one
-component with one vertex forced in, which vertex-transitivity of a
-component makes sound.
+maximum independent set in the distance-<=2 conflict graph, whose masks
+are unions of sphere masks.  The bound caps each component's candidates
+at the exact packing of one component, found by the same search with
+one vertex forced in, and is carried down the search tree
+(``_branch_and_bound``).  Value relabellings, which are automorphisms,
+carry that component's packing onto every other; the translated
+packing, finished greedily, is returned when it beats a stopped
+search's (``_translated_packing``).
 """
 
 from __future__ import annotations
@@ -56,9 +46,9 @@ from collections import namedtuple
 from functools import cache, reduce
 from operator import or_
 
-from .cayley import TranspositionTree, centers_by_component, edge_getters
+from .cayley import TranspositionTree, all_components, centers_by_component, edge_getters, star_tree
 from .certify import certified
-from .perms import Perm, all_perms
+from .perms import Perm, all_perms, compose, invert
 
 FOUND = "found"
 NONE_EXHAUSTIVE = "none_exhaustive"
@@ -116,6 +106,78 @@ def _swap_columns(tree: TranspositionTree) -> list[tuple[int, ...]]:
             col = _COLUMNS[tree.n, i, j] = tuple(map(rank.__getitem__, map(get, perms)))
         out.append(col)
     return out
+
+
+@cache
+def _value_columns(n: int) -> dict[tuple[int, int], tuple[int, ...]]:
+    """{(a, b): column} for values a != b, mapping rank v to the rank of
+    (a b) o g, g = perms[v]: g^-1 with positions a and b swapped, inverted,
+    so the swap column of the star with hub min(a, b) between inverse lookups."""
+    perms, rank = _lex_table(n)
+    inv = [rank[invert(g)] for g in perms]
+    cols = {(a, b): tuple(map(inv.__getitem__, map(col.__getitem__, inv)))
+            for a in range(1, n)
+            for b, col in zip(range(a + 1, n + 1), _swap_columns(star_tree(n, a))[a - 1:])}
+    return cols | {(b, a): col for (a, b), col in cols.items()}
+
+
+def _plain_changes(m: int) -> list[int]:
+    """Steinhaus-Johnson-Trotter order: swapping places k and k + 1 for
+    each k of the list in turn visits all m! orders of m items once.  The
+    last item sweeps to the front and back between the swaps of the rest."""
+    out: list[int] = []
+    for i, k in enumerate(_plain_changes(m - 1) + [-1] if m > 1 else []):
+        out += range(m - 2, -1, -1) if i % 2 == 0 else range(m - 1)
+        if k >= 0:
+            out.append(k + (i % 2 == 0))
+    return out
+
+
+def _translated_packing(tree: TranspositionTree, conflict: list[int],
+                        packing: list[int]) -> list[int]:
+    """A packing of the whole graph from a packing of the first component.
+
+    Each component is the image of the first under the r!t! value
+    relabellings g -> x o g with x mapping 1..r onto it, which are graph
+    automorphisms.  They are walked in plain-changes order, so each step
+    maps the image through one value-transposition column.  Per component
+    in ``all_components`` order, the first image with the fewest centers
+    in conflict with those already chosen gives its other centers; one
+    greedy pass over all ranks then fills the gaps."""
+    n, r = tree.n, tree.r
+    perms, rank = _lex_table(n)
+    columns = _value_columns(n)
+    inner = _plain_changes(r)
+    steps = inner + [s for k in _plain_changes(n - r) for s in (r + k, *inner)] + [-1]
+    chosen: list[int] = []
+    blocked = 0
+    flags = bytes(len(conflict))  # flags[v]: does rank v conflict with a chosen center?
+    bits = bytes.maketrans(b"01", b"\0\1")
+    for comp in all_components(tree):
+        x = sorted(comp) + sorted(set(range(1, n + 1)) - comp)
+        image = [rank[compose(tuple(x), perms[v])] for v in packing]
+        least = len(image) + 1
+        for k in steps:
+            hits = sum(map(flags.__getitem__, image))
+            if hits < least:
+                best, least = image, hits
+                if not hits:
+                    break
+            if k < 0:
+                break
+            x[k], x[k + 1] = x[k + 1], x[k]
+            image = list(map(columns[x[k], x[k + 1]].__getitem__, image))
+        # an image is a packing, so its centers block none of each other
+        new = [v for v in best if not flags[v]]
+        chosen += new
+        blocked = reduce(or_, map(conflict.__getitem__, new), blocked)
+        flags = format(blocked, "b").zfill(len(conflict))[::-1].encode().translate(bits)
+    free = ~blocked & ((1 << len(conflict)) - 1)
+    while free:
+        v = (free & -free).bit_length() - 1
+        chosen.append(v)
+        free &= ~conflict[v]
+    return chosen
 
 
 def _sphere_ranks(tree: TranspositionTree) -> list[list[int]]:
@@ -387,33 +449,27 @@ def max_packing(tree: TranspositionTree, node_budget: int | None = 2_000_000,
     exact maximum packing inside one component.  A value relabelling
     g -> x o g is a graph automorphism taking any component onto any
     other, so one cap serves them all.  It is found by the same search
-    on the first component, with the cap set to the component size (the
-    bound is then the candidate count) and with the component's lowest
-    vertex v0 forced in: the cap is 1 + the best packing of the
-    component minus the conflicts of v0.  Forcing is sound because the
-    component of g is the coset g o H, H the permutations that keep the
-    set of left positions (all of S_n for a star), and the relabelling
-    x -> (g o h o g^-1) o x maps that coset onto itself and g to g o h,
-    so some maximum packing of a component contains any chosen vertex
-    of it.  If the cap search runs out of budget, the cap falls back to
-    the component size.  Both searches get ``node_budget`` nodes (None:
-    no node cap, so only the time budget, if any, stops them) and end by
-    the ``time_budget`` deadline; the cap search, which only sharpens
-    the bound, may spend at most half of ``time_budget`` when there is
-    a main search to follow.  ``nodes_explored`` counts the main search
-    only.  The main search carries its bound down the tree
-    (see ``_branch_and_bound``) with the values, and so the preorder, of
-    recomputing it per node.  A star is one component, so its forced cap
-    search is already a search of the whole graph: v0 plus its packing,
-    its node count and its exhaustiveness are the result, and no main
-    search runs.
+    on the first component, with the cap set to the component size and
+    with the component's lowest vertex v0 forced in: the cap is 1 + the
+    best packing of the component minus the conflicts of v0.  Forcing is
+    sound because the component of g is the coset g o H, H the
+    permutations that keep the set of left positions (all of S_n for a
+    star), and the relabelling x -> (g o h o g^-1) o x maps that coset
+    onto itself and g to g o h, so some maximum packing of a component
+    contains any chosen vertex of it.  Forcing shrinks the cap search,
+    not the cap, and a tighter valid bound prunes only subtrees that
+    cannot beat the incumbent.  If the cap search runs out of budget,
+    the cap falls back to the component size.  Both searches get
+    ``node_budget`` nodes (None: no node cap) and end by the
+    ``time_budget`` deadline; the cap search may spend at most half of
+    ``time_budget`` when there is a main search to follow.  A star is
+    one component, so its cap search, with v0, is the whole search.
 
-    Forcing shrinks the cap search, not the cap: wherever the search
-    without v0 forced would also finish within the budget, the output
-    is the same.  Where only the forced search finishes, the exact cap
-    replaces the component size; a tighter valid bound prunes only
-    subtrees that cannot beat the incumbent, so the packing found
-    within the same budget is at least as large.
+    When the main search stops before it is exhaustive, v0 and the cap
+    search's packing are translated onto every component
+    (``_translated_packing``, which reads no clock), and the larger of
+    the two packings is returned, the main search's on a tie.
+    ``nodes_explored`` counts the main search only.
 
     ``upper_bound`` is the packing size when the search is exhaustive,
     else the smaller of the root bound ``cap * len(comp_masks)`` and the
@@ -451,6 +507,8 @@ def max_packing(tree: TranspositionTree, node_budget: int | None = 2_000_000,
     else:
         best, nodes, exhaustive = _branch_and_bound((1 << len(conflict)) - 1, conflict,
                                                     comp_masks, cap, node_budget, deadline)
+        if not exhaustive:
+            best = max(best, _translated_packing(tree, conflict, [v0] + sample), key=len)
     cert, report = certified(tree, _centers_from_ranks(tree.n, best))
     assert report.valid, "search returned an unsound certificate"
     bound = len(best) if exhaustive else min(cap * len(comp_masks), len(conflict) // tree.n)

@@ -84,6 +84,21 @@ def test_verify_malformed_certificate_exits_2(tmp_path, capsys, field, value):
     assert "malformed certificate" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("center, shown", [("1224", "(1, 2, 2, 4)"), ("0123", "(0, 1, 2, 3)"),
+                                           ("123", "(1, 2, 3)"), ("1,2,3,4,5", "(1, 2, 3, 4, 5)")])
+def test_verify_names_a_center_that_is_no_permutation(tmp_path, capsys, center, shown):
+    # a center read from JSON is checked once, by the verifier, which names it
+    with open(FIXTURES / "x22_eset_5_6.json") as fh:
+        cert = json.load(fh)
+    cert["centers"][1] = center
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cert))
+    assert run(["verify", "--tree", "2,2", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: center {shown} is not a permutation of 1..4\n"
+
+
 @pytest.mark.parametrize("field, value, message", [
     ("n", "5", "n must be an integer, got '5'"),
     ("r", "3", "r must be an integer or null, got '3'"),
@@ -480,6 +495,16 @@ def test_johnson_expand_cc(capsys):
 def test_johnson_expand_cc_r_below_1_exits_2(capsys, r):
     assert run(["johnson", "expand-cc", "1,2,3,4,5", r]) == 2
     assert "needs 1 <= r <= 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("elements, shown", [("0,1,2,3,4", "1..4: (0, 1, 2, 3, 4)"),
+                                             ("1,2,-3,4,5", "1..5: (1, 2, -3, 4, 5)")])
+def test_johnson_expand_cc_elements_outside_1_to_n_exit_2(capsys, elements, shown):
+    # n is the largest element, so an element below 1 is what can fall outside
+    assert run(["johnson", "expand-cc", elements, "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: condensed cycle elements must be integers of {shown}\n"
 
 
 def test_johnson_expand_cop(capsys):

@@ -71,6 +71,14 @@ def test_expand_cc_rejects_repeats():
         expand_cc((1, 2, 3, 4), 3)  # too short for r+2 windows
 
 
+@pytest.mark.parametrize("elems", [(0, 1, 2, 3, 4), (1, 2, -3, 4, 5), (True, 2, 3, 4, 5),
+                                   (1.0, 2, 3, 4, 5), ("1", "2", "3", "4", "5")])
+def test_expand_cc_rejects_elements_that_are_not_of_1_to_n(elems):
+    # as validate_nest does, through is_r_subset, with n the largest element
+    with pytest.raises(ValueError, match="elements must be integers of 1.."):
+        expand_cc(elems, 3)
+
+
 @pytest.mark.parametrize("r", [0, -2])
 def test_expand_cc_rejects_r_below_1(r):
     with pytest.raises(ValueError, match="needs 1 <= r <= 3"):

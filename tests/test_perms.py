@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from permpack.perms import (all_perms, as_perm, compose, identity, invert,
                             is_even, is_perm, lex_rank, lex_unrank, parity,
-                            perm_from_str, perm_to_str, swap_positions)
+                            perm_from_str, perm_to_str, swap_positions, word_from_str)
 
 
 def test_identity_and_compose():
@@ -143,6 +143,16 @@ def test_perm_from_str_error_text(text, message):
     with pytest.raises(ValueError) as err:
         perm_from_str(text)
     assert str(err.value) == message
+
+
+def test_word_from_str_reads_without_checking():
+    # the verifier checks certificate centers, so their reading does not
+    assert word_from_str("1224") == (1, 2, 2, 4)
+    assert word_from_str(" 0123\n") == (0, 1, 2, 3)
+    assert word_from_str("10,2") == (10, 2)
+    assert word_from_str("") == ()
+    with pytest.raises(ValueError, match="invalid literal"):
+        word_from_str("12a4")
 
 
 def _reference_perm_from_str(s):

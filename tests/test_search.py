@@ -23,10 +23,11 @@ from permpack.cli import run
 from permpack.constructions import (_disjoint_picks, nonuniform_extension,
                                     uniform_from_exact, xprime_perfect_code)
 from permpack.johnson import alternate_cops, parse_cop, search_exact_2factor
-from permpack.perms import all_perms, lex_rank, lex_unrank, perm_to_str, swap_positions
+from permpack.perms import all_perms, compose, lex_rank, lex_unrank, perm_to_str, swap_positions
 from permpack.search import (BEST_EFFORT, FOUND, NONE_EXHAUSTIVE, _branch_and_bound,
-                             _centers_from_ranks, _ExactCover, _packing_graph, _sphere_ranks,
-                             _swap_columns, find_eset, max_packing)
+                             _centers_from_ranks, _ExactCover, _packing_graph, _plain_changes,
+                             _sphere_ranks, _swap_columns, _translated_packing, _value_columns,
+                             find_eset, max_packing)
 
 
 def test_find_eset_star_n3_found():
@@ -340,33 +341,96 @@ def test_max_packing_budget_bounds_whole_search(tree, bound, status):
 
 # every hub placement of the maxpack-bnb benchmark's X3(4,2) and X3(3,3)
 # trees at node_budget 20 000: (r, t, hub_left, hub_right, digest of
-# status, nodes and centers)
+# status, nodes and centers).  All but X3(3,3) with hubs 2, 4 return the
+# translated packing, which is larger than the branch and bound's.
 _PLACED_X3_PACKINGS = [
-    (4, 2, 1, 5, "8fecafb420b28dcf"), (4, 2, 1, 6, "548ddc5c14ad62d5"),
-    (4, 2, 2, 5, "c975e707ca0c6b52"), (4, 2, 2, 6, "a243809c7b3a2bce"),
-    (4, 2, 3, 5, "f2dd78e47e01e5d5"), (4, 2, 3, 6, "fe95fbb357444177"),
-    (4, 2, 4, 5, "8ed2ba441dd22d7c"), (4, 2, 4, 6, "97759a0729bff9af"),
-    (3, 3, 1, 4, "7a4b913eea9b2d0a"), (3, 3, 1, 5, "d4544c0f148582e9"),
-    (3, 3, 1, 6, "b0efe96122eb5cf3"), (3, 3, 2, 4, "55b10b4490cedc59"),
-    (3, 3, 2, 5, "bbe2c3b720e605ae"), (3, 3, 2, 6, "f60b598d9d695d2e"),
-    (3, 3, 3, 4, "bcce484cbd2c0238"), (3, 3, 3, 5, "716697928d824507"),
-    (3, 3, 3, 6, "fdb4d6ee759531da"),
+    (4, 2, 1, 5, "9e8832c4ea6a56a9"), (4, 2, 1, 6, "a9406d29b73c780c"),
+    (4, 2, 2, 5, "5dd19af870db5b81"), (4, 2, 2, 6, "80a7b2a77ec647a6"),
+    (4, 2, 3, 5, "ebb52869a6717217"), (4, 2, 3, 6, "cba4bde40c8cf73c"),
+    (4, 2, 4, 5, "843a10930b1917b9"), (4, 2, 4, 6, "ed8beb11f504d91f"),
+    (3, 3, 1, 4, "1ef45dddd5a9a911"), (3, 3, 1, 5, "7799ed61b44694cb"),
+    (3, 3, 1, 6, "062860dbf559f388"), (3, 3, 2, 4, "55b10b4490cedc59"),
+    (3, 3, 2, 5, "3f5b3e7bdeb87202"), (3, 3, 2, 6, "e042815e3ce1c4b3"),
+    (3, 3, 3, 4, "175b7d90ef08f475"), (3, 3, 3, 5, "dd3395fcf9de3e71"),
+    (3, 3, 3, 6, "82acd0e9380b77ca"),
 ]
+
+_GOLDEN_TREES = [
+    pytest.param(build_tree(3, 3), "175b7d90ef08f475", id="x33"),
+    pytest.param(build_tree(3, 3, numbering=RENUMBERED), "1ef45dddd5a9a911", id="x33-renumbered"),
+    pytest.param(build_tree(4, 2, numbering=RENUMBERED), "9e8832c4ea6a56a9", id="x42-renumbered"),
+] + [pytest.param(placed_x3(r, t, hl, hr), digest, id=f"x{r}{t}-hubs{hl}{hr}")
+     for r, t, hl, hr, digest in _PLACED_X3_PACKINGS]
+
+
+def _packing_digest(out) -> str:
+    centers = [perm_to_str(c) for c in out.certificate.centers]
+    data = json.dumps([out.status, out.nodes_explored, centers])
+    return hashlib.sha256(data.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("tree, digest", _GOLDEN_TREES)
+def test_max_packing_golden(tree, digest):
+    # status, node count and centers pin the preorder and the bound of the
+    # B&B, and the translated packing
+    out = max_packing(tree, node_budget=20000)
+    assert (out.status, out.nodes_explored) == (BEST_EFFORT, 20000)
+    assert _packing_digest(out) == digest
 
 
 @pytest.mark.parametrize("tree, digest", [
-    pytest.param(build_tree(3, 3), "bcce484cbd2c0238", id="x33"),
-    pytest.param(build_tree(3, 3, numbering=RENUMBERED), "7a4b913eea9b2d0a", id="x33-renumbered"),
-    pytest.param(build_tree(4, 2, numbering=RENUMBERED), "8fecafb420b28dcf", id="x42-renumbered"),
-] + [pytest.param(placed_x3(r, t, hl, hr), digest, id=f"x{r}{t}-hubs{hl}{hr}")
-     for r, t, hl, hr, digest in _PLACED_X3_PACKINGS])
-def test_max_packing_golden(tree, digest):
-    # status, node count and centers pin the preorder and the bound of the B&B
+    pytest.param(build_tree(2, 2), "fddb7295d2d2f3a9", id="x22"),
+    pytest.param(star_tree(3), "389ccd128de2d373", id="s3"),
+    pytest.param(star_tree(4), "5122a3e4e59f57ba", id="s4"),
+])
+def test_exhaustive_max_packing_golden(tree, digest):
+    # an exhaustive search returns its own packing, as it did before the
+    # translated packing existed
+    out = max_packing(tree)
+    assert out.status == FOUND and not out.wall_budget_exceeded
+    assert _packing_digest(out) == digest
+
+
+@pytest.mark.parametrize("tree", [pytest.param(p.values[0], id=p.id) for p in _GOLDEN_TREES])
+def test_max_packing_is_the_larger_packing(tree):
+    # the result is at least the branch and bound alone, with the same cap,
+    # and at least the packing translated from the cap search's
     out = max_packing(tree, node_budget=20000)
-    assert (out.status, out.nodes_explored) == (BEST_EFFORT, 20000)
-    centers = [perm_to_str(c) for c in out.certificate.centers]
-    data = json.dumps([out.status, out.nodes_explored, centers])
-    assert hashlib.sha256(data.encode()).hexdigest()[:16] == digest
+    conflict, comp_masks = _packing_graph(tree)
+    first = comp_masks[0]
+    v0 = (first & -first).bit_length() - 1
+    sample, _, exact = _branch_and_bound(first & ~conflict[v0], conflict, [first],
+                                         first.bit_count(), 20000, None)
+    cap = 1 + len(sample) if exact else first.bit_count()
+    alone, _, _ = _branch_and_bound((1 << len(conflict)) - 1, conflict, comp_masks, cap,
+                                    20000, None)
+    translated = _translated_packing(tree, conflict, [v0] + sample)
+    size = len(out.certificate.centers)
+    assert size == max(len(alone), len(translated))
+    assert _centers_from_ranks(tree.n, translated if size > len(alone) else alone) \
+        == out.certificate.centers
+    report = verify_packing(tree, out.certificate)
+    assert report.valid and report.covered_count == size * tree.n
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_value_columns_match_compose(n):
+    perms = list(all_perms(n))
+    columns = _value_columns(n)
+    assert len(columns) == n * (n - 1)
+    for (a, b), column in columns.items():
+        swap = swap_positions(tuple(range(1, n + 1)), a, b)
+        assert column == tuple(lex_rank(compose(swap, g)) for g in perms), (a, b)
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_plain_changes_visit_every_order_once(m):
+    order = list(range(m))
+    seen = [tuple(order)]
+    for k in _plain_changes(m):
+        order[k], order[k + 1] = order[k + 1], order[k]
+        seen.append(tuple(order))
+    assert len(set(seen)) == len(seen) == math.factorial(m)
 
 
 def test_max_packing_exact_cap_within_budget():
