@@ -16,6 +16,9 @@ uniform construction built on it, take only structures it accepts.
 perms.is_r_subset decides what an r-subset of 1..n is, so bool and float
 elements are refused as they are for components, and make_subgraph is
 the one builder of an ExactSubgraph.
+
+search_exact_2factor answers J(n, n-2) for even n without searching: by
+a parity lemma (proved in its docstring) it has no exact 2-factor.
 """
 
 from __future__ import annotations
@@ -66,29 +69,16 @@ def subgraph_from_dict(data: dict) -> ExactSubgraph:
 
 
 def make_subgraph(edges, kind: str = "general", extra_vertices=()) -> ExactSubgraph:
+    # one object per vertex, the first seen: {True, 2} == {1, 2}, so the
+    # checks test each vertex once and then hold for every edge end
+    verts: dict[Subset, Subset] = {}
+    for v in map(frozenset, extra_vertices):
+        verts.setdefault(v, v)
     norm = []
-    verts = set(frozenset(v) for v in extra_vertices)
     for u, v in edges:
         u, v = frozenset(u), frozenset(v)
-        verts.update((u, v))
-        norm.append((u, v))
+        norm.append((verts.setdefault(u, u), verts.setdefault(v, v)))
     return ExactSubgraph(vertices=frozenset(verts), edges=tuple(norm), kind=kind)
-
-
-def johnson_neighbors(n: int, r: int, u) -> list[tuple[Subset, Subset]]:
-    """All (color, neighbor) pairs of the r-subset u; count r(n-r)."""
-    if not 2 < r < n - 1:
-        raise ValueError(f"need 2 < r < n-1, got r={r}, n={n}")
-    u = frozenset(u)
-    if not is_r_subset(u, n, r):
-        raise ValueError(f"not an r-subset of 1..{n}: {set(u)}")
-    out = []
-    for x in sorted(u):
-        color = u - {x}
-        for y in range(1, n + 1):
-            if y not in u:
-                out.append((color, color | {y}))
-    return out
 
 
 def is_johnson_edge(u: Subset, v: Subset) -> bool:
@@ -109,15 +99,18 @@ def _path_violation(u: Subset, v: Subset, w: Subset, need: int) -> str | None:
     return None
 
 
-def _structure_violation(n: int, r: int, sub: ExactSubgraph, need: int) -> str | None:
+def _structure_violation(n: int, r: int, sub: ExactSubgraph, need: int,
+                         adj: dict[Subset, list[Subset]]) -> str | None:
     """First edge that is not a Johnson edge between r-subsets of 1..n,
-    else the first 2-path that _path_violation rejects, else None."""
+    else the first 2-path that _path_violation rejects, else None.  adj
+    is sub.adjacency()."""
+    bad = {v for v in adj if not is_r_subset(v, n, r)}
     for u, v in sub.edges:
-        if not (is_r_subset(u, n, r) and is_r_subset(v, n, r)):
+        if u in bad or v in bad:
             return f"edge {subset_key(u)}-{subset_key(v)} is not between r-subsets of 1..{n}"
         if not is_johnson_edge(u, v):
             return f"{subset_key(u)} and {subset_key(v)} are not adjacent in the Johnson graph"
-    for v, nbrs in sub.adjacency().items():
+    for v, nbrs in adj.items():
         for u, w in combinations(nbrs, 2):
             bad = _path_violation(u, v, w, need)
             if bad is not None:
@@ -127,7 +120,7 @@ def _structure_violation(n: int, r: int, sub: ExactSubgraph, need: int) -> str |
 
 def is_exact(n: int, r: int, sub: ExactSubgraph) -> tuple[bool, str | None]:
     """Literal exactness check; on failure returns the offending witness."""
-    bad = _structure_violation(n, r, sub, r + 2)
+    bad = _structure_violation(n, r, sub, r + 2, sub.adjacency())
     return bad is None, bad
 
 
@@ -216,32 +209,29 @@ def _pair_table(n: int, r: int) -> tuple[list[Subset], list[int], list[dict[int,
     neighbors of vertex v, and for each neighbor u of v, ok[v][u] is the
     mask of neighbors w whose 2-path u-v-w is exact, by the (dropped,
     added) rule stated in search_exact_2factor: the verdicts of
-    _path_violation with need = r+2, computed from masks.
+    _path_violation with need = r+2, computed from masks.  A subset is
+    found by its bitcode, the sum of 1 << x over its elements x.
     """
-    verts = [frozenset(c) for c in combinations(range(1, n + 1), r)]
-    index = {v: i for i, v in enumerate(verts)}
+    subsets = list(combinations(range(1, n + 1), r))
+    index = {sum(1 << x for x in c): i for i, c in enumerate(subsets)}
     full: list[int] = []
     ok: list[dict[int, int]] = []
-    for v in verts:
-        mask = 0
-        moves = []
-        by_drop: dict[int, int] = {}
-        by_add: dict[int, int] = {}
-        for color, w in johnson_neighbors(n, r, v):
-            (dropped,), (added,) = v - color, w - color
-            bit = 1 << index[w]
-            mask |= bit
-            moves.append((index[w], dropped, added))
-            by_drop[dropped] = by_drop.get(dropped, 0) | bit
-            by_add[added] = by_add.get(added, 0) | bit
+    for c, code in zip(subsets, index):
+        moves = [(index[code ^ 1 << a | 1 << b], a, b) for a in c
+                 for b in range(1, n + 1) if not code >> b & 1]
+        by_drop, by_add = [0] * (n + 1), [0] * (n + 1)
+        for u, a, b in moves:
+            by_drop[a] |= 1 << u
+            by_add[b] |= 1 << u
+        mask = sum(by_drop)  # each neighbor drops one element
         full.append(mask)
-        ok.append({u: mask & ~by_drop[a] & ~by_add[b] for u, a, b in moves})
-    return verts, full, ok
+        ok.append({u: mask & ~(by_drop[a] | by_add[b]) for u, a, b in moves})
+    return [frozenset(c) for c in subsets], full, ok
 
 
 # the most exhausted states search_exact_2factor remembers before it stops
-# undecided: J(7,4) leaves 57 762 and J(10,7) 211 700, while J(8,6) fills
-# the memo in about a second and would otherwise search for minutes
+# undecided: J(7,4) leaves 57 762 and J(10,7) 211 700, while J(10,6) (past the
+# default size gate) fills the memo in under a second and stays undecided at 2^21
 _MAX_DEAD = 1 << 18
 
 
@@ -271,9 +261,19 @@ def search_exact_2factor(n: int, r: int, max_vertices: int = 90) -> ExactSubgrap
     _MAX_DEAD keys the search raises ValueError, J(n, r) undecided: each
     key is added once, so it searches about _MAX_DEAD states, each with
     at most r(n-r) children.  max_vertices bounds the pair table's memory.
+
+    For even n, J(n, n-2) has no exact 2-factor, so the search returns
+    None at once, whatever the size.  Proof: v = {1..n} - {x, y} can add
+    only x or y, and its two edges add different elements, so one adds x
+    and the other y.  For an element q, every vertex avoiding q is
+    {1..n} - {q, z} and has exactly one edge whose ends both avoid q, the
+    one adding z.  These edges pair off the n-1 vertices avoiding q, which
+    is impossible when n-1 is odd.
     """
     if not 2 < r < n - 1:
         raise ValueError(f"need 2 < r < n-1, got r={r}, n={n}")
+    if r == n - 2 and n % 2 == 0:
+        return None
     if comb(n, r) > max_vertices:
         raise ValueError(f"instance too large: C({n},{r}) = {comb(n, r)} > {max_vertices}")
     verts, full, ok = _pair_table(n, r)
@@ -283,8 +283,11 @@ def search_exact_2factor(n: int, r: int, max_vertices: int = 90) -> ExactSubgrap
     allow = list(full)
     open_ = (1 << len(verts)) - 1  # vertices of degree < 2
     width = (len(verts) + 1).bit_length()  # bits of one key field
-    last = len(verts) - 1  # vertex v's field sits at bit (last - v) * width
-    key = sum(1 << v * width for v in range(len(verts)))
+    # vertex v's field sits at bit shift[v], and key & clear[v] zeroes it
+    last = len(verts) - 1
+    shift = [(last - v) * width for v in range(len(verts))]
+    clear = [~((1 << width) - 1 << s) for s in shift]
+    key = sum(1 << s for s in shift)
     dead: set[int] = set()  # keys of states with no completion
     # frames: (pivot, untried candidates, w, saved allow[pivot], saved allow[w], saved open_, saved key)
     stack: list[tuple[int, int, int, int, int, int, int]] = []
@@ -305,13 +308,18 @@ def search_exact_2factor(n: int, r: int, max_vertices: int = 90) -> ExactSubgrap
             pivot, untried, w, allow[pivot], allow[w], open_, key = stack.pop()
             continue
         stack.append((pivot, untried, w, allow[pivot], allow[w], open_, key))
-        for v, x in ((pivot, w), (w, pivot)):
-            if allow[v] == full[v]:
-                allow[v] = ok[v][x]
-                key += 1 + x << (last - v) * width
-            else:
-                open_ ^= 1 << v
-                key &= ~((1 << width) - 1 << (last - v) * width)
+        if allow[pivot] == full[pivot]:
+            allow[pivot] = ok[pivot][w]
+            key += 1 + w << shift[pivot]
+        else:
+            open_ ^= 1 << pivot
+            key &= clear[pivot]
+        if allow[w] == full[w]:
+            allow[w] = ok[w][pivot]
+            key += 1 + pivot << shift[w]
+        else:
+            open_ ^= low
+            key &= clear[w]
         pivot = (open_ & -open_).bit_length() - 1
         untried = allow[pivot] & open_ if key not in dead else 0
     return make_subgraph(((verts[p], verts[w]) for p, _, w, *_ in stack), kind="two_factor")
@@ -342,7 +350,7 @@ def validate_nest(n: int, r: int, sub: ExactSubgraph) -> tuple[bool, str]:
             return False, f"core is not a cycle at {subset_key(v)}"
         if deg[v] < 2 and core_nbrs != 1:
             return False, f"{subset_key(v)} is not a pendant on a cycle"
-    bad = _structure_violation(n, r, sub, min(r + 2, n - 1))
+    bad = _structure_violation(n, r, sub, min(r + 2, n - 1), adj)
     return (False, bad) if bad is not None else (True, "nest")
 
 

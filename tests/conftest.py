@@ -13,7 +13,7 @@ from permpack.cayley import TranspositionTree, build_tree
 from permpack.constructions import uniform_from_exact
 from permpack.johnson import (ExactSubgraph, _pair_table, expand_cc, make_subgraph,
                               search_exact_2factor)
-from permpack.perms import swap_positions
+from permpack.perms import is_r_subset, swap_positions
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -118,6 +118,24 @@ def tree_diameter(n: int, edges) -> int:
 
     dist = distances(1)
     return max(distances(max(dist, key=dist.get)).values())
+
+
+def johnson_neighbors(n: int, r: int, u) -> list[tuple[frozenset, frozenset]]:
+    """All (color, neighbor) pairs of the r-subset u of 1..n, by set
+    differences; count r(n-r).  The oracle for ``johnson._pair_table``,
+    which finds neighbors by bitcode."""
+    if not 2 < r < n - 1:
+        raise ValueError(f"need 2 < r < n-1, got r={r}, n={n}")
+    u = frozenset(u)
+    if not is_r_subset(u, n, r):
+        raise ValueError(f"not an r-subset of 1..{n}: {set(u)}")
+    out = []
+    for x in sorted(u):
+        color = u - {x}
+        for y in range(1, n + 1):
+            if y not in u:
+                out.append((color, color | {y}))
+    return out
 
 
 def exact_2factor_reference(n: int, r: int) -> ExactSubgraph | None:

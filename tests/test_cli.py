@@ -9,6 +9,7 @@ import pathlib
 import shlex
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 
@@ -535,8 +536,17 @@ def test_johnson_exact_2factor_8_5(capsys):
 
 
 def test_johnson_exact_2factor_undecided_exits_2(capsys):
-    assert run(["johnson", "exact-2factor", "8", "6"]) == 2
-    assert "J(8,6) undecided" in capsys.readouterr().err
+    # one exhausted state short of the J(7,4) search's 57 762
+    with mock.patch.object(johnson, "_MAX_DEAD", 57761):
+        assert run(["johnson", "exact-2factor", "7", "4"]) == 2
+    assert "J(7,4) undecided" in capsys.readouterr().err
+
+
+def test_johnson_exact_2factor_8_6_is_absent(capsys):
+    # the parity lemma: J(n, n-2) has no exact 2-factor for even n
+    code, data = run_json(capsys, "johnson", "exact-2factor", "8", "6")
+    assert code == 0
+    assert data == {"found": False}
 
 
 def test_johnson_exact_2factor_bad_degree_exits_2(capsys):

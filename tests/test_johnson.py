@@ -5,18 +5,19 @@ import hashlib
 import json
 import random
 from itertools import combinations
+from math import comb
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import exact_2factor_reference, nest_g35, nest_g46, two_factor_g35
+from conftest import (exact_2factor_reference, johnson_neighbors, nest_g35, nest_g46,
+                      two_factor_g35)
 from permpack import johnson
 from permpack.johnson import (_pair_table, _path_violation, alternate_cops, expand_cc,
-                              expand_cop, is_exact, is_johnson_edge,
-                              johnson_neighbors,
-                              make_subgraph, parse_cop, search_exact_2factor,
+                              expand_cop, is_exact, is_johnson_edge, make_subgraph,
+                              parse_cop, search_exact_2factor,
                               subgraph_from_dict, subgraph_to_dict, subset_key,
                               successor_orientations, validate_nest)
 
@@ -105,6 +106,17 @@ def test_is_exact_takes_only_integer_elements(one):
         False, f"edge ({one!r}, 2, 3)-({one!r}, 2, 4) is not between r-subsets of 1..5")
 
 
+def test_make_subgraph_keeps_one_object_per_vertex():
+    # {True, 2, 3} == {1, 2, 3}: the first copy seen stands for the vertex
+    # at every edge end, so checking each vertex once checks every end
+    first_int = make_subgraph([({1, 2, 3}, {1, 2, 4}), ({True, 2, 3}, {2, 3, 4})])
+    assert first_int.edges[1][0] is first_int.edges[0][0]
+    assert {type(x) for edge in first_int.edges for end in edge for x in end} == {int}
+    first_bool = make_subgraph([({2, 3, 4}, {True, 2, 3}), ({1, 2, 3}, {1, 2, 4})])
+    assert is_exact(5, 3, first_bool) == (
+        False, "edge (2, 3, 4)-(True, 2, 3) is not between r-subsets of 1..5")
+
+
 def test_is_exact_two_factor():
     assert is_exact(5, 3, two_factor_g35()) == (True, None)
 
@@ -183,18 +195,34 @@ def test_search_exact_2factor_matches_unmemoised_reference(n, r):
 
 
 def test_search_exact_2factor_memo_limit_is_the_stop_rule():
-    # the exhaustive search of J(6,4) remembers exactly 2172 states
-    with mock.patch.object(johnson, "_MAX_DEAD", 2172):
-        assert search_exact_2factor(6, 4) is None
-    with mock.patch.object(johnson, "_MAX_DEAD", 2171):
-        with pytest.raises(ValueError, match=r"J\(6,4\) undecided"):
-            search_exact_2factor(6, 4)
+    # the search of J(7,4) remembers 57 762 exhausted states before it
+    # finds its 2-factor
+    with mock.patch.object(johnson, "_MAX_DEAD", 57762):
+        assert search_exact_2factor(7, 4) is not None
+    with mock.patch.object(johnson, "_MAX_DEAD", 57761):
+        with pytest.raises(ValueError, match=r"J\(7,4\) undecided"):
+            search_exact_2factor(7, 4)
 
 
-def test_search_exact_2factor_stops_undecided_on_j86():
-    # 28 vertices, yet the search would run for minutes: the memo fills first
-    with pytest.raises(ValueError, match=r"J\(8,6\) undecided"):
-        search_exact_2factor(8, 6)
+@pytest.mark.parametrize("n", [6, 8, 10, 12, 14])
+def test_search_exact_2factor_parity_lemma(n):
+    # for even n, J(n, n-2) has no exact 2-factor: proven, so no table is
+    # built, and J(14, 12) answers past the 90-vertex size gate
+    with mock.patch.object(johnson, "_pair_table", side_effect=AssertionError("searched")):
+        assert search_exact_2factor(n, n - 2) is None
+
+
+@pytest.mark.parametrize("n, r", [(n, r) for n in range(5, 10) for r in range(3, n - 1)])
+def test_search_exact_2factor_census_to_n9(n, r):
+    # every J(n, r) with n <= 9 is decided: all have an exact 2-factor but
+    # J(6,4) and J(8,6), which the parity lemma rules out
+    sub = search_exact_2factor(n, r, max_vertices=comb(n, r))
+    if (n, r) in {(6, 4), (8, 6)}:
+        assert sub is None
+    else:
+        assert is_exact(n, r, sub) == (True, None)
+        assert all(len(nbrs) == 2 for nbrs in sub.adjacency().values())
+        assert len(sub.vertices) == comb(n, r)
 
 
 @pytest.mark.parametrize("n, r", [(7, 3), (8, 3), (8, 5), (9, 6)])
@@ -208,7 +236,7 @@ def test_complement_of_exact_2factor_is_exact(n, r):
     assert validate_nest(n, n - r, comp)[0]
 
 
-@pytest.mark.parametrize("n, r", [(5, 3), (6, 4), (7, 4), (8, 5)])
+@pytest.mark.parametrize("n, r", [(5, 3), (6, 4), (7, 3), (7, 4), (8, 4), (8, 5), (9, 6)])
 def test_pair_table_matches_pair_ok(n, r):
     # the search trusts this table in place of the strict _path_violation
     verts, full, ok = _pair_table(n, r)

@@ -8,7 +8,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from permpack.perms import (all_perms, as_perm, compose, identity, invert,
-                            is_even, is_perm, lex_rank, lex_unrank, parity,
+                            is_even, is_perm, is_r_subset, lex_rank, lex_unrank, parity,
                             perm_from_str, perm_to_str, swap_positions, word_from_str)
 
 
@@ -214,3 +214,23 @@ def test_as_perm_validation():
 def test_is_perm_matches_sorted_reference(word, n):
     assert is_perm(word, n) == (sorted(word) == list(range(1, n + 1)))
     assert is_perm(tuple(word), n) == is_perm(word, n)
+
+
+def _r_subset_by_type_set(values, n, r):
+    # another spelling: the set of element types, then the extremes
+    return (len(values) == r and {*map(type, values)} <= {int}
+            and 1 <= min(values, default=1) and max(values, default=n) <= n)
+
+
+_ELEMENTS = st.one_of(st.integers(-2, 12), st.integers(), st.booleans(),
+                      st.sampled_from([1.0, 2.0, 0.5, None, "1", "2"]))
+
+
+@given(st.lists(_ELEMENTS, max_size=8), st.sampled_from([tuple, frozenset]),
+       st.integers(-1, 12), st.integers(-1, 9))
+@example([], tuple, 5, 0)
+@example([10**30, 2], tuple, 10**30, 2)
+@example([True, 2, 3], frozenset, 5, 3)
+def test_is_r_subset_matches_the_type_set_spelling(elements, container, n, r):
+    values = container(elements)
+    assert is_r_subset(values, n, r) == _r_subset_by_type_set(values, n, r)

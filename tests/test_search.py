@@ -214,6 +214,7 @@ def test_find_eset_leaves_no_cyclic_garbage():
         max_packing(build_tree(3, 2), node_budget=2000)
         xprime_perfect_code(3)
         search_exact_2factor(6, 4)
+        search_exact_2factor(7, 3)
         alternate_cops(parse_cop("1123"), parse_cop("2113"), 7)
         uniform_from_exact(build_tree(3, 2), nest_g35())
         nonuniform_extension(3)
