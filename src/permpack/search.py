@@ -32,10 +32,11 @@ maximum independent set in the distance-<=2 conflict graph, whose masks
 are unions of sphere masks.  The bound caps each component's candidates
 at the exact packing of one component, found by the same search with
 one vertex forced in, and is carried down the search tree
-(``_branch_and_bound``).  Value relabellings, which are automorphisms,
-carry that component's packing onto every other; the translated
-packing, finished greedily, is returned when it beats a stopped
-search's (``_translated_packing``).
+(``_branch_and_bound``); a vertex's tables are built when the search
+first branches on it, and a budgeted search branches on few vertices.
+Value relabellings, which are automorphisms, carry that component's
+packing onto every other; the translated packing, finished greedily,
+is returned when it beats a stopped search's (``_translated_packing``).
 """
 
 from __future__ import annotations
@@ -319,49 +320,36 @@ def _branch_and_bound(cand: int, conflict: list[int], comp_masks: list[int], cap
     counts and bound, derived from its parent's: skipping v lowers v's
     component count by 1, and taking v lowers the count of each
     component j that ``conflict[v]`` meets by the candidates in
-    ``conflict[v] & comp_masks[j]``.  Set-up splits those parts, cut to
-    the root candidates, once.  A part of two or more vertices keeps a
-    (j, part) entry in ``parts[v]``: its candidates are counted by
+    ``conflict[v] & comp_masks[j]``.  Those parts, cut to the root
+    candidates, are split when v first branches, not at set-up: a budgeted
+    search branches on few vertices.  A part of two or more vertices keeps
+    a (j, part) entry in ``parts[v]``: its candidates are counted by
     ``bit_count``, and a part that holds none costs one test and no
     update.  The single-vertex parts form one mask ``ones[v]``, and each
-    vertex of ``cand & ones[v]`` lowers its ``home`` component's count
-    by 1, so a vertex that is no longer a candidate moves no count.  The
-    take child's candidates are ``cand & keep[v]``, with ``keep[v] =
-    ~conflict[v]`` built at set-up too.  The path to a node is a linked
-    pair (last vertex taken, path to the parent), None at the root,
-    which every node below shares; the best one becomes a list only on
-    return.  Returns (best ranks in the order taken, nodes expanded,
-    exhaustive); the search stops before expanding node
-    ``node_budget + 1`` (None: no node cap) or, with a deadline, at the
-    first clock reading past ``deadline``.  The clock is read before
-    nodes 1, 1 + ``_CLOCK_EVERY``, 1 + 2 * ``_CLOCK_EVERY``, ..., so a
-    deadline stops the search at a multiple of ``_CLOCK_EVERY`` nodes.
+    vertex of ``cand & ones[v]`` lowers its ``home`` component's count by
+    1, so a vertex that is no longer a candidate moves no count.  The take
+    child's candidates are ``cand & keep[v]``, ``keep[v]`` being the root
+    candidates outside ``conflict[v]``: a positive mask, which ANDs faster
+    than ``~conflict[v]``.  The path to a node is a linked pair (last
+    vertex taken, path to the parent), None at the root, which every node
+    below shares; the best one becomes a list only on return.  Returns
+    (best ranks in the order taken, nodes expanded, exhaustive); the
+    search stops before expanding node ``node_budget + 1`` (None: no node
+    cap) or, with a deadline, at the first clock reading past
+    ``deadline``.  The clock is read before nodes 1, 1 + ``_CLOCK_EVERY``,
+    1 + 2 * ``_CLOCK_EVERY``, ..., so a deadline stops the search at a
+    multiple of ``_CLOCK_EVERY`` nodes.
     """
-    # per candidate v: home[v], its component index, and keep[v], parts[v]
-    # and ones[v] as described above
+    # per candidate v: home[v], its component index, and tables[v], None until v branches
+    root = cand
     home: list[int] = [0] * len(conflict)
-    keep: list[int] = [0] * len(conflict)
-    ones: list[int] = [0] * len(conflict)
-    parts: list[list[tuple[int, int]]] = [[]] * len(conflict)
+    tables: list[tuple[int, list[tuple[int, int]], int] | None] = [None] * len(conflict)
     for j, mask in enumerate(comp_masks):
         rest = cand & mask
         while rest:
-            b = rest & -rest
-            rest ^= b
-            v = b.bit_length() - 1
-            home[v] = j
-            keep[v] = ~conflict[v]
-            row = conflict[v] & cand
-            big = []
-            one = 0
-            for i, m in enumerate(comp_masks):
-                if p := row & m:
-                    if p & (p - 1):
-                        big.append((i, p))
-                    else:
-                        one |= p
-            parts[v] = big
-            ones[v] = one
+            low = rest & (rest - 1)
+            home[(rest ^ low).bit_length() - 1] = j
+            rest = low
     counts = [(cand & mask).bit_count() for mask in comp_masks]
     bound = sum(min(cap, c) for c in counts)
 
@@ -385,22 +373,34 @@ def _branch_and_bound(cand: int, conflict: list[int], comp_masks: list[int], cap
                 best, best_depth = path, depth
             if depth + bound <= best_depth:
                 break
-            b = cand & -cand
-            v = b.bit_length() - 1
+            rest = cand & (cand - 1)
+            v = (cand ^ rest).bit_length() - 1
+            if (table := tables[v]) is None:
+                row = conflict[v] & root
+                parts = []
+                ones = 0
+                for i, m in enumerate(comp_masks):
+                    if p := row & m:
+                        if p & (p - 1):
+                            parts.append((i, p))
+                        else:
+                            ones |= p
+                table = tables[v] = (root ^ row, parts, ones)
+            keep, parts, ones = table
             taken = counts[:]
             take_bound = bound
-            for j, part in parts[v]:
+            for j, part in parts:
                 if hit := cand & part:
                     c = taken[j]
                     left = c - hit.bit_count()
                     taken[j] = left
                     if left < cap:
                         take_bound -= (c if c < cap else cap) - left
-            hit = cand & ones[v]
+            hit = cand & ones
             while hit:
-                u = hit & -hit
-                hit ^= u
-                j = home[u.bit_length() - 1]
+                low = hit & (hit - 1)
+                j = home[(hit ^ low).bit_length() - 1]
+                hit = low
                 if taken[j] <= cap:
                     take_bound -= 1
                 taken[j] -= 1
@@ -408,8 +408,8 @@ def _branch_and_bound(cand: int, conflict: list[int], comp_masks: list[int], cap
             if counts[j] <= cap:
                 bound -= 1
             counts[j] -= 1
-            stack.append((cand ^ b, path, depth, counts, bound))
-            cand, path, depth, counts, bound = (cand & keep[v], (v, path), depth + 1,
+            stack.append((rest, path, depth, counts, bound))
+            cand, path, depth, counts, bound = (cand & keep, (v, path), depth + 1,
                                                 taken, take_bound)
     return _unlink(best), nodes, True
 

@@ -3,8 +3,10 @@
 import contextlib
 import inspect
 import json
+import math
 import pathlib
 import sys
+import time
 
 import pytest
 from hypothesis import settings
@@ -14,6 +16,7 @@ from permpack.constructions import uniform_from_exact
 from permpack.johnson import (ExactSubgraph, _pair_table, expand_cc, make_subgraph,
                               search_exact_2factor)
 from permpack.perms import is_r_subset, swap_positions
+from permpack.search import _CLOCK_EVERY, _unlink
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -171,6 +174,83 @@ def exact_2factor_reference(n: int, r: int) -> ExactSubgraph | None:
         pivot = (open_ & -open_).bit_length() - 1
         untried = allow[pivot] & open_
     return make_subgraph(((verts[p], verts[w]) for p, _, w, *_ in stack), kind="two_factor")
+
+
+def eager_branch_and_bound(cand: int, conflict: list[int], comp_masks: list[int], cap: int,
+                           node_budget: int | None, deadline: float | None):
+    """``search._branch_and_bound`` as it was when set-up built keep[v],
+    parts[v] and ones[v] for every root candidate before the first node,
+    with keep[v] = ~conflict[v].  The search builds them when v first
+    branches; both must return the same (packing, nodes, exhaustive)."""
+    home = [0] * len(conflict)
+    keep = [0] * len(conflict)
+    ones = [0] * len(conflict)
+    parts = [[]] * len(conflict)
+    for j, mask in enumerate(comp_masks):
+        rest = cand & mask
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            v = b.bit_length() - 1
+            home[v] = j
+            keep[v] = ~conflict[v]
+            row = conflict[v] & cand
+            big = []
+            one = 0
+            for i, m in enumerate(comp_masks):
+                if p := row & m:
+                    if p & (p - 1):
+                        big.append((i, p))
+                    else:
+                        one |= p
+            parts[v] = big
+            ones[v] = one
+    counts = [(cand & mask).bit_count() for mask in comp_masks]
+    bound = sum(min(cap, c) for c in counts)
+    best = None
+    best_depth = nodes = 0
+    limit = math.inf if node_budget is None else node_budget
+    check = limit if deadline is None else 0
+    stack = [(cand, None, 0, counts, bound)]
+    while stack:
+        cand, path, depth, counts, bound = stack.pop()
+        while True:
+            if nodes >= check:
+                if nodes >= limit or time.monotonic() > deadline:
+                    return _unlink(best), nodes, False
+                check = min(limit, nodes + _CLOCK_EVERY)
+            nodes += 1
+            if depth > best_depth:
+                best, best_depth = path, depth
+            if depth + bound <= best_depth:
+                break
+            b = cand & -cand
+            v = b.bit_length() - 1
+            taken = counts[:]
+            take_bound = bound
+            for j, part in parts[v]:
+                if hit := cand & part:
+                    c = taken[j]
+                    left = c - hit.bit_count()
+                    taken[j] = left
+                    if left < cap:
+                        take_bound -= (c if c < cap else cap) - left
+            hit = cand & ones[v]
+            while hit:
+                u = hit & -hit
+                hit ^= u
+                j = home[u.bit_length() - 1]
+                if taken[j] <= cap:
+                    take_bound -= 1
+                taken[j] -= 1
+            j = home[v]
+            if counts[j] <= cap:
+                bound -= 1
+            counts[j] -= 1
+            stack.append((cand ^ b, path, depth, counts, bound))
+            cand, path, depth, counts, bound = (cand & keep[v], (v, path), depth + 1,
+                                                taken, take_bound)
+    return _unlink(best), nodes, True
 
 
 @contextlib.contextmanager

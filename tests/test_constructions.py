@@ -22,7 +22,7 @@ from permpack.constructions import (_component_centers, _disjoint_picks,
                                     puncture_attempt, star_eset,
                                     table_T, table_row, uniform_from_exact,
                                     xprime_components, xprime_perfect_code)
-from permpack.johnson import alternate_cops
+from permpack.johnson import alternate_cops, search_exact_2factor
 from permpack.perms import all_perms, parity
 
 
@@ -317,12 +317,15 @@ def test_nonuniform_without_configurations_falls_back_to_the_xprime_code(monkeyp
     (lambda: uniform_from_exact(build_tree(3, 2), two_factor_g35()).certificate,
      "48789b2e635c3a9d"),
     (lambda: uniform_from_exact(build_tree(3, 2), nest_g35()).certificate, "c0ec593a0caff4f3"),
+    (lambda: uniform_from_exact(build_tree(4, 5),
+                                search_exact_2factor(9, 4, max_vertices=126)).certificate,
+     "18c6d2130e1e5790"),
     (lambda: puncture_attempt(3, 2).certificate, "6ca33ff4905ce4a2"),
     (lambda: puncture_attempt(4, 2).certificate, "ca840d14a4c97ea6"),
     (lambda: puncture_attempt(4, 3).certificate, "ef222d316731dba5"),
     (lambda: puncture_attempt(5, 2).certificate, "09b6bb410a3f5c80"),
 ], ids=["xprime3", "nonuniform3-final", "nonuniform3-intermediate",
-        "uniform32-two-factor", "uniform32-nest",
+        "uniform32-two-factor", "uniform32-nest", "uniform45-two-factor",
         "puncture32", "puncture42", "puncture43", "puncture52"])
 def test_construction_golden_certificates(make, digest):
     # the certificates pin the order of the pick and orientation searches

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import nest_g35, placed_x3, shallow_stack
+from conftest import eager_branch_and_bound, nest_g35, placed_x3, shallow_stack
 from permpack import search
 from permpack.cayley import (RENUMBERED, all_components, build_tree, closed_sphere,
                              component_of, neighbors, star_tree)
@@ -523,6 +523,50 @@ def test_single_vertex_parts_match_recomputed(case):
     cand, conflict, comp_masks, cap, budget = case
     expected = _reference_branch_and_bound(cand, conflict, comp_masks, cap, budget)
     assert _branch_and_bound(cand, conflict, comp_masks, cap, budget, None) == expected
+
+
+class _RecordingRows(list):
+    """A conflict list that records which rows are read."""
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.read = set()
+
+    def __getitem__(self, v):
+        self.read.add(v)
+        return super().__getitem__(v)
+
+
+@pytest.mark.parametrize("budget, most", [(1, 1), (20000, 719)])
+def test_branch_and_bound_builds_tables_on_demand(budget, most):
+    # a vertex's tables come from its conflict row when it first branches:
+    # one node branches on one vertex, and 20 000 nodes of X3(3,3)'s main
+    # search branch on far fewer than its 720 candidates
+    conflict, comp_masks = _packing_graph(build_tree(3, 3))
+    rows = _RecordingRows(conflict)
+    _, nodes, _ = _branch_and_bound((1 << len(conflict)) - 1, rows, comp_masks, 6, budget, None)
+    assert nodes == budget
+    assert len(rows.read) <= most
+
+
+@pytest.mark.parametrize("tree", [build_tree(2, 2), build_tree(3, 2), placed_x3(3, 3, 2, 5)],
+                         ids=["x22", "x32", "x33-hubs25"])
+@pytest.mark.parametrize("budget", [1, 257, 20000, None])
+def test_branch_and_bound_matches_eager_setup(tree, budget):
+    # the forced cap search and the main search, as max_packing runs them;
+    # the main search ends without a node cap only on X3(2,2) (X3(3,2)
+    # and X3(3,3) run past 3 000 000 nodes)
+    conflict, comp_masks = _packing_graph(tree)
+    first = comp_masks[0]
+    v0 = (first & -first).bit_length() - 1
+    cap_search = (first & ~conflict[v0], conflict, [first], first.bit_count(), budget, None)
+    sample, _, exact = expected = eager_branch_and_bound(*cap_search)
+    assert _branch_and_bound(*cap_search) == expected
+    if budget is None and tree.n > 4:
+        return
+    cap = 1 + len(sample) if exact else first.bit_count()
+    main = ((1 << len(conflict)) - 1, conflict, comp_masks, cap, budget, None)
+    assert _branch_and_bound(*main) == eager_branch_and_bound(*main)
 
 
 def test_deadline_stops_where_the_node_budget_does(monkeypatch):
