@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cache
-from itertools import combinations, permutations
+from itertools import combinations
 from operator import itemgetter
 
 from .perms import Perm, is_r_subset
@@ -248,11 +248,3 @@ def component_type(tree: TranspositionTree, values) -> int:
     values = set(values)
     return sum(1 for i in range(1, tree.r + 1) if i in values and tree.r + i in values)
 
-
-def enumerate_component(tree: TranspositionTree, values):
-    """All r!t! vertices whose left-side values equal the given r-subset."""
-    values = component_key(tree, values)
-    right = sorted(set(range(1, tree.n + 1)) - values)
-    for left_word in permutations(sorted(values)):
-        for right_word in permutations(right):
-            yield left_word + right_word

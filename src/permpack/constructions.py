@@ -74,7 +74,7 @@ def hub_slice(tree: TranspositionTree, values, i: int, j: int) -> list[Perm]:
     complement = frozenset(range(1, tree.n + 1)) - values
     if i not in values or j not in complement:
         raise ValueError(f"slice values {i},{j} unavailable in component {sorted(values)}")
-    # lex-ordered sides in a left-major product: enumerate_component's order
+    # a left-major product of lex-ordered sides is in lex order
     rights = _with_value(complement, tree.hub_right - 1 - tree.r, j)
     return [left + right for left in _with_value(values, tree.hub_left - 1, i) for right in rights]
 

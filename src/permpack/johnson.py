@@ -24,7 +24,7 @@ a parity lemma (proved in its docstring) it has no exact 2-factor.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from math import comb
 
 from .perms import is_r_subset
@@ -69,16 +69,17 @@ def subgraph_from_dict(data: dict) -> ExactSubgraph:
 
 
 def make_subgraph(edges, kind: str = "general", extra_vertices=()) -> ExactSubgraph:
-    # one object per vertex, the first seen: {True, 2} == {1, 2}, so the
-    # checks test each vertex once and then hold for every edge end
+    # one object per vertex: {True, 2} == {1, 2}, so the one kept is a copy
+    # with an element that is not an int whenever there is one, wherever it
+    # is written; the checks test each vertex once and refuse it at every end
+    edges = [(frozenset(u), frozenset(v)) for u, v in edges]
     verts: dict[Subset, Subset] = {}
-    for v in map(frozenset, extra_vertices):
-        verts.setdefault(v, v)
-    norm = []
-    for u, v in edges:
-        u, v = frozenset(u), frozenset(v)
-        norm.append((verts.setdefault(u, u), verts.setdefault(v, v)))
-    return ExactSubgraph(vertices=frozenset(verts), edges=tuple(norm), kind=kind)
+    for v in chain(map(frozenset, extra_vertices), chain.from_iterable(edges)):
+        kept = verts.setdefault(v, v)
+        if kept is not v and all(type(x) is int for x in kept):
+            verts[v] = v
+    return ExactSubgraph(vertices=frozenset(verts.values()),
+                         edges=tuple((verts[u], verts[v]) for u, v in edges), kind=kind)
 
 
 def is_johnson_edge(u: Subset, v: Subset) -> bool:
@@ -119,7 +120,10 @@ def _structure_violation(n: int, r: int, sub: ExactSubgraph, need: int,
 
 
 def is_exact(n: int, r: int, sub: ExactSubgraph) -> tuple[bool, str | None]:
-    """Literal exactness check; on failure returns the offending witness."""
+    """Literal exactness check; on failure returns the offending witness.
+    Two colors must share r-2 elements, so r < 2 is refused, as r > n is."""
+    if not 2 <= r <= n:
+        raise ValueError(f"need 2 <= r <= n, got r={r}, n={n}")
     bad = _structure_violation(n, r, sub, r + 2, sub.adjacency())
     return bad is None, bad
 
@@ -329,9 +333,9 @@ def validate_nest(n: int, r: int, sub: ExactSubgraph) -> tuple[bool, str]:
     """Check the nest conditions: spanning, max degree 3, every component
     a cycle with pendant vertices, Johnson edges between r-subsets of
     1..n, and exactness of every 2-path under the host cap min(r+2, n-1)
-    (see _path_violation)."""
-    if not 1 <= r <= n:
-        raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
+    (see _path_violation); ValueError unless 2 <= r <= n, as in is_exact."""
+    if not 2 <= r <= n:
+        raise ValueError(f"need 2 <= r <= n, got r={r}, n={n}")
     if len(sub.vertices) != comb(n, r):
         return False, f"not spanning: {len(sub.vertices)} of {comb(n, r)} vertices"
     adj = sub.adjacency()

@@ -16,12 +16,6 @@ from itertools import combinations, permutations as _lex_words
 Perm = tuple[int, ...]
 
 
-def identity(n: int) -> Perm:
-    if n < 1:
-        raise ValueError(f"degree must be positive, got {n}")
-    return tuple(range(1, n + 1))
-
-
 @cache
 def _values(n: int) -> frozenset[int]:
     """{1, ..., n}: a word of n letters is a permutation iff these are
@@ -40,14 +34,6 @@ def is_r_subset(values, n: int, r: int) -> bool:
     return len(values) == r and all(type(v) is int and 1 <= v <= n for v in values)
 
 
-def as_perm(word) -> Perm:
-    """Validate a word as a permutation and return it as a tuple."""
-    w = tuple(word)
-    if not is_perm(w, len(w)):
-        raise ValueError(f"not a permutation of 1..{len(w)}: {w}")
-    return w
-
-
 def compose(p: Perm, q: Perm) -> Perm:
     """(p o q)(k) = p(q(k))."""
     if len(p) != len(q):
@@ -62,17 +48,12 @@ def invert(p: Perm) -> Perm:
     return tuple(inv)
 
 
-def is_even(word) -> bool:
-    """True iff the word of distinct values has an even number of
-    inversions; for a permutation, iff it is a product of an even number
-    of transpositions."""
-    return sum(a > b for a, b in combinations(word, 2)) % 2 == 0
-
-
 def parity(word) -> str:
-    """"even" or "odd": the parity of a word of distinct values, relative
-    to its sorted order (``is_even``)."""
-    return "even" if is_even(word) else "odd"
+    """"even" or "odd": the parity of the number of inversions of a word
+    of distinct values, which is its parity relative to its sorted order;
+    a permutation is even iff it is a product of an even number of
+    transpositions."""
+    return "odd" if sum(a > b for a, b in combinations(word, 2)) % 2 else "even"
 
 
 def lex_rank(p: Perm) -> int:
@@ -85,28 +66,9 @@ def lex_rank(p: Perm) -> int:
     return rank
 
 
-def lex_unrank(k: int, n: int) -> Perm:
-    if not 0 <= k < math.factorial(n):
-        raise ValueError(f"rank {k} out of range for degree {n}")
-    values = list(range(1, n + 1))
-    word = []
-    for i in range(n, 0, -1):
-        f = math.factorial(i - 1)
-        idx, k = divmod(k, f)
-        word.append(values.pop(idx))
-    return tuple(word)
-
-
 def all_perms(n: int):
     """All degree-n permutations in lexicographic order."""
     return (tuple(w) for w in _lex_words(range(1, n + 1)))
-
-
-def swap_positions(p: Perm, i: int, j: int) -> Perm:
-    """Exchange the contents of positions i and j (1-based)."""
-    w = list(p)
-    w[i - 1], w[j - 1] = w[j - 1], w[i - 1]
-    return tuple(w)
 
 
 @cache
@@ -132,8 +94,3 @@ def word_from_str(s: str) -> tuple[int, ...]:
     if s.isascii() and s.isdigit():
         return tuple(s.encode().translate(_DIGIT_VALUES))
     return tuple(map(int, s.split(",") if "," in s else s))
-
-
-def perm_from_str(s: str) -> Perm:
-    """The inverse of ``perm_to_str``: ``word_from_str``, checked by ``as_perm``."""
-    return as_perm(word_from_str(s))

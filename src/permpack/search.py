@@ -35,8 +35,9 @@ one vertex forced in, and is carried down the search tree
 (``_branch_and_bound``); a vertex's tables are built when the search
 first branches on it, and a budgeted search branches on few vertices.
 Value relabellings, which are automorphisms, carry that component's
-packing onto every other; the translated packing, finished greedily,
-is returned when it beats a stopped search's (``_translated_packing``).
+packing onto every other before the main search (``_translated_packing``).
+The translated packing, finished greedily, ends the search when it meets
+the root bound, and is returned when it beats a stopped search's.
 """
 
 from __future__ import annotations
@@ -465,14 +466,16 @@ def max_packing(tree: TranspositionTree, node_budget: int | None = 2_000_000,
     ``time_budget`` when there is a main search to follow.  A star is
     one component, so its cap search, with v0, is the whole search.
 
-    When the main search stops before it is exhaustive, v0 and the cap
-    search's packing are translated onto every component
-    (``_translated_packing``, which reads no clock), and the larger of
-    the two packings is returned, the main search's on a tie.
-    ``nodes_explored`` counts the main search only.
+    With more than one component, v0 and the cap search's packing are
+    then translated onto every component (``_translated_packing``, which
+    reads no clock).  A translated packing that meets the root bound
+    (below) is optimal and is returned as exhaustive, with no main
+    search; otherwise, when the main search stops before it is
+    exhaustive, the larger of the two packings is returned, the main
+    search's on a tie.  ``nodes_explored`` counts the main search only.
 
     ``upper_bound`` is the packing size when the search is exhaustive,
-    else the smaller of the root bound ``cap * len(comp_masks)`` and the
+    else the root bound: the smaller of ``cap * len(comp_masks)`` and the
     sphere-volume bound n! // n (disjoint closed spheres of n vertices
     each).  The status is ``found`` whenever the packing meets
     ``upper_bound``, so a stopped search that reached the bound is
@@ -501,17 +504,23 @@ def max_packing(tree: TranspositionTree, node_budget: int | None = 2_000_000,
     sample, nodes, exact = _branch_and_bound(first & ~conflict[v0], conflict, [first], size,
                                              node_budget, cap_deadline)
     cap = 1 + len(sample) if exact else size
+    root = min(cap * len(comp_masks), len(conflict) // tree.n)
     if len(comp_masks) == 1:
         # a star: the cap search already searched the whole graph
         best, exhaustive = [v0] + sample, exact
     else:
-        best, nodes, exhaustive = _branch_and_bound((1 << len(conflict)) - 1, conflict,
-                                                    comp_masks, cap, node_budget, deadline)
-        if not exhaustive:
-            best = max(best, _translated_packing(tree, conflict, [v0] + sample), key=len)
+        translated = _translated_packing(tree, conflict, [v0] + sample)
+        if len(translated) == root:
+            # optimal: no main search can do better
+            best, nodes, exhaustive = translated, 0, True
+        else:
+            best, nodes, exhaustive = _branch_and_bound((1 << len(conflict)) - 1, conflict,
+                                                        comp_masks, cap, node_budget, deadline)
+            if not exhaustive:
+                best = max(best, translated, key=len)
     cert, report = certified(tree, _centers_from_ranks(tree.n, best))
     assert report.valid, "search returned an unsound certificate"
-    bound = len(best) if exhaustive else min(cap * len(comp_masks), len(conflict) // tree.n)
+    bound = len(best) if exhaustive else root
     return SearchOutcome(status=FOUND if len(best) == bound else BEST_EFFORT, certificate=cert,
                          nodes_explored=nodes, wall_budget_exceeded=not exhaustive,
                          covered_count=report.covered_count, upper_bound=bound)

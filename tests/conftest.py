@@ -15,7 +15,7 @@ from permpack.cayley import TranspositionTree, build_tree
 from permpack.constructions import uniform_from_exact
 from permpack.johnson import (ExactSubgraph, _pair_table, expand_cc, make_subgraph,
                               search_exact_2factor)
-from permpack.perms import is_r_subset, swap_positions
+from permpack.perms import is_r_subset
 from permpack.search import _CLOCK_EVERY, _unlink
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -83,9 +83,16 @@ def placed_x3(r, t, hub_left, hub_right) -> TranspositionTree:
                              r=r, t=t)
 
 
+def swap_positions(p, i: int, j: int) -> tuple[int, ...]:
+    """Exchange the contents of positions i and j (1-based)."""
+    w = list(p)
+    w[i - 1], w[j - 1] = w[j - 1], w[i - 1]
+    return tuple(w)
+
+
 def graph_distance(tree: TranspositionTree, g, h) -> int:
     """Length of a shortest path from g to h in the Cayley graph, by a
-    breadth-first search that swaps positions with ``perms.swap_positions``
+    breadth-first search that swaps positions with ``swap_positions``
     along each tree edge.  It shares no code with ``cayley.edge_getters``,
     the columns that spheres are built from, so it can check them."""
     dist = {g: 0}

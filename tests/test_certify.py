@@ -22,8 +22,8 @@ from hypothesis import strategies as st
 import permpack
 from conftest import load_fixture, placed_x3
 from permpack.cayley import (RENUMBERED, TranspositionTree, all_components, build_tree,
-                             closed_sphere, component_of, edge_getters, enumerate_component,
-                             neighbors, packing_profile, packing_union, star_tree)
+                             closed_sphere, component_of, edge_getters, neighbors,
+                             packing_profile, packing_union, star_tree)
 from permpack.certify import (CertificateError, PackingCertificate, VerificationReport,
                               _equivalent, cert_from_dict, cert_to_dict,
                               report_to_dict, sphere_sets, uniformity_check,
@@ -31,7 +31,7 @@ from permpack.certify import (CertificateError, PackingCertificate, Verification
 from permpack.constructions import (Construction, TableRow, xprime_components,
                                     xprime_perfect_code)
 from permpack.johnson import ExactSubgraph
-from permpack.perms import all_perms, compose, perm_from_str, perm_to_str
+from permpack.perms import all_perms, compose, is_perm, perm_to_str, word_from_str
 from permpack.search import SearchOutcome
 
 
@@ -438,8 +438,8 @@ def test_uniformity_of_x53_from_j85(x53_from_j85):
     # move one center within its component: the counts still match, so
     # only the translations can tell the components apart
     taken = set(cert.centers)
-    spare = next(g for g in enumerate_component(tree, component_of(tree, cert.centers[0]))
-                 if g not in taken)
+    home = component_of(tree, cert.centers[0])
+    spare = next(g for g in all_perms(tree.n) if component_of(tree, g) == home and g not in taken)
     lopsided = _cert(tree, [spare] + cert.centers[1:])
     ok, why = uniformity_check(tree, lopsided)
     assert not ok and "inequivalent" in why
@@ -473,7 +473,8 @@ def test_equivalent_matches_reference(data):
     tree = build_tree(r, t)
     comps = all_components(tree)
     c1, c2 = data.draw(st.sampled_from(comps)), data.draw(st.sampled_from(comps))
-    verts1, verts2 = list(enumerate_component(tree, c1)), list(enumerate_component(tree, c2))
+    verts1, verts2 = ([g for g in all_perms(tree.n) if component_of(tree, g) == c]
+                      for c in (c1, c2))
     k = data.draw(st.integers(0, min(5, len(verts1))))
     centers1 = set(data.draw(st.lists(st.sampled_from(verts1), min_size=k, max_size=k,
                                       unique=True)))
@@ -739,4 +740,4 @@ def test_cert_json_roundtrip_of_double_sphere_and_base_subgraph():
 def test_fixture_centers_parse():
     data = load_fixture("x22_eset_5_6.json")
     assert len(data["centers"]) == 5
-    assert all(len(perm_from_str(s)) == 4 for s in data["centers"])
+    assert all(is_perm(word_from_str(s), 4) for s in data["centers"])

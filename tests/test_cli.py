@@ -586,34 +586,45 @@ def test_johnson_validate_nest_rejects_values_outside_the_host(tmp_path, capsys)
     assert "not between r-subsets of 1..5" in data["detail"]
 
 
-@pytest.fixture(params=[True, 1.0], ids=["true", "1.0"])
+@pytest.fixture(params=[(True, "all"), (1.0, "all"), (True, "edge"), (1.0, "edge"),
+                        (True, "vertices"), (1.0, "vertices")],
+                ids=["true", "1.0", "true-in-one-edge", "1.0-in-one-edge", "true-in-vertices",
+                     "1.0-in-vertices"])
 def nest_g35_with_one_as(request, tmp_path):
-    """nest_g35.json with each 1 written as JSON true or as 1.0, both of
-    which Python reads as values equal to 1; (path, repr of the value)."""
+    """nest_g35.json with 1 written as JSON true or as 1.0, both of which
+    Python reads as values equal to 1: everywhere, or in one copy of
+    {1, 2, 3} only, the first end of the first edge or the first entry of
+    the vertices list; (path, the first edge as a refusal names it)."""
+    one, where = request.param
     nest = json.loads((FIXTURES / "nest_g35.json").read_text())
-    for key in ("vertices", "edges"):
-        nest[key] = json.loads(json.dumps(nest[key]), parse_int=lambda s: (
-            request.param if s == "1" else int(s)))
+    if where == "all":
+        for key in ("vertices", "edges"):
+            nest[key] = json.loads(json.dumps(nest[key]), parse_int=lambda s: (
+                one if s == "1" else int(s)))
+    else:
+        (nest["edges"][0][0] if where == "edge" else nest["vertices"][0])[0] = one
     path = tmp_path / "nest_g35_one.json"
     path.write_text(json.dumps(nest))
-    return path, repr(request.param)
+    other = one if where == "all" else 1
+    return path, f"({one!r}, 2, 3)-({other!r}, 2, 5)"
 
 
 def test_johnson_validate_nest_refuses_values_that_are_not_integers(nest_g35_with_one_as,
                                                                     capsys):
-    # the rule of components: True and 1.0 are not among the values 1..n
-    path, one = nest_g35_with_one_as
+    # the rule of components: True and 1.0 are not among the values 1..n,
+    # wherever the structure writes them
+    path, edge = nest_g35_with_one_as
     code, data = run_json(capsys, "johnson", "validate-nest", "5", "3", str(path))
     assert code == 1 and not data["valid"]
-    assert data["detail"] == f"edge ({one}, 2, 3)-({one}, 2, 5) is not between r-subsets of 1..5"
+    assert data["detail"] == f"edge {edge} is not between r-subsets of 1..5"
 
 
 def test_construct_uniform_refuses_a_nest_of_values_that_are_not_integers(
         nest_g35_with_one_as, capsys):
-    path, one = nest_g35_with_one_as
+    path, edge = nest_g35_with_one_as
     assert run(["construct", "uniform", "--tree", "3,2", "--structure", str(path)]) == 2
     assert capsys.readouterr().err == (
-        f"error: structure is not a nest of J(5,3): edge ({one}, 2, 3)-({one}, 2, 5) "
+        f"error: structure is not a nest of J(5,3): edge {edge} "
         f"is not between r-subsets of 1..5\n")
 
 
@@ -629,7 +640,17 @@ def test_johnson_validate_nest_rejects_r_outside_1_to_n(tmp_path, capsys):
     path = tmp_path / "empty.json"
     path.write_text(json.dumps({"vertices": [], "edges": []}))
     assert run(["johnson", "validate-nest", "3", "5", str(path)]) == 2
-    assert "need 1 <= r <= n, got r=5, n=3" in capsys.readouterr().err
+    assert "need 2 <= r <= n, got r=5, n=3" in capsys.readouterr().err
+
+
+def test_johnson_exactness_below_r_2_exits_2(tmp_path, capsys):
+    assert run(["johnson", "expand-cc", "1,2,3", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: need 2 <= r <= n, got r=1, n=3\n"
+    path = tmp_path / "j31.json"
+    path.write_text(json.dumps({"edges": [[[1], [2]], [[2], [3]], [[3], [1]]]}))
+    assert run(["johnson", "validate-nest", "3", "1", str(path)]) == 2
+    assert capsys.readouterr().err == "error: need 2 <= r <= n, got r=1, n=3\n"
 
 
 def test_tables_tsv(capsys):

@@ -106,12 +106,25 @@ def test_is_exact_takes_only_integer_elements(one):
         False, f"edge ({one!r}, 2, 3)-({one!r}, 2, 4) is not between r-subsets of 1..5")
 
 
+def test_exactness_needs_r_of_2_or_more():
+    # colors sharing r - 2 elements mean nothing below r = 2
+    cycle = expand_cc((1, 2, 3), 1)
+    for check in (is_exact, validate_nest):
+        with pytest.raises(ValueError, match=r"need 2 <= r <= n, got r=1, n=3"):
+            check(3, 1, cycle)
+
+
 def test_make_subgraph_keeps_one_object_per_vertex():
-    # {True, 2, 3} == {1, 2, 3}: the first copy seen stands for the vertex
-    # at every edge end, so checking each vertex once checks every end
+    # {True, 2, 3} == {1, 2, 3}: one copy stands for the vertex at every
+    # edge end, the one that is not all ints whatever the order, so
+    # checking each vertex once checks every end
     first_int = make_subgraph([({1, 2, 3}, {1, 2, 4}), ({True, 2, 3}, {2, 3, 4})])
     assert first_int.edges[1][0] is first_int.edges[0][0]
-    assert {type(x) for edge in first_int.edges for end in edge for x in end} == {int}
+    kept = first_int.edges[0][0]
+    assert {type(x) for x in kept} == {bool, int}
+    assert any(v is kept for v in first_int.vertices)
+    assert is_exact(5, 3, first_int) == (
+        False, "edge (True, 2, 3)-(1, 2, 4) is not between r-subsets of 1..5")
     first_bool = make_subgraph([({2, 3, 4}, {True, 2, 3}), ({1, 2, 3}, {1, 2, 4})])
     assert is_exact(5, 3, first_bool) == (
         False, "edge (2, 3, 4)-(True, 2, 3) is not between r-subsets of 1..5")

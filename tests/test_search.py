@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import eager_branch_and_bound, nest_g35, placed_x3, shallow_stack
+from conftest import eager_branch_and_bound, nest_g35, placed_x3, shallow_stack, swap_positions
 from permpack import search
 from permpack.cayley import (RENUMBERED, all_components, build_tree, closed_sphere,
                              component_of, neighbors, star_tree)
@@ -23,7 +23,7 @@ from permpack.cli import run
 from permpack.constructions import (_disjoint_picks, nonuniform_extension,
                                     uniform_from_exact, xprime_perfect_code)
 from permpack.johnson import alternate_cops, parse_cop, search_exact_2factor
-from permpack.perms import all_perms, compose, lex_rank, lex_unrank, perm_to_str, swap_positions
+from permpack.perms import all_perms, compose, lex_rank, perm_to_str
 from permpack.search import (BEST_EFFORT, FOUND, NONE_EXHAUSTIVE, _branch_and_bound,
                              _centers_from_ranks, _ExactCover, _packing_graph, _plain_changes,
                              _sphere_ranks, _swap_columns, _translated_packing, _value_columns,
@@ -82,7 +82,8 @@ def test_centers_from_ranks_matches_unranking():
         size = math.factorial(tree.n)
         ranks = [v * 7919 % size for v in range(0, size, 11)]
         centers = _centers_from_ranks(tree.n, ranks)
-        assert centers == sorted(lex_unrank(v, tree.n) for v in ranks)
+        assert centers == sorted(centers)
+        assert [lex_rank(c) for c in centers] == sorted(ranks)
 
 
 def test_find_eset_leaves_the_tables_unchanged():
@@ -368,6 +369,20 @@ def _packing_digest(out) -> str:
     centers = [perm_to_str(c) for c in out.certificate.centers]
     data = json.dumps([out.status, out.nodes_explored, centers])
     return hashlib.sha256(data.encode()).hexdigest()[:16]
+
+
+def test_max_packing_stops_at_a_translated_optimum():
+    # X3(3,2)'s translated packing meets the root bound 20 = 10 components
+    # times cap 2, so no main search runs; it is the packing that a
+    # 20 000-node search returned when the main search ran first
+    out = max_packing(build_tree(3, 2), node_budget=2_000_000)
+    assert out.status == FOUND and out.upper_bound == 20
+    assert out.nodes_explored == 0 and not out.wall_budget_exceeded
+    assert [perm_to_str(c) for c in out.certificate.centers] == [
+        "12345", "13542", "14325", "15234", "21345", "23451", "24153", "25431", "31542",
+        "32451", "34512", "35214", "41325", "42153", "43512", "45123", "51234", "52431",
+        "53214", "54123"]
+    assert max_packing(build_tree(3, 2), node_budget=20_000) == out
 
 
 @pytest.mark.parametrize("tree, digest", _GOLDEN_TREES)
